@@ -222,6 +222,8 @@ appendThreadingDetail(obs::JsonWriter &w, const ThreadedReport &r)
     w.kv("seeding_threads", static_cast<int64_t>(r.seeding_threads));
     w.kv("fpga_threads", static_cast<int64_t>(r.fpga_threads));
     w.kv("batch_size", r.batch_size);
+    w.kv("batches", r.batches);
+    w.kv("helped_batches", r.helped_batches);
     w.kv("producer_cpu_seconds", r.producer_cpu_seconds);
     w.kv("consumer_cpu_seconds", r.consumer_cpu_seconds);
     w.kv("device_emulation_cpu_seconds", r.device_emulation_cpu_seconds);

@@ -142,6 +142,24 @@ BatchRing::push(SeededBatch *batch, size_t producer)
         });
         --s.waiting_producers;
     }
+    putLocked(s, batch, lock);
+}
+
+bool
+BatchRing::tryPush(SeededBatch *batch, size_t producer)
+{
+    Shard &s = *shards_[producer % shards_.size()];
+    std::unique_lock<std::mutex> lock(s.mutex);
+    if (s.count.load(std::memory_order_relaxed) >= capacity_)
+        return false;
+    putLocked(s, batch, lock);
+    return true;
+}
+
+void
+BatchRing::putLocked(Shard &s, SeededBatch *batch,
+                     std::unique_lock<std::mutex> &lock)
+{
     const size_t count = s.count.load(std::memory_order_relaxed);
     s.ring[(s.head + count) % capacity_] = batch;
     s.count.store(count + 1, std::memory_order_release);
@@ -184,21 +202,36 @@ BatchRing::takeLocked(Shard &s, std::unique_lock<std::mutex> &lock)
 }
 
 SeededBatch *
+BatchRing::scanShards(size_t home)
+{
+    // Every shard, home first; the lock-free count peek keeps foreign
+    // shards untouched when they are empty.
+    const size_t n = shards_.size();
+    for (size_t k = 0; k < n; ++k) {
+        Shard &s = *shards_[(home + k) % n];
+        if (s.count.load(std::memory_order_acquire) == 0)
+            continue;
+        std::unique_lock<std::mutex> lock(s.mutex);
+        if (SeededBatch *batch = takeLocked(s, lock))
+            return batch;
+    }
+    return nullptr;
+}
+
+SeededBatch *
+BatchRing::tryPop(size_t consumer)
+{
+    return scanShards(consumer % shards_.size());
+}
+
+SeededBatch *
 BatchRing::pop(size_t consumer)
 {
     const size_t n = shards_.size();
     const size_t home = consumer % n;
     for (;;) {
-        // Scan every shard, home first; the lock-free count peek keeps
-        // foreign shards untouched when they are empty.
-        for (size_t k = 0; k < n; ++k) {
-            Shard &s = *shards_[(home + k) % n];
-            if (s.count.load(std::memory_order_acquire) == 0)
-                continue;
-            std::unique_lock<std::mutex> lock(s.mutex);
-            if (SeededBatch *batch = takeLocked(s, lock))
-                return batch;
-        }
+        if (SeededBatch *batch = scanShards(home))
+            return batch;
         if (closed_.load(std::memory_order_acquire) && totalCount() == 0)
             return nullptr;
         Shard &s = *shards_[home];

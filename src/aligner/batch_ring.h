@@ -150,10 +150,19 @@ class BatchRing
      *  full. */
     void push(SeededBatch *batch, size_t producer);
 
+    /** Publish without waiting: false (nothing published) when the
+     *  producer's shard is full. */
+    bool tryPush(SeededBatch *batch, size_t producer);
+
     /** Claim the oldest available batch, preferring the consumer's home
      *  shard; blocks while empty. Returns nullptr only when the ring is
      *  closed and fully drained. */
     SeededBatch *pop(size_t consumer);
+
+    /** Claim like pop() but never wait: nullptr when every shard is
+     *  empty at the time of the scan. Lets a producer whose shard is
+     *  full run the consumer stage itself instead of blocking. */
+    SeededBatch *tryPop(size_t consumer);
 
     /** No more pushes: wake everyone so drained consumers can exit. */
     void close();
@@ -193,7 +202,10 @@ class BatchRing
         int waiting_consumers = 0;
     };
 
+    void putLocked(Shard &s, SeededBatch *batch,
+                   std::unique_lock<std::mutex> &lock);
     SeededBatch *takeLocked(Shard &s, std::unique_lock<std::mutex> &lock);
+    SeededBatch *scanShards(size_t home);
     size_t totalCount() const;
     void recordDepth(bool published);
 

@@ -34,6 +34,8 @@ struct ThreadedMetrics
         obs::MetricsRegistry::global().counter("threaded.extensions");
     obs::Counter &reruns =
         obs::MetricsRegistry::global().counter("threaded.reruns");
+    obs::Counter &helped_batches =
+        obs::MetricsRegistry::global().counter("threaded.helped_batches");
     obs::LatencyHistogram &batch_wall =
         obs::MetricsRegistry::global().histogram(
             "threaded.batch.wall_seconds");
@@ -68,6 +70,60 @@ struct PendingExtension
 {
     size_t batch_slot = 0; ///< index into the batch's chain table
     ExtensionJob job;
+};
+
+/** One chain of the batch being extended (the chain table entry). */
+struct Slot
+{
+    const SeededRead *item;
+    size_t item_idx;
+    const Chain *chain;
+    ChainAlignment aln;
+    int score;
+};
+
+/** Band-speculation policy of the consumer stage: the configured policy
+ *  with the device band as its base band. */
+BandPolicyConfig
+consumerPolicyConfig(const ThreadedConfig &config)
+{
+    BandPolicyConfig cfg = config.pipeline.band_policy;
+    cfg.base_band = config.pipeline.band;
+    return cfg;
+}
+
+/**
+ * Per-thread state of the consumer stage: scratch recycled across
+ * batches, the band-speculation policy, and (paired mode) a SeedEx
+ * rescue engine with the device's filter configuration, so rescue
+ * extensions carry the identical full-band bit-equality acceptance
+ * proof. Every FPGA thread owns one, and so does each seeding thread
+ * from the first batch it helps with. Policy and engine state depend on
+ * which batches a context happened to see; that is safe because neither
+ * influences output bytes (predictions only steer which bands the ladder
+ * tries, every rung re-runs the optimality checks and the final fallback
+ * is the full band), so SAM bytes are policy- and schedule-independent.
+ */
+struct ConsumerCtx
+{
+    ConsumerCtx(const ThreadedConfig &config,
+                const SeedExConfig &filter_cfg)
+        : policy(consumerPolicyConfig(config))
+    {
+        if (config.paired)
+            rescue_engine = std::make_unique<SeedExEngine>(
+                filter_cfg, consumerPolicyConfig(config));
+    }
+
+    std::vector<Slot> slots;
+    std::vector<PendingExtension> pending;
+    std::vector<ExtensionJob> jobs;
+    std::vector<obs::ReadRecord> ledger_recs;
+    std::vector<int> rec_of_item;
+    BandPolicy policy;
+    std::unique_ptr<SeedExEngine> rescue_engine;
+    /** CPU spent inside processBatch (device emulation). */
+    double device_cpu = 0;
 };
 
 Sequence
@@ -137,13 +193,16 @@ runThreadedPipeline(const Sequence &reference,
         external_index = owned_index.get();
     }
     const FmdIndex &index = *external_index;
-    // The single FPGA: one accelerator instance behind a lock (§V-B:
-    // "an FPGA thread acquires a lock to control the FPGA state").
+    // The single FPGA: one accelerator instance shared, without a lock,
+    // by every thread that runs the consumer stage. §V-B's FPGA threads
+    // lock to drive the physical device's state; the model has none
+    // (processBatch is const, its per-batch state is local and its sums
+    // are atomic), and modeled occupancy — the sum of per-batch critical
+    // paths — does not depend on which thread runs a batch or when.
     SeedExConfig filter_cfg = config.pipeline.seedex;
     filter_cfg.band = config.pipeline.band;
     filter_cfg.scoring = config.pipeline.extension.scoring;
     const SeedExAccelerator device(config.organization, filter_cfg);
-    std::mutex fpga_lock;
 
     if (config.paired && reads_vec != nullptr &&
         reads_vec->size() % 2 != 0)
@@ -169,11 +228,12 @@ runThreadedPipeline(const Sequence &reference,
     const size_t capacity = std::max<size_t>(1, config.queue_capacity);
 
     // In-flight bound: every batch is either unpushed in a producer, in
-    // the ring, or claimed by a consumer. The pool free list is sized to
-    // it so it never regrows, and the reorder window is at least as
+    // the ring, or claimed by a consumer or a helping producer (which
+    // still holds its own unpushed batch). The pool free list is sized
+    // to it so it never regrows, and the reorder window is at least as
     // large so producer-side reserve() admits the whole in-flight set.
     const size_t inflight_bound = shards * capacity +
-        static_cast<size_t>(n_producers) +
+        2 * static_cast<size_t>(n_producers) +
         static_cast<size_t>(n_consumers) + 2;
 
     BatchRing ring(capacity, shards);
@@ -187,7 +247,7 @@ runThreadedPipeline(const Sequence &reference,
 
     std::atomic<size_t> next_read{0};
     std::atomic<uint64_t> extensions{0}, reruns{0}, batches{0},
-        device_cycles{0};
+        helped_batches{0}, device_cycles{0};
     std::atomic<uint64_t> pair_count{0}, pair_proper{0}, pair_rescues{0},
         pair_rescue_ext{0}, pair_rescue_passes{0};
     std::mutex cpu_mutex;
@@ -259,6 +319,336 @@ runThreadedPipeline(const Sequence &reference,
         }
     };
 
+    // ---- The consumer stage (Fig. 12's FPGA-thread work): package the
+    // left/right extension batches of one claimed slab, push them through
+    // the device model, parse clip/h0, pick the best chain, build SAM,
+    // finalize pairs, and hand the records to the reorder window. FPGA
+    // threads run it on every batch they pop; a seeding thread whose
+    // ring shard is full runs it on a batch it claims instead of
+    // blocking. It never waits on another thread: the batch was reserved
+    // before it was published, so reorder.complete() cannot block.
+    const ExtensionParams &xp = config.pipeline.extension;
+    const PairContext pair_ctx{reference, config.pipeline.contigs, xp,
+                               config.insert, config.mate_rescue};
+    auto consume_batch = [&](SeededBatch *claimed, ConsumerCtx &ctx) {
+        std::vector<Slot> &slots = ctx.slots;
+        std::vector<PendingExtension> &pending = ctx.pending;
+        std::vector<ExtensionJob> &jobs = ctx.jobs;
+        std::vector<obs::ReadRecord> &ledger_recs = ctx.ledger_recs;
+        std::vector<int> &rec_of_item = ctx.rec_of_item;
+        SeededBatch &batch = *claimed;
+        if (source != nullptr) {
+            size_t longest = 0;
+            for (size_t i = 0; i < batch.n_items; ++i)
+                longest = std::max(longest,
+                                   batch.items[i].read->size());
+            DpWorkspace::tls().prepareExtension(
+                longest, longest + band_slack);
+        }
+        obs::TraceSpan batch_span("threaded.fpga_batch", "threaded");
+        obs::PerfScope batch_perf(threadedProfiles().fpga_batch);
+        Stopwatch batch_watch;
+        batch_watch.start();
+        ++batches;
+
+        // Provenance ledger: a read's journey spans producer and
+        // consumer threads, so records are assembled here per batch
+        // (keyed by batch item) and published whole — never through
+        // the thread-local scope the single-threaded pipeline uses.
+        obs::Ledger &ledger = obs::Ledger::global();
+        const bool ledger_on = ledger.enabled();
+        ledger_recs.clear();
+        if (ledger_on) {
+            rec_of_item.assign(batch.n_items, -1);
+            for (size_t i = 0; i < batch.n_items; ++i) {
+                if (!ledger.shouldRecord(batch.items[i].read_idx))
+                    continue;
+                obs::ReadRecord rec;
+                rec.read_index = batch.items[i].read_idx;
+                rec.name = *batch.items[i].name;
+                rec.seeds = batch.items[i].n_seeds;
+                rec.chains =
+                    static_cast<uint32_t>(batch.items[i].n_chains);
+                rec.band = config.pipeline.band;
+                rec.kernel = kernelIsaName(kernelDispatch());
+                rec_of_item[i] =
+                    static_cast<int>(ledger_recs.size());
+                ledger_recs.push_back(std::move(rec));
+            }
+        }
+
+        // Chain table for the whole batch.
+        slots.clear();
+        for (size_t i = 0; i < batch.n_items; ++i) {
+            const SeededRead &item = batch.items[i];
+            for (size_t c = 0; c < item.n_chains; ++c) {
+                const Chain &chain = item.chains[c];
+                Slot slot;
+                slot.item = &item;
+                slot.item_idx = i;
+                slot.chain = &chain;
+                const Seed &anchor = chain.anchor();
+                slot.aln.reverse = chain.reverse;
+                slot.aln.seed_score = anchor.len * xp.scoring.match;
+                slot.aln.qbeg = anchor.qbeg;
+                slot.aln.qend = anchor.qend();
+                slot.aln.rbeg = anchor.rbeg;
+                slot.aln.rend = anchor.rend();
+                slot.score = slot.aln.seed_score;
+                slots.push_back(std::move(slot));
+            }
+        }
+
+        auto oriented = [&](const Slot &slot) -> const Sequence & {
+            return slot.chain->reverse
+                ? slot.item->reverse_complement
+                : *slot.item->read;
+        };
+
+        // Fold one device job's outcome into its read's ledger
+        // record (the per-job vectors in BatchResult are parallel
+        // to the pending list handed to run_batch).
+        auto attribute = [&](const BatchResult &res, size_t k,
+                             const Slot &slot) {
+            if (!ledger_on)
+                return;
+            const int ri = rec_of_item[slot.item_idx];
+            if (ri < 0)
+                return;
+            obs::ReadRecord &rec =
+                ledger_recs[static_cast<size_t>(ri)];
+            ++rec.extensions;
+            // One narrow speculation per filtered ladder rung.
+            rec.kernel_calls += res.ladder_rungs[k];
+            rec.ladder_rungs += res.ladder_rungs[k];
+            if (res.band_predicted[k] > rec.band_predicted)
+                rec.band_predicted = res.band_predicted[k];
+            rec.addVerdict(ledgerVerdict(res.verdicts[k]),
+                           res.edit_runs[k]);
+            if (res.rerun[k]) {
+                ++rec.reruns;
+                ++rec.kernel_calls; // host full-band rerun
+            }
+            rec.band_used =
+                std::max(rec.band_used, res.results[k].max_off);
+        };
+
+        // Phase 1: package all left extensions.
+        pending.clear();
+        for (size_t s = 0; s < slots.size(); ++s) {
+            const Seed &anchor = slots[s].chain->anchor();
+            if (anchor.qbeg == 0)
+                continue;
+            PendingExtension p;
+            p.batch_slot = s;
+            p.job.query = reversedSeq(oriented(slots[s]).slice(
+                0, static_cast<size_t>(anchor.qbeg)));
+            const uint64_t window = std::min<uint64_t>(
+                anchor.rbeg, static_cast<uint64_t>(
+                                 anchor.qbeg + xp.window_slack));
+            p.job.target = reversedSeq(reference.slice(
+                anchor.rbeg - window, static_cast<size_t>(window)));
+            p.job.h0 = slots[s].score;
+            p.job.hint.read_len =
+                static_cast<int>(oriented(slots[s]).size());
+            p.job.hint.chain_weight = slots[s].chain->weight;
+            p.job.hint.n_seeds =
+                static_cast<int>(slots[s].chain->seeds.size());
+            pending.push_back(std::move(p));
+        }
+        auto run_batch = [&](std::vector<PendingExtension> &pend) {
+            jobs.clear();
+            jobs.reserve(pend.size());
+            for (PendingExtension &p : pend)
+                jobs.push_back(p.job);
+            obs::TraceSpan push_span("threaded.device_push",
+                                     "threaded");
+            const double device_begin = threadCpuSeconds();
+            BatchResult r = device.processBatch(jobs, &ctx.policy);
+            ctx.device_cpu += threadCpuSeconds() - device_begin;
+            device_cycles += r.device_cycles;
+            extensions += jobs.size();
+            reruns += r.reruns_checks + r.reruns_exception;
+            return r;
+        };
+        if (!pending.empty()) {
+            const BatchResult left = run_batch(pending);
+            // Parse left results: clip decision + h0 update (§V-B).
+            for (size_t k = 0; k < pending.size(); ++k) {
+                Slot &slot = slots[pending[k].batch_slot];
+                attribute(left, k, slot);
+                const ExtendResult &r = left.results[k];
+                const Seed &anchor = slot.chain->anchor();
+                slot.aln.max_off =
+                    std::max(slot.aln.max_off, r.max_off);
+                if (r.gscore <= 0 ||
+                    r.gscore < r.score - xp.end_bonus) {
+                    slot.score = r.score;
+                    slot.aln.qbeg = anchor.qbeg - r.qle;
+                    slot.aln.rbeg =
+                        anchor.rbeg - static_cast<uint64_t>(r.tle);
+                } else {
+                    slot.score = r.gscore;
+                    slot.aln.qbeg = 0;
+                    slot.aln.rbeg =
+                        anchor.rbeg - static_cast<uint64_t>(r.gtle);
+                }
+            }
+        }
+
+        // Phase 2: right extensions seeded with the updated score.
+        pending.clear();
+        for (size_t s = 0; s < slots.size(); ++s) {
+            Slot &slot = slots[s];
+            const Seed &anchor = slot.chain->anchor();
+            const int n =
+                static_cast<int>(oriented(slot).size());
+            if (anchor.qend() >= n)
+                continue;
+            const int remain = n - anchor.qend();
+            PendingExtension p;
+            p.batch_slot = s;
+            p.job.query = oriented(slot).slice(
+                static_cast<size_t>(anchor.qend()),
+                static_cast<size_t>(remain));
+            const uint64_t avail = reference.size() -
+                std::min<uint64_t>(reference.size(), anchor.rend());
+            const uint64_t window = std::min<uint64_t>(
+                avail,
+                static_cast<uint64_t>(remain + xp.window_slack));
+            p.job.target = reference.slice(
+                anchor.rend(), static_cast<size_t>(window));
+            p.job.h0 = slot.score;
+            p.job.hint.read_len = n;
+            p.job.hint.chain_weight = slot.chain->weight;
+            p.job.hint.n_seeds =
+                static_cast<int>(slot.chain->seeds.size());
+            pending.push_back(std::move(p));
+        }
+        if (!pending.empty()) {
+            const BatchResult right = run_batch(pending);
+            for (size_t k = 0; k < pending.size(); ++k) {
+                Slot &slot = slots[pending[k].batch_slot];
+                attribute(right, k, slot);
+                const ExtendResult &r = right.results[k];
+                const Seed &anchor = slot.chain->anchor();
+                const int n =
+                    static_cast<int>(oriented(slot).size());
+                slot.aln.max_off =
+                    std::max(slot.aln.max_off, r.max_off);
+                if (r.gscore <= 0 ||
+                    r.gscore < r.score - xp.end_bonus) {
+                    slot.score = r.score;
+                    slot.aln.qend = anchor.qend() + r.qle;
+                    slot.aln.rend =
+                        anchor.rend() + static_cast<uint64_t>(r.tle);
+                } else {
+                    slot.score = r.gscore;
+                    slot.aln.qend = n;
+                    slot.aln.rend = anchor.rend() +
+                                    static_cast<uint64_t>(r.gtle);
+                }
+            }
+        }
+
+        // Post-processing: best chain per read, traceback, SAM,
+        // then hand the whole batch to the reorder window.
+        obs::TraceSpan post_span("threaded.postprocess", "threaded");
+        std::vector<SamRecord> recs(batch.n_items);
+        size_t s = 0;
+        for (size_t i = 0; i < batch.n_items; ++i) {
+            const SeededRead &item = batch.items[i];
+            obs::ReadRecord *rec =
+                ledger_on && rec_of_item[i] >= 0
+                    ? &ledger_recs[static_cast<size_t>(
+                          rec_of_item[i])]
+                    : nullptr;
+            if (item.n_chains == 0) {
+                recs[i] = unmappedRecord(*item.name, *item.read);
+                continue;
+            }
+            size_t best = s;
+            int sub = 0;
+            for (size_t c = 1; c < item.n_chains; ++c) {
+                if (slots[s + c].score > slots[best].score) {
+                    sub = slots[best].score;
+                    best = s + c;
+                } else {
+                    sub = std::max(sub, slots[s + c].score);
+                }
+            }
+            slots[best].aln.score = slots[best].score;
+            recs[i] = buildSamRecord(*item.name, *item.read,
+                                     slots[best].aln, sub, reference,
+                                     xp.scoring,
+                                     config.pipeline.contigs);
+            if (rec != nullptr) {
+                rec->chain_chosen = static_cast<int>(best - s);
+                rec->score = recs[i].score;
+                rec->mapped = recs[i].mapped();
+            }
+            s += item.n_chains;
+        }
+        // Pair finalization: mates sit at items 2j/2j+1 of this
+        // slab (even batch size + whole-pair feed), so rescue, the
+        // proper verdict, and the SAM pair bookkeeping run here —
+        // before the batch enters the reorder window, which then
+        // emits both records adjacently in input order for free.
+        if (config.paired) {
+            for (size_t i = 0; i + 1 < batch.n_items; i += 2) {
+                const PairOutcome po = finalizePair(
+                    recs[i], recs[i + 1], *batch.items[i].read,
+                    *batch.items[i + 1].read, *ctx.rescue_engine,
+                    pair_ctx);
+                ++pair_count;
+                pair_proper += po.proper ? 1 : 0;
+                pair_rescues += po.rescued() ? 1 : 0;
+                pair_rescue_ext += po.rescue_extensions;
+                pair_rescue_passes += po.rescue_passes;
+                if (!ledger_on)
+                    continue;
+                for (size_t m = 0; m < 2; ++m) {
+                    const int ri = rec_of_item[i + m];
+                    if (ri < 0)
+                        continue;
+                    obs::ReadRecord &rec =
+                        ledger_recs[static_cast<size_t>(ri)];
+                    rec.paired = true;
+                    rec.proper = po.proper;
+                    const bool rescued = m == 0 ? po.rescued_first
+                                                : po.rescued_second;
+                    rec.pair_rescued = rescued;
+                    if (rescued)
+                        rec.rescue_extensions += po.rescue_extensions;
+                    // Rescue can replace the record outright.
+                    rec.score = recs[i + m].score;
+                    rec.mapped = recs[i + m].mapped();
+                }
+            }
+        }
+        if (ledger_on) {
+            for (obs::ReadRecord &rec : ledger_recs)
+                ledger.publish(std::move(rec));
+        }
+        const uint64_t seq = batch.seq;
+        const size_t base = batch.base;
+        const size_t n_items = batch.n_items;
+        // Slab back to the pool before the (possibly blocking)
+        // reorder hand-off so producers can refill it immediately.
+        pool.release(claimed);
+        reorder.complete(seq, base, std::move(recs));
+
+        batch_watch.stop();
+        ThreadedMetrics &m = threadedMetrics();
+        m.batches.inc();
+        m.reads.inc(n_items);
+        m.batch_wall.observe(batch_watch.seconds());
+        SEEDEX_LOG(Debug, "threaded",
+                   "fpga batch: %zu reads, %zu slots in %.3f ms",
+                   n_items, slots.size(),
+                   batch_watch.seconds() * 1e3);
+    };
+
     auto seeding_worker = [&](size_t producer_id) {
         if (reads_vec != nullptr)
             DpWorkspace::tls().prepareExtension(max_read_len,
@@ -272,6 +662,10 @@ runThreadedPipeline(const Sequence &reference,
         std::vector<std::pair<std::string, Sequence>> pulled;
         if (source != nullptr)
             pulled.resize(batch_size);
+        // Consumer-stage state, created on the first batch this thread
+        // helps with; the CPU it spends there is consumer CPU.
+        std::unique_ptr<ConsumerCtx> helper;
+        double help_cpu = 0;
         const double cpu_begin = threadCpuSeconds();
         for (;;) {
             SeededBatch *batch = nullptr;
@@ -345,380 +739,47 @@ runThreadedPipeline(const Sequence &reference,
                     longest, longest + band_slack);
             }
             seed_slab(batch, queries, seeds, ws, cws);
-            ring.push(batch, producer_id);
+            // Publish; while the home shard is full, help drain it
+            // rather than block: claim a queued batch and run the
+            // consumer stage on it.
+            while (!ring.tryPush(batch, producer_id)) {
+                SeededBatch *help = ring.tryPop(producer_id);
+                if (help == nullptr) {
+                    // Drained between the two calls: there is room now
+                    // (or soon), as in the plain blocking publish.
+                    ring.push(batch, producer_id);
+                    break;
+                }
+                if (!helper)
+                    helper = std::make_unique<ConsumerCtx>(config,
+                                                           filter_cfg);
+                const double help_begin = threadCpuSeconds();
+                consume_batch(help, *helper);
+                help_cpu += threadCpuSeconds() - help_begin;
+                ++helped_batches;
+            }
         }
         const double cpu = threadCpuSeconds() - cpu_begin;
         std::lock_guard<std::mutex> lock(cpu_mutex);
-        producer_cpu += cpu;
+        producer_cpu += cpu - help_cpu;
+        consumer_cpu += help_cpu;
+        if (helper)
+            device_cpu += helper->device_cpu;
     };
 
-    // ---- Consumers: FPGA threads (batch, extend, post-process).
-    const ExtensionParams &xp = config.pipeline.extension;
+    // ---- Consumers: FPGA threads.
     auto fpga_worker = [&](size_t consumer_id) {
         if (reads_vec != nullptr)
             DpWorkspace::tls().prepareExtension(max_read_len,
                                                 max_target_len);
-        // Per-consumer scratch, recycled across batches.
-        struct Slot
-        {
-            const SeededRead *item;
-            size_t item_idx;
-            const Chain *chain;
-            ChainAlignment aln;
-            int score;
-        };
-        std::vector<Slot> slots;
-        std::vector<PendingExtension> pending;
-        std::vector<ExtensionJob> jobs;
-        std::vector<obs::ReadRecord> ledger_recs;
-        std::vector<int> rec_of_item;
-        // Per-consumer band-speculation policy. Predictor state is
-        // deterministic per worker but depends on batch interleaving;
-        // that is safe because predictions only steer which bands the
-        // ladder tries — every rung re-runs the optimality checks and
-        // the final fallback is the full band, so SAM bytes are policy-
-        // and schedule-independent.
-        BandPolicyConfig policy_cfg = config.pipeline.band_policy;
-        policy_cfg.base_band = config.pipeline.band;
-        BandPolicy policy(std::move(policy_cfg));
-        // Paired mode: a per-consumer SeedEx rescue engine (same filter
-        // configuration as the device, so rescue extensions carry the
-        // identical full-band bit-equality acceptance proof) plus the
-        // worker-invariant pair context. Engine state never influences
-        // output bytes — band invariance again — so per-consumer
-        // engines keep paired SAM schedule-independent.
-        std::unique_ptr<SeedExEngine> rescue_engine;
-        if (config.paired) {
-            BandPolicyConfig rescue_cfg = config.pipeline.band_policy;
-            rescue_cfg.base_band = config.pipeline.band;
-            rescue_engine = std::make_unique<SeedExEngine>(
-                filter_cfg, std::move(rescue_cfg));
-        }
-        const PairContext pair_ctx{reference, config.pipeline.contigs,
-                                   xp, config.insert, config.mate_rescue};
+        ConsumerCtx ctx(config, filter_cfg);
         const double cpu_begin = threadCpuSeconds();
-        double my_device_cpu = 0;
-        for (;;) {
-            SeededBatch *claimed = ring.pop(consumer_id);
-            if (claimed == nullptr)
-                break;
-            SeededBatch &batch = *claimed;
-            if (source != nullptr) {
-                size_t longest = 0;
-                for (size_t i = 0; i < batch.n_items; ++i)
-                    longest = std::max(longest,
-                                       batch.items[i].read->size());
-                DpWorkspace::tls().prepareExtension(
-                    longest, longest + band_slack);
-            }
-            obs::TraceSpan batch_span("threaded.fpga_batch", "threaded");
-            obs::PerfScope batch_perf(threadedProfiles().fpga_batch);
-            Stopwatch batch_watch;
-            batch_watch.start();
-            ++batches;
-
-            // Provenance ledger: a read's journey spans producer and
-            // consumer threads, so records are assembled here per batch
-            // (keyed by batch item) and published whole — never through
-            // the thread-local scope the single-threaded pipeline uses.
-            obs::Ledger &ledger = obs::Ledger::global();
-            const bool ledger_on = ledger.enabled();
-            ledger_recs.clear();
-            if (ledger_on) {
-                rec_of_item.assign(batch.n_items, -1);
-                for (size_t i = 0; i < batch.n_items; ++i) {
-                    if (!ledger.shouldRecord(batch.items[i].read_idx))
-                        continue;
-                    obs::ReadRecord rec;
-                    rec.read_index = batch.items[i].read_idx;
-                    rec.name = *batch.items[i].name;
-                    rec.seeds = batch.items[i].n_seeds;
-                    rec.chains =
-                        static_cast<uint32_t>(batch.items[i].n_chains);
-                    rec.band = config.pipeline.band;
-                    rec.kernel = kernelIsaName(kernelDispatch());
-                    rec_of_item[i] =
-                        static_cast<int>(ledger_recs.size());
-                    ledger_recs.push_back(std::move(rec));
-                }
-            }
-
-            // Chain table for the whole batch.
-            slots.clear();
-            for (size_t i = 0; i < batch.n_items; ++i) {
-                const SeededRead &item = batch.items[i];
-                for (size_t c = 0; c < item.n_chains; ++c) {
-                    const Chain &chain = item.chains[c];
-                    Slot slot;
-                    slot.item = &item;
-                    slot.item_idx = i;
-                    slot.chain = &chain;
-                    const Seed &anchor = chain.anchor();
-                    slot.aln.reverse = chain.reverse;
-                    slot.aln.seed_score = anchor.len * xp.scoring.match;
-                    slot.aln.qbeg = anchor.qbeg;
-                    slot.aln.qend = anchor.qend();
-                    slot.aln.rbeg = anchor.rbeg;
-                    slot.aln.rend = anchor.rend();
-                    slot.score = slot.aln.seed_score;
-                    slots.push_back(std::move(slot));
-                }
-            }
-
-            auto oriented = [&](const Slot &slot) -> const Sequence & {
-                return slot.chain->reverse
-                    ? slot.item->reverse_complement
-                    : *slot.item->read;
-            };
-
-            // Fold one device job's outcome into its read's ledger
-            // record (the per-job vectors in BatchResult are parallel
-            // to the pending list handed to run_batch).
-            auto attribute = [&](const BatchResult &res, size_t k,
-                                 const Slot &slot) {
-                if (!ledger_on)
-                    return;
-                const int ri = rec_of_item[slot.item_idx];
-                if (ri < 0)
-                    return;
-                obs::ReadRecord &rec =
-                    ledger_recs[static_cast<size_t>(ri)];
-                ++rec.extensions;
-                // One narrow speculation per filtered ladder rung.
-                rec.kernel_calls += res.ladder_rungs[k];
-                rec.ladder_rungs += res.ladder_rungs[k];
-                if (res.band_predicted[k] > rec.band_predicted)
-                    rec.band_predicted = res.band_predicted[k];
-                rec.addVerdict(ledgerVerdict(res.verdicts[k]),
-                               res.edit_runs[k]);
-                if (res.rerun[k]) {
-                    ++rec.reruns;
-                    ++rec.kernel_calls; // host full-band rerun
-                }
-                rec.band_used =
-                    std::max(rec.band_used, res.results[k].max_off);
-            };
-
-            // Phase 1: package all left extensions.
-            pending.clear();
-            for (size_t s = 0; s < slots.size(); ++s) {
-                const Seed &anchor = slots[s].chain->anchor();
-                if (anchor.qbeg == 0)
-                    continue;
-                PendingExtension p;
-                p.batch_slot = s;
-                p.job.query = reversedSeq(oriented(slots[s]).slice(
-                    0, static_cast<size_t>(anchor.qbeg)));
-                const uint64_t window = std::min<uint64_t>(
-                    anchor.rbeg, static_cast<uint64_t>(
-                                     anchor.qbeg + xp.window_slack));
-                p.job.target = reversedSeq(reference.slice(
-                    anchor.rbeg - window, static_cast<size_t>(window)));
-                p.job.h0 = slots[s].score;
-                p.job.hint.read_len =
-                    static_cast<int>(oriented(slots[s]).size());
-                p.job.hint.chain_weight = slots[s].chain->weight;
-                p.job.hint.n_seeds =
-                    static_cast<int>(slots[s].chain->seeds.size());
-                pending.push_back(std::move(p));
-            }
-            auto run_batch = [&](std::vector<PendingExtension> &pend) {
-                jobs.clear();
-                jobs.reserve(pend.size());
-                for (PendingExtension &p : pend)
-                    jobs.push_back(p.job);
-                obs::TraceSpan push_span("threaded.device_push",
-                                         "threaded");
-                std::lock_guard<std::mutex> lock(fpga_lock);
-                const double device_begin = threadCpuSeconds();
-                BatchResult r = device.processBatch(jobs, &policy);
-                my_device_cpu += threadCpuSeconds() - device_begin;
-                device_cycles += r.device_cycles;
-                extensions += jobs.size();
-                reruns += r.reruns_checks + r.reruns_exception;
-                return r;
-            };
-            if (!pending.empty()) {
-                const BatchResult left = run_batch(pending);
-                // Parse left results: clip decision + h0 update (§V-B).
-                for (size_t k = 0; k < pending.size(); ++k) {
-                    Slot &slot = slots[pending[k].batch_slot];
-                    attribute(left, k, slot);
-                    const ExtendResult &r = left.results[k];
-                    const Seed &anchor = slot.chain->anchor();
-                    slot.aln.max_off =
-                        std::max(slot.aln.max_off, r.max_off);
-                    if (r.gscore <= 0 ||
-                        r.gscore < r.score - xp.end_bonus) {
-                        slot.score = r.score;
-                        slot.aln.qbeg = anchor.qbeg - r.qle;
-                        slot.aln.rbeg =
-                            anchor.rbeg - static_cast<uint64_t>(r.tle);
-                    } else {
-                        slot.score = r.gscore;
-                        slot.aln.qbeg = 0;
-                        slot.aln.rbeg =
-                            anchor.rbeg - static_cast<uint64_t>(r.gtle);
-                    }
-                }
-            }
-
-            // Phase 2: right extensions seeded with the updated score.
-            pending.clear();
-            for (size_t s = 0; s < slots.size(); ++s) {
-                Slot &slot = slots[s];
-                const Seed &anchor = slot.chain->anchor();
-                const int n =
-                    static_cast<int>(oriented(slot).size());
-                if (anchor.qend() >= n)
-                    continue;
-                const int remain = n - anchor.qend();
-                PendingExtension p;
-                p.batch_slot = s;
-                p.job.query = oriented(slot).slice(
-                    static_cast<size_t>(anchor.qend()),
-                    static_cast<size_t>(remain));
-                const uint64_t avail = reference.size() -
-                    std::min<uint64_t>(reference.size(), anchor.rend());
-                const uint64_t window = std::min<uint64_t>(
-                    avail,
-                    static_cast<uint64_t>(remain + xp.window_slack));
-                p.job.target = reference.slice(
-                    anchor.rend(), static_cast<size_t>(window));
-                p.job.h0 = slot.score;
-                p.job.hint.read_len = n;
-                p.job.hint.chain_weight = slot.chain->weight;
-                p.job.hint.n_seeds =
-                    static_cast<int>(slot.chain->seeds.size());
-                pending.push_back(std::move(p));
-            }
-            if (!pending.empty()) {
-                const BatchResult right = run_batch(pending);
-                for (size_t k = 0; k < pending.size(); ++k) {
-                    Slot &slot = slots[pending[k].batch_slot];
-                    attribute(right, k, slot);
-                    const ExtendResult &r = right.results[k];
-                    const Seed &anchor = slot.chain->anchor();
-                    const int n =
-                        static_cast<int>(oriented(slot).size());
-                    slot.aln.max_off =
-                        std::max(slot.aln.max_off, r.max_off);
-                    if (r.gscore <= 0 ||
-                        r.gscore < r.score - xp.end_bonus) {
-                        slot.score = r.score;
-                        slot.aln.qend = anchor.qend() + r.qle;
-                        slot.aln.rend =
-                            anchor.rend() + static_cast<uint64_t>(r.tle);
-                    } else {
-                        slot.score = r.gscore;
-                        slot.aln.qend = n;
-                        slot.aln.rend = anchor.rend() +
-                                        static_cast<uint64_t>(r.gtle);
-                    }
-                }
-            }
-
-            // Post-processing: best chain per read, traceback, SAM,
-            // then hand the whole batch to the reorder window.
-            obs::TraceSpan post_span("threaded.postprocess", "threaded");
-            std::vector<SamRecord> recs(batch.n_items);
-            size_t s = 0;
-            for (size_t i = 0; i < batch.n_items; ++i) {
-                const SeededRead &item = batch.items[i];
-                obs::ReadRecord *rec =
-                    ledger_on && rec_of_item[i] >= 0
-                        ? &ledger_recs[static_cast<size_t>(
-                              rec_of_item[i])]
-                        : nullptr;
-                if (item.n_chains == 0) {
-                    recs[i] = unmappedRecord(*item.name, *item.read);
-                    continue;
-                }
-                size_t best = s;
-                int sub = 0;
-                for (size_t c = 1; c < item.n_chains; ++c) {
-                    if (slots[s + c].score > slots[best].score) {
-                        sub = slots[best].score;
-                        best = s + c;
-                    } else {
-                        sub = std::max(sub, slots[s + c].score);
-                    }
-                }
-                slots[best].aln.score = slots[best].score;
-                recs[i] = buildSamRecord(*item.name, *item.read,
-                                         slots[best].aln, sub, reference,
-                                         xp.scoring,
-                                         config.pipeline.contigs);
-                if (rec != nullptr) {
-                    rec->chain_chosen = static_cast<int>(best - s);
-                    rec->score = recs[i].score;
-                    rec->mapped = recs[i].mapped();
-                }
-                s += item.n_chains;
-            }
-            // Pair finalization: mates sit at items 2j/2j+1 of this
-            // slab (even batch size + whole-pair feed), so rescue, the
-            // proper verdict, and the SAM pair bookkeeping run here —
-            // before the batch enters the reorder window, which then
-            // emits both records adjacently in input order for free.
-            if (config.paired) {
-                for (size_t i = 0; i + 1 < batch.n_items; i += 2) {
-                    const PairOutcome po = finalizePair(
-                        recs[i], recs[i + 1], *batch.items[i].read,
-                        *batch.items[i + 1].read, *rescue_engine,
-                        pair_ctx);
-                    ++pair_count;
-                    pair_proper += po.proper ? 1 : 0;
-                    pair_rescues += po.rescued() ? 1 : 0;
-                    pair_rescue_ext += po.rescue_extensions;
-                    pair_rescue_passes += po.rescue_passes;
-                    if (!ledger_on)
-                        continue;
-                    for (size_t m = 0; m < 2; ++m) {
-                        const int ri = rec_of_item[i + m];
-                        if (ri < 0)
-                            continue;
-                        obs::ReadRecord &rec =
-                            ledger_recs[static_cast<size_t>(ri)];
-                        rec.paired = true;
-                        rec.proper = po.proper;
-                        const bool rescued = m == 0 ? po.rescued_first
-                                                    : po.rescued_second;
-                        rec.pair_rescued = rescued;
-                        if (rescued)
-                            rec.rescue_extensions += po.rescue_extensions;
-                        // Rescue can replace the record outright.
-                        rec.score = recs[i + m].score;
-                        rec.mapped = recs[i + m].mapped();
-                    }
-                }
-            }
-            if (ledger_on) {
-                for (obs::ReadRecord &rec : ledger_recs)
-                    ledger.publish(std::move(rec));
-            }
-            const uint64_t seq = batch.seq;
-            const size_t base = batch.base;
-            const size_t n_items = batch.n_items;
-            // Slab back to the pool before the (possibly blocking)
-            // reorder hand-off so producers can refill it immediately.
-            pool.release(claimed);
-            reorder.complete(seq, base, std::move(recs));
-
-            batch_watch.stop();
-            ThreadedMetrics &m = threadedMetrics();
-            m.batches.inc();
-            m.reads.inc(n_items);
-            m.batch_wall.observe(batch_watch.seconds());
-            SEEDEX_LOG(Debug, "threaded",
-                       "fpga batch: %zu reads, %zu slots in %.3f ms",
-                       n_items, slots.size(),
-                       batch_watch.seconds() * 1e3);
-        }
+        while (SeededBatch *claimed = ring.pop(consumer_id))
+            consume_batch(claimed, ctx);
         const double cpu = threadCpuSeconds() - cpu_begin;
         std::lock_guard<std::mutex> lock(cpu_mutex);
         consumer_cpu += cpu;
-        device_cpu += my_device_cpu;
+        device_cpu += ctx.device_cpu;
     };
 
     std::vector<std::thread> workers;
@@ -741,14 +802,17 @@ runThreadedPipeline(const Sequence &reference,
         ThreadedMetrics &m = threadedMetrics();
         m.extensions.inc(extensions);
         m.reruns.inc(reruns);
+        m.helped_batches.inc(helped_batches);
     }
     const size_t total_reads =
         reads_vec != nullptr ? reads_vec->size() : source_next_base;
     SEEDEX_LOG(Info, "threaded",
                "%zu reads in %.3f s (%d seeding + %d fpga threads, %llu "
-               "batches, %llu extensions, %llu reruns, %llu wakeups)",
+               "batches (%llu helped), %llu extensions, %llu reruns, %llu "
+               "wakeups)",
                total_reads, wall.seconds(), n_producers, n_consumers,
                static_cast<unsigned long long>(batches.load()),
+               static_cast<unsigned long long>(helped_batches.load()),
                static_cast<unsigned long long>(extensions.load()),
                static_cast<unsigned long long>(reruns.load()),
                static_cast<unsigned long long>(ring.wakeups()));
@@ -757,6 +821,7 @@ runThreadedPipeline(const Sequence &reference,
         report->wall_seconds = wall.seconds();
         report->reads = total_reads;
         report->batches = batches;
+        report->helped_batches = helped_batches;
         report->extensions = extensions;
         report->reruns = reruns;
         report->device_cycles = device_cycles;

@@ -14,13 +14,15 @@ namespace seedex {
 /**
  * The software architecture of Fig. 12 (§V-B): seeding threads perform
  * seeding and chaining and publish whole batch slabs for FPGA threads;
- * FPGA threads claim a slab, package extension jobs, acquire the device
- * lock, push a batch through the accelerator, parse results (updating
- * the initial score of right extensions with the left-extension outcome
- * "in the middle of parsing left extension results"), handle the rerun
- * tail, and emit SAM records. Results are produced out of order and
- * streamed back in input order through a sequence-stamped reorder
- * buffer (see batch_ring.h).
+ * FPGA threads claim a slab, package extension jobs, push a batch through
+ * the accelerator, parse results (updating the initial score of right
+ * extensions with the left-extension outcome "in the middle of parsing
+ * left extension results"), handle the rerun tail, and emit SAM records.
+ * The device model takes no lock (it has no state to guard), and a
+ * seeding thread whose ring shard is full runs that same consumer stage
+ * on a queued batch instead of blocking. Results are produced out of
+ * order and streamed back in input order through a sequence-stamped
+ * reorder buffer (see batch_ring.h).
  */
 struct ThreadedConfig
 {
@@ -73,6 +75,9 @@ struct ThreadedReport
     double wall_seconds = 0;
     uint64_t reads = 0;
     uint64_t batches = 0;
+    /** Batches whose consumer stage ran on a seeding thread that found
+     *  its ring shard full (included in `batches`). */
+    uint64_t helped_batches = 0;
     uint64_t extensions = 0;
     uint64_t reruns = 0;
     /** Modeled FPGA occupancy summed over batches. */
@@ -85,12 +90,14 @@ struct ThreadedReport
 
     // Per-stage CPU accounting (thread CPU clock, so the numbers stay
     // meaningful on an oversubscribed host — see threadCpuSeconds()).
+    // Stages, not threads: a seeding thread's time in the consumer
+    // stage of a batch it helped with counts as consumer CPU.
     double producer_cpu_seconds = 0;
     double consumer_cpu_seconds = 0;
     /** CPU spent emulating the device inside processBatch — a host
      *  artifact a real FPGA would not pay; consumer_cpu_seconds
-     *  includes it. Approximation: measured around the whole
-     *  processBatch call under the device lock. */
+     *  includes it. Measured around each whole processBatch call, on
+     *  whichever thread ran it. */
     double device_emulation_cpu_seconds = 0;
     /** Modeled device busy time: device_cycles / clock_hz. */
     double device_occupancy_seconds = 0;

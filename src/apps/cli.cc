@@ -678,11 +678,16 @@ cmdAlign(int argc, char **argv)
         if (threaded) {
             report.section("threaded", [&](obs::JsonWriter &w) {
                 w.kv("batches", treport.batches);
+                w.kv("helped_batches", treport.helped_batches);
                 w.kv("extensions", treport.extensions);
                 w.kv("reruns", treport.reruns);
                 w.kv("seeding_threads", treport.seeding_threads);
                 w.kv("fpga_threads", treport.fpga_threads);
                 w.kv("batch_size", treport.batch_size);
+                w.kv("producer_cpu_seconds", treport.producer_cpu_seconds);
+                w.kv("consumer_cpu_seconds", treport.consumer_cpu_seconds);
+                w.kv("device_emulation_cpu_seconds",
+                     treport.device_emulation_cpu_seconds);
             });
         }
         if (paired) {

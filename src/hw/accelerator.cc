@@ -84,8 +84,16 @@ SeedExAccelerator::processBatch(const std::vector<ExtensionJob> &jobs,
             static_cast<uint8_t>(std::min(lo.rungs_run, 255)));
 
         // Timing + exception path: the systolic model of the same core.
+        // When the ladder's last rung ran at the device band (always, for
+        // the fixed policy once the estimate reaches the band) its narrow
+        // result IS the core's kernel output, so only the model runs;
+        // other rungs (adaptive policy, short flanks) need the kernel at
+        // the device band first.
         BswCoreStats stats;
-        bsw.run(job.query, job.target, job.h0, &stats);
+        if (lo.narrow_band == bsw.band() && cfg.zdrop <= 0)
+            bsw.model(job.query, job.target, job.h0, lo.narrow, &stats);
+        else
+            bsw.run(job.query, job.target, job.h0, &stats);
         // Arbiter: jobs stream to the least-loaded core (the state
         // manager keeps every BSW core fed from the input RAM).
         auto target_core = std::min_element(core_busy.begin(),
@@ -93,12 +101,9 @@ SeedExAccelerator::processBatch(const std::vector<ExtensionJob> &jobs,
         *target_core += stats.cycles;
         batch.busy_cycles += stats.cycles;
 
-        if (lo.ran_edit_machine) {
-            EditMachineStats estats;
-            edit_machine_.run(job.query, job.target, job.h0, cfg.scoring,
-                              &estats);
-            batch.edit_cycles += estats.cycles;
-        }
+        if (lo.ran_edit_machine)
+            batch.edit_cycles += edit_machine_.cycles(
+                static_cast<int>(job.target.size()));
 
         bool rerun = !lo.accepted;
         if (stats.early_term_exception) {

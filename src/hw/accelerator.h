@@ -87,6 +87,15 @@ class SeedExAccelerator
     /**
      * Push one batch through the device; reruns execute on the host.
      *
+     * The functional SeedEx ladder runs once per job; the timing model
+     * reuses its narrow-band result (SystolicBswCore::model) when the
+     * last rung ran at the device band and charges the edit machine its
+     * closed-form EditMachine::cycles, so no DP is computed twice.
+     * The call touches no shared mutable state (per-batch model state
+     * is local, instruments are atomic), so any number of threads may
+     * push batches concurrently; each batch's modeled cycles depend
+     * only on its jobs.
+     *
      * @param policy Optional per-worker band policy driving the
      *   speculation ladder (nullptr = the fixed one-shot policy at the
      *   filter's configured band, the paper's workflow). The policy is

@@ -101,9 +101,7 @@ EditMachine::run(const Sequence &query, const Sequence &target, int h0,
         return decoded;
     };
 
-    uint64_t rows = 0;
     for (int i = w + 1; i < tlen; ++i) {
-        ++rows;
         const int jmax = std::min(i - (w + 1), qlen - 1);
         for (int j = 0; j <= jmax; ++j) {
             if (stats)
@@ -142,7 +140,7 @@ EditMachine::run(const Sequence &query, const Sequence &target, int h0,
         std::fill(cur, cur + jmax + 1, DeltaValue{});
     }
     if (stats)
-        stats->cycles = static_cast<uint64_t>(w) + rows + 8;
+        stats->cycles = cycles(tlen);
     return res;
 }
 

@@ -59,6 +59,21 @@ class EditMachine
 
     int band() const { return w_; }
 
+    /** Modeled cycles of one run() over a target of `tlen` bases: init
+     *  (w) + one sweep per trapezoid row (tlen - w - 1) + drain (8); 0
+     *  when the trapezoid is empty (tlen < w + 2). Depends on nothing
+     *  else, so the device model charges it without running the check. */
+    uint64_t
+    cycles(int tlen) const
+    {
+        if (tlen < w_ + 2)
+            return 0;
+        return static_cast<uint64_t>(w_) +
+               static_cast<uint64_t>(tlen - w_ - 1) + kDrainCycles;
+    }
+
+    static constexpr int kDrainCycles = 8;
+
   private:
     int w_;
     Scoring relaxed_;

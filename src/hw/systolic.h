@@ -48,10 +48,22 @@ class SystolicBswCore
     {}
 
     /** Execute one extension; also exports band-edge E values when
-     *  `trace` is non-null (they feed the SeedEx check logic). */
+     *  `trace` is non-null (they feed the SeedEx check logic). Equal to
+     *  kswExtend at this band followed by model(). */
     ExtendResult run(const Sequence &query, const Sequence &target, int h0,
                      BswCoreStats *stats = nullptr,
                      BandEdgeTrace *trace = nullptr) const;
+
+    /**
+     * Timing and exception model of one extension whose kernel result is
+     * already known: fills `stats` (cycles, rows, speculative exception)
+     * exactly as run() would, without running the kernel again.
+     * `result` must be kswExtend's result at this core's band and
+     * scoring with Z-drop disabled (e.g. a SeedEx filter rung's narrow
+     * result at the same band).
+     */
+    void model(const Sequence &query, const Sequence &target, int h0,
+               const ExtendResult &result, BswCoreStats *stats) const;
 
     int band() const { return w_; }
     int peCount() const { return w_ + 1; }

@@ -183,6 +183,8 @@ BandPolicy::extend(const SeedExFilter &filter, const Sequence &query,
             break;
     }
     out.escalations = out.rungs_run - 1;
+    out.narrow = outcome.narrow;
+    out.narrow_band = rungs[out.rungs_run - 1];
     out.verdict = outcome.verdict;
     out.ran_edit_machine = outcome.ran_edit_machine;
     out.accepted = outcome.isAccepted();

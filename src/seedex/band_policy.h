@@ -175,6 +175,12 @@ struct LadderOutcome
     /** Modeled DP cells saved vs running the estimated full band
      *  directly (qlen x (2w+1) per rung, clamped at zero). */
     uint64_t cells_saved = 0;
+    /** The last filtered rung's narrow-band kernel result (equal to
+     *  `result` when that rung accepted) and the band it ran at. The
+     *  device model reuses it for timing instead of re-running the
+     *  kernel whenever `narrow_band` is the device band. */
+    ExtendResult narrow;
+    int narrow_band = 0;
 };
 
 /**

@@ -1,10 +1,13 @@
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <initializer_list>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -34,10 +37,38 @@ cli(std::initializer_list<std::string> args)
     return runCli(static_cast<int>(argv.size()), argv.data());
 }
 
+/** Every path tempPath() handed out in this process. */
+std::vector<std::string> &
+tempPaths()
+{
+    static std::vector<std::string> paths;
+    return paths;
+}
+
+/** Removes this process's scratch files once its tests are done. */
+class TempCleanup : public ::testing::Environment
+{
+  public:
+    void
+    TearDown() override
+    {
+        for (const std::string &p : tempPaths())
+            std::remove(p.c_str());
+    }
+};
+
+const ::testing::Environment *const kTempCleanup =
+    ::testing::AddGlobalTestEnvironment(new TempCleanup);
+
+/** Per-process scratch path: ctest runs every case as its own process,
+ *  possibly in parallel, so a shared name would let one case read
+ *  another's half-written file. */
 std::string
 tempPath(const std::string &name)
 {
-    return ::testing::TempDir() + "seedex_cli_" + name;
+    tempPaths().push_back(::testing::TempDir() + "seedex_cli_" +
+                          std::to_string(getpid()) + "_" + name);
+    return tempPaths().back();
 }
 
 std::vector<std::string>

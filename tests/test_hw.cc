@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "genome/read_sim.h"
 #include "genome/reference.h"
 #include "hw/accelerator.h"
@@ -11,6 +14,7 @@
 #include "hw/edit_machine.h"
 #include "hw/systolic.h"
 #include "hw/throughput_model.h"
+#include "seedex/band_policy.h"
 #include "util/rng.h"
 
 namespace seedex {
@@ -222,6 +226,151 @@ TEST(Systolic, ExceptionsRareOnRealisticWorkload)
         exceptions += stats.early_term_exception;
     }
     EXPECT_LT(exceptions, n / 20); // "extremely rare" (§IV-A)
+}
+
+// ------------------------------------------ Device model reuse (no replay)
+
+/**
+ * One fuzzed extension job: a query copied from the start of a random
+ * source with substitutions and 1-base indels at a random divergence
+ * (up to 20%), and a target cut from the same source. Every fourth draw
+ * pins the target length to the edit machine's edge cases w+1 and w+2.
+ */
+ExtensionJob
+fuzzJob(Rng &rng, int w)
+{
+    const int qlen = static_cast<int>(rng.range(1, 160));
+    const double div = rng.uniform() * 0.2;
+    std::vector<Base> src(static_cast<size_t>(qlen + w + 80));
+    for (Base &b : src)
+        b = static_cast<Base>(rng.pick(4));
+    std::vector<Base> q;
+    for (size_t i = 0; q.size() < static_cast<size_t>(qlen) &&
+                       i < src.size();
+         ++i) {
+        if (rng.coin(div / 4))
+            continue; // deletion from the query
+        if (rng.coin(div / 4))
+            q.push_back(static_cast<Base>(rng.pick(4))); // insertion
+        q.push_back(rng.coin(div / 2)
+                        ? static_cast<Base>((src[i] + 1 + rng.pick(3)) % 4)
+                        : src[i]);
+    }
+    size_t tlen = static_cast<size_t>(qlen) + rng.pick(60);
+    switch (rng.pick(8)) {
+      case 0: tlen = static_cast<size_t>(w) + 1; break;
+      case 1: tlen = static_cast<size_t>(w) + 2; break;
+      default: break;
+    }
+    ExtensionJob job;
+    job.query = Sequence(std::move(q));
+    job.target = Sequence(std::vector<Base>(
+        src.begin(), src.begin() + static_cast<long>(tlen)));
+    job.h0 = static_cast<int>(rng.range(1, 60));
+    job.hint.read_len = qlen + static_cast<int>(rng.pick(40));
+    job.hint.chain_weight = static_cast<int>(rng.pick(
+        static_cast<size_t>(job.hint.read_len) + 1));
+    job.hint.n_seeds = 1 + static_cast<int>(rng.pick(4));
+    return job;
+}
+
+TEST(Systolic, ModelOnBandResultEqualsRun)
+{
+    Rng rng(97);
+    int exceptions = 0;
+    for (const int w : {5, 17, 41}) {
+        const SystolicBswCore core(w);
+        SeedExConfig fcfg;
+        fcfg.band = w;
+        const SeedExFilter filter(fcfg);
+        for (int i = 0; i < 400; ++i) {
+            const ExtensionJob job = fuzzJob(rng, w);
+            BswCoreStats ran, modeled;
+            const ExtendResult res =
+                core.run(job.query, job.target, job.h0, &ran);
+            // The result the device reuses: a filter rung at this band.
+            const ExtendResult narrow =
+                filter.run(job.query, job.target, job.h0).narrow;
+            ASSERT_EQ(narrow, res) << "w=" << w << " job " << i;
+            core.model(job.query, job.target, job.h0, narrow, &modeled);
+            EXPECT_EQ(modeled.cycles, ran.cycles) << "w=" << w << " " << i;
+            EXPECT_EQ(modeled.rows_processed, ran.rows_processed)
+                << "w=" << w << " job " << i;
+            EXPECT_EQ(modeled.early_term_exception,
+                      ran.early_term_exception)
+                << "w=" << w << " job " << i;
+            exceptions += ran.early_term_exception;
+        }
+    }
+    EXPECT_GT(exceptions, 0) << "corpus never raised the exception flag";
+}
+
+TEST(EditMachine, CyclesClosedFormEqualsRun)
+{
+    Rng rng(98);
+    for (const int w : {5, 17, 41}) {
+        const EditMachine machine(w);
+        EXPECT_EQ(machine.cycles(w + 1), 0u);
+        EXPECT_EQ(machine.cycles(w + 2), static_cast<uint64_t>(w) + 1 + 8);
+        for (int i = 0; i < 300; ++i) {
+            const ExtensionJob job = fuzzJob(rng, w);
+            const int tlen = static_cast<int>(job.target.size());
+            EditMachineStats stats;
+            machine.run(job.query, job.target, job.h0,
+                        Scoring::bwaDefault(), &stats);
+            EXPECT_EQ(machine.cycles(tlen), stats.cycles)
+                << "w=" << w << " tlen=" << tlen;
+            // Independent row count: with a one-base query the machine
+            // evaluates exactly one cell per trapezoid row it sweeps.
+            EditMachineStats one;
+            machine.run(job.query.slice(0, 1), job.target, job.h0,
+                        Scoring::bwaDefault(), &one);
+            EXPECT_EQ(machine.cycles(tlen),
+                      one.cells == 0 ? 0 : w + one.cells + 8)
+                << "w=" << w << " tlen=" << tlen;
+        }
+    }
+}
+
+TEST(LadderOutcome, NarrowBandIsLastRungRun)
+{
+    Rng rng(99);
+    const SeedExFilter filter{SeedExConfig{}};
+    const int w = filter.config().band;
+    for (const bool adaptive : {false, true}) {
+        BandPolicy policy(adaptive ? BandPolicyConfig::adaptive(w)
+                                   : BandPolicyConfig::fixed(w));
+        int escalated = 0;
+        for (int i = 0; i < 400; ++i) {
+            const ExtensionJob job = fuzzJob(rng, w);
+            const int est = estimateFullBand(
+                static_cast<int>(job.query.size()),
+                filter.config().scoring, filter.config().end_bonus);
+            const LadderOutcome lo =
+                policy.extend(filter, job.query, job.target, job.h0,
+                              job.hint, nullptr);
+            ASSERT_GE(lo.rungs_run, 1);
+            EXPECT_LE(lo.narrow_band, std::min(w, est));
+            if (!adaptive || lo.rungs_run == 1)
+                EXPECT_EQ(lo.narrow_band,
+                          adaptive ? std::min(lo.band_predicted, est)
+                                   : std::min(w, est))
+                    << i;
+            escalated += lo.rungs_run > 1;
+            // Replaying one filter rung at narrow_band reproduces the
+            // ladder's final verdict and narrow result.
+            SeedExConfig rung = filter.config();
+            rung.band = lo.narrow_band;
+            const FilterOutcome replay =
+                SeedExFilter(rung).run(job.query, job.target, job.h0);
+            EXPECT_EQ(replay.narrow, lo.narrow) << i;
+            EXPECT_EQ(replay.verdict, lo.verdict) << i;
+            if (lo.accepted)
+                EXPECT_EQ(lo.result, lo.narrow) << i;
+        }
+        if (adaptive)
+            EXPECT_GT(escalated, 0) << "no adaptive job climbed the ladder";
+    }
 }
 
 // -------------------------------------------------------------- AreaModel
@@ -454,6 +603,62 @@ TEST(Accelerator, DeviceCyclesBalancedAcrossCores)
         static_cast<double>(batch.busy_cycles) /
         (36.0 * static_cast<double>(batch.device_cycles));
     EXPECT_GT(utilization, 0.95);
+}
+
+TEST(Accelerator, ModelReuseMatchesReplayedModel)
+{
+    // processBatch feeds the ladder's narrow result to the systolic model
+    // and charges the edit machine in closed form; replaying the model
+    // the long way (a second kernel run per job, a full edit-machine run)
+    // must give the same device counters, for either policy.
+    Rng rng(103);
+    const SeedExConfig cfg;
+    const SeedExAccelerator device({}, cfg);
+    const SystolicBswCore bsw(cfg.band, cfg.scoring);
+    const EditMachine edit(cfg.band);
+    std::vector<ExtensionJob> jobs;
+    for (int i = 0; i < 300; ++i)
+        jobs.push_back(fuzzJob(rng, cfg.band));
+    for (const bool adaptive : {false, true}) {
+        const BandPolicyConfig pcfg = adaptive
+            ? BandPolicyConfig::adaptive(cfg.band)
+            : BandPolicyConfig::fixed(cfg.band);
+        BandPolicy policy(pcfg), replay_policy(pcfg);
+        const BatchResult batch = device.processBatch(jobs, &policy);
+
+        std::vector<uint64_t> core_busy(
+            static_cast<size_t>(device.organization().totalBswCores()), 0);
+        uint64_t busy = 0, edit_cycles = 0, exceptions = 0, checks = 0;
+        for (const ExtensionJob &job : jobs) {
+            const LadderOutcome lo =
+                replay_policy.extend(device.filter(), job.query,
+                                     job.target, job.h0, job.hint, nullptr);
+            BswCoreStats stats;
+            bsw.run(job.query, job.target, job.h0, &stats);
+            *std::min_element(core_busy.begin(), core_busy.end()) +=
+                stats.cycles;
+            busy += stats.cycles;
+            if (lo.ran_edit_machine) {
+                EditMachineStats estats;
+                edit.run(job.query, job.target, job.h0, cfg.scoring,
+                         &estats);
+                edit_cycles += estats.cycles;
+            }
+            if (stats.early_term_exception)
+                ++exceptions;
+            else if (!lo.accepted)
+                ++checks;
+        }
+        EXPECT_EQ(batch.busy_cycles, busy) << "adaptive=" << adaptive;
+        EXPECT_EQ(batch.device_cycles,
+                  *std::max_element(core_busy.begin(), core_busy.end()))
+            << "adaptive=" << adaptive;
+        EXPECT_EQ(batch.edit_cycles, edit_cycles) << "adaptive=" << adaptive;
+        EXPECT_GT(edit_cycles, 0u);
+        EXPECT_EQ(batch.reruns_exception, exceptions)
+            << "adaptive=" << adaptive;
+        EXPECT_EQ(batch.reruns_checks, checks) << "adaptive=" << adaptive;
+    }
 }
 
 // ---------------------------------------------------------------- PeArray

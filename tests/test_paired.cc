@@ -1,10 +1,13 @@
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -559,10 +562,21 @@ class PairedCli : public ::testing::Test
         writeFastaFile(fa_, {{"ref", ref_}});
     }
 
-    static std::string
+    void
+    TearDown() override
+    {
+        for (const std::string &p : paths_)
+            std::remove(p.c_str());
+    }
+
+    /** Per-process scratch path (ctest may run the cases in parallel),
+     *  removed when the case ends. */
+    std::string
     path(const std::string &name)
     {
-        return ::testing::TempDir() + "seedex_paired_" + name;
+        paths_.push_back(::testing::TempDir() + "seedex_paired_" +
+                         std::to_string(getpid()) + "_" + name);
+        return paths_.back();
     }
 
     static void
@@ -595,6 +609,7 @@ class PairedCli : public ::testing::Test
 
     Sequence ref_;
     std::string fa_;
+    std::vector<std::string> paths_;
 };
 
 TEST_F(PairedCli, FlagMisuseIsUsageError)

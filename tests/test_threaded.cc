@@ -9,19 +9,24 @@
  * steady-state zero-allocation guarantee of the whole hand-off path
  * (ring + pool + chaining + reverse-complement recycling), and an
  * 8-producer/8-consumer stress run over >= 5k reads asserting
- * bit-identical, in-input-order output vs the single-threaded pipeline.
+ * bit-identical, in-input-order output vs the single-threaded pipeline,
+ * and the help path (backlogged seeding threads running the consumer
+ * stage) under every feed, pairing and band-policy mode.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <map>
 #include <new>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "aligner/batch_ring.h"
+#include "aligner/paired.h"
 #include "aligner/pipeline.h"
 #include "aligner/threaded.h"
 #include "genome/read_sim.h"
@@ -362,6 +367,224 @@ TEST_F(ThreadedStress, EightByEightStreamsBitIdenticalInInputOrder)
     EXPECT_EQ(report.queue.shards, 4u);
     EXPECT_GT(report.producer_cpu_seconds, 0.0);
     EXPECT_GT(report.consumer_cpu_seconds, 0.0);
+}
+
+// ------------------------------------------------------- Help-path wall
+
+/**
+ * Seeding threads that find their ring shard full run the consumer stage
+ * themselves (tryPop + the FPGA threads' batch function). Forced here
+ * with 3 seeding threads, 1 FPGA thread, a one-batch ring and a sink
+ * that sleeps once per batch, so the device side is always backlogged.
+ * Helping must change nothing but who does the work: SAM bytes equal
+ * the single-threaded aligner, and the device/filter/rerun instruments
+ * equal a 1+1 run of the same corpus.
+ */
+class ThreadedHelp : public ::testing::Test
+{
+  protected:
+    static constexpr size_t kBatch = 16;
+
+    void
+    SetUp() override
+    {
+        Rng rng(421);
+        ReferenceParams params;
+        params.length = 150000;
+        ref_ = generateReference(params, rng);
+    }
+
+    /** Schedule-independent under any band policy: the job set, each
+     *  batch's composition, and per-job timing/exception do not depend
+     *  on predictor state. */
+    static std::vector<std::string>
+    invariantCounters()
+    {
+        return {"threaded.extensions", "filter.verdict.total",
+                "device.cycles.critical", "device.cycles.busy",
+                "device.rerun.exception"};
+    }
+
+    /** Verdict-derived instruments: schedule-independent for the fixed
+     *  policy only (an adaptive ladder's rungs follow per-thread
+     *  predictor state, which depends on batch interleaving). */
+    static std::vector<std::string>
+    verdictCounters()
+    {
+        return {"threaded.reruns",
+                "device.rerun.checks",
+                "device.cycles.edit",
+                "filter.verdict.pass_s2",
+                "filter.verdict.pass_checks",
+                "filter.verdict.fail_s1",
+                "filter.verdict.fail_e_score",
+                "filter.verdict.fail_edit_check",
+                "filter.verdict.fail_gscore_guard"};
+    }
+
+    struct Run
+    {
+        std::vector<std::string> sam;
+        ThreadedReport report;
+        std::map<std::string, uint64_t> counters;
+    };
+
+    /** One threaded run over `reads`: vector feed, or a pull source
+     *  when `pull` is set. `backlog` selects the forced-help shape
+     *  (3 + 1 threads, one-batch ring, sleeping sink) instead of 1 + 1. */
+    Run
+    run(const std::vector<std::pair<std::string, Sequence>> &reads,
+        ThreadedConfig config, bool pull, bool backlog)
+    {
+        config.batch_size = kBatch;
+        config.seeding_threads = backlog ? 3 : 1;
+        config.fpga_threads = 1;
+        config.queue_capacity = backlog ? 1 : 8;
+        config.queue_shards = 0;
+        std::vector<std::string> names = invariantCounters();
+        for (const std::string &n : verdictCounters())
+            names.push_back(n);
+        std::map<std::string, uint64_t> before;
+        for (const std::string &n : names)
+            before[n] = obs::MetricsRegistry::global().counter(n).value();
+
+        Run out;
+        out.sam.resize(reads.size());
+        const SamSink sink = [&](size_t read_idx, SamRecord &&rec) {
+            if (backlog && read_idx % kBatch == 0)
+                std::this_thread::sleep_for(std::chrono::microseconds(500));
+            out.sam[read_idx] = rec.render();
+        };
+        if (pull) {
+            size_t next = 0;
+            const ReadSource source =
+                [&](std::vector<std::pair<std::string, Sequence>> &dst,
+                    size_t max) {
+                    const size_t n = std::min(max, reads.size() - next);
+                    for (size_t i = 0; i < n; ++i)
+                        dst[i] = reads[next + i];
+                    next += n;
+                    return n;
+                };
+            alignThreadedSource(ref_, source, config, sink, &out.report);
+        } else {
+            alignThreadedStream(ref_, reads, config, sink, &out.report);
+        }
+        for (const std::string &n : names)
+            out.counters[n] =
+                obs::MetricsRegistry::global().counter(n).value() -
+                before[n];
+        return out;
+    }
+
+    /** The wall: the backlogged run helped, its bytes equal `expect`,
+     *  and its instruments equal the 1+1 run's. */
+    void
+    checkWall(const std::vector<std::pair<std::string, Sequence>> &reads,
+              const ThreadedConfig &config, bool pull,
+              const std::vector<std::string> &expect, bool fixed_policy)
+    {
+        const Run serial = run(reads, config, pull, /*backlog=*/false);
+        const Run helped = run(reads, config, pull, /*backlog=*/true);
+        EXPECT_GT(helped.report.helped_batches, 0u)
+            << "the backlog never made a seeding thread help";
+        EXPECT_LE(helped.report.helped_batches, helped.report.batches);
+        EXPECT_EQ(helped.report.queue.claims, helped.report.batches);
+        EXPECT_EQ(helped.report.queue.publishes, helped.report.batches);
+        ASSERT_EQ(helped.sam.size(), expect.size());
+        for (size_t i = 0; i < expect.size(); ++i) {
+            ASSERT_EQ(serial.sam[i], expect[i]) << "1+1 run, record " << i;
+            ASSERT_EQ(helped.sam[i], expect[i]) << "3+1 run, record " << i;
+        }
+        for (const std::string &n : invariantCounters())
+            EXPECT_EQ(helped.counters.at(n), serial.counters.at(n)) << n;
+        EXPECT_GT(helped.counters.at("threaded.extensions"), 0u);
+        if (fixed_policy) {
+            for (const std::string &n : verdictCounters())
+                EXPECT_EQ(helped.counters.at(n), serial.counters.at(n))
+                    << n;
+        }
+    }
+
+    std::vector<std::pair<std::string, Sequence>>
+    singleReads(size_t count, uint64_t seed)
+    {
+        Rng rng(seed);
+        ReadSimulator sim(ref_, ReadSimParams::illumina());
+        std::vector<std::pair<std::string, Sequence>> reads;
+        for (size_t i = 0; i < count; ++i) {
+            const SimulatedRead r = sim.simulate(rng, i);
+            reads.emplace_back(r.name, r.seq);
+        }
+        return reads;
+    }
+
+    std::vector<std::string>
+    alignerOracle(const std::vector<std::pair<std::string, Sequence>> &reads)
+    {
+        Aligner baseline(ref_, PipelineConfig{});
+        std::vector<std::string> expect;
+        for (const SamRecord &rec : baseline.alignBatch(reads))
+            expect.push_back(rec.render());
+        return expect;
+    }
+
+    Sequence ref_;
+};
+
+TEST_F(ThreadedHelp, VectorFeedHelpsWithoutChangingBytesOrCounters)
+{
+    const auto reads = singleReads(800, 423);
+    checkWall(reads, ThreadedConfig{}, /*pull=*/false, alignerOracle(reads),
+              /*fixed_policy=*/true);
+}
+
+TEST_F(ThreadedHelp, SourceFeedHelpsWithoutChangingBytesOrCounters)
+{
+    const auto reads = singleReads(800, 425);
+    checkWall(reads, ThreadedConfig{}, /*pull=*/true, alignerOracle(reads),
+              /*fixed_policy=*/true);
+}
+
+TEST_F(ThreadedHelp, AdaptivePolicyHelpsWithoutChangingBytes)
+{
+    const auto reads = singleReads(800, 427);
+    ThreadedConfig config;
+    config.pipeline.band_policy.kind = BandPolicyKind::Adaptive;
+    checkWall(reads, config, /*pull=*/false, alignerOracle(reads),
+              /*fixed_policy=*/false);
+}
+
+TEST_F(ThreadedHelp, PairedModeHelpsWithoutChangingBytesOrCounters)
+{
+    // Interleaved pairs; every 10th second mate shredded (a substitution
+    // every 12 bases leaves no seed) so helpers also run mate rescue.
+    Rng rng(429);
+    ReadSimulator sim(ref_, ReadSimParams::illumina());
+    std::vector<std::pair<std::string, Sequence>> reads;
+    for (size_t i = 0; i < 400; ++i) {
+        const SimulatedPair pair = sim.simulatePair(rng, i);
+        Sequence second = pair.second.seq;
+        if (i % 10 == 3)
+            for (size_t p = 5; p < second.size(); p += 12)
+                second[p] = static_cast<Base>((second[p] + 1) % 4);
+        reads.emplace_back(pair.first.name, pair.first.seq);
+        reads.emplace_back(pair.second.name, std::move(second));
+    }
+    PairedConfig oconfig;
+    oconfig.pipeline.engine = EngineKind::SeedEx;
+    PairedAligner oracle(ref_, oconfig);
+    std::vector<std::string> expect;
+    for (size_t i = 0; i + 1 < reads.size(); i += 2) {
+        const PairedResult r = oracle.alignPair(
+            reads[i].first, reads[i].second, reads[i + 1].second);
+        expect.push_back(r.first.render());
+        expect.push_back(r.second.render());
+    }
+    ThreadedConfig config;
+    config.paired = true;
+    config.insert = oconfig.insert;
+    checkWall(reads, config, /*pull=*/false, expect, /*fixed_policy=*/true);
 }
 
 // ---------------------------------------------------------- Environment

@@ -318,6 +318,11 @@ assert thr["consumer_cpu_seconds"] > 0
 queue = thr["queue"]
 assert queue["publishes"] > 0
 assert queue["publishes"] == queue["claims"], queue
+# Help path: a seeding thread with a full shard claims a batch and runs
+# the consumer stage itself — still one claim per publish, and helped
+# batches are a subset of all consumed batches.
+assert thr["batches"] == queue["claims"], (thr["batches"], queue)
+assert 0 <= thr["helped_batches"] <= thr["batches"], thr
 # The wakeup-audit invariant: one lock + at most one (counted) notify
 # per publish/claim, so wakeups can never exceed publishes + claims.
 assert queue["wakeups"] <= queue["publishes"] + queue["claims"], queue
@@ -341,8 +346,10 @@ counters = report["metrics"]["counters"]
 for name in ("threaded.queue.publishes", "threaded.queue.claims",
              "threaded.queue.wakeups", "threaded.pool.hits",
              "threaded.pool.misses", "threaded.reorder.retired",
-             "threaded.reads", "threaded.batches"):
+             "threaded.reads", "threaded.batches",
+             "threaded.helped_batches"):
     assert name in counters, f"missing counter {name}"
+assert counters["threaded.helped_batches"] <= counters["threaded.batches"]
 assert counters["threaded.queue.publishes"] >= queue["publishes"]
 assert counters["threaded.queue.publishes"] == \
     counters["threaded.queue.claims"]
@@ -378,6 +385,7 @@ assert sweep["all_identical"] is True
 assert sweep["modeled_speedup_8t"] >= 2.5, sweep["modeled_speedup_8t"]
 
 print(f"ok: queue publishes={queue['publishes']} "
+      f"helped={thr['helped_batches']} "
       f"wakeups={queue['wakeups']} (bound "
       f"{queue['publishes'] + queue['claims']}); "
       f"pool hit rate={pool['hit_rate']:.2f}; "
@@ -530,6 +538,14 @@ assert counters["seedex.paired.rescues"] == paired["rescues"]
 # --- Every emitted record belongs to a pair.
 run = report["run"]
 assert run["reads"] == 2 * paired["pairs"], (run["reads"], paired)
+
+# --- The CLI's `threaded` section: helped batches are a subset of all
+# batches, and the stage CPU split covers device emulation.
+thr = report["threaded"]
+assert 0 <= thr["helped_batches"] <= thr["batches"], thr
+assert thr["helped_batches"] == counters["threaded.helped_batches"], thr
+assert thr["consumer_cpu_seconds"] >= thr["device_emulation_cpu_seconds"]
+assert thr["producer_cpu_seconds"] > 0 and thr["consumer_cpu_seconds"] > 0
 
 # --- Extension reconciliation: each verdict the filter issued came
 # from the single-threaded bootstrap chunk, a threaded consumer, or a
