@@ -3,11 +3,14 @@
  * Seeding-stage benchmark: naive byte-per-symbol FM-index vs the packed
  * popcount layout, with and without the k-mer interval table, scalar vs
  * lockstep batched extension — a genome-size × read-count × batch-size
- * sweep reporting reads/s, Mbases/s, and occ queries per read.
+ * sweep reporting reads/s, Mbases/s, occ queries, k-mer table hits and
+ * text-comparison steps per read.
  *
- * The headline claim (ISSUE 4): packed + k-mer table + batching delivers
- * >= 3x seeding throughput over the naive scalar baseline at 101 bp
- * reads on a multi-Mbp genome.
+ * The headline: packed + k-mer table + batching vs the naive scalar
+ * baseline at 101 bp reads on a multi-Mbp genome. Every configuration
+ * extends unique matches by comparing against the index text, so only
+ * the rank steps of non-unique matches differ by layout: about 2.3-2.5x
+ * on the full sweep, 1.8-2.5x on the noisier --quick one.
  *
  * Emits a machine-readable BENCH_seed.json (override with --out=FILE);
  * --quick shrinks the sweep; --metrics-out=FILE exports the run report
@@ -40,6 +43,7 @@ struct CellResult
     double mbases_per_s = 0;
     double occ_per_read = 0;
     double kmer_per_read = 0;
+    double text_per_read = 0;
     uint64_t seeds = 0; ///< checksum: total seeds produced
 };
 
@@ -110,6 +114,9 @@ timeSeeding(const Config &cfg, const std::vector<Sequence> &reads,
     res.kmer_per_read =
         static_cast<double>(after.kmer_hits - before.kmer_hits) /
         (total_reads * reps);
+    res.text_per_read =
+        static_cast<double>(after.text_steps - before.text_steps) /
+        (total_reads * reps);
     return res;
 }
 
@@ -127,6 +134,7 @@ appendCell(obs::JsonWriter &json, size_t genome, size_t n_reads,
     json.kv("mbases_per_s", res.mbases_per_s);
     json.kv("occ_calls_per_read", res.occ_per_read);
     json.kv("kmer_hits_per_read", res.kmer_per_read);
+    json.kv("text_steps_per_read", res.text_per_read);
     json.kv("seeds", res.seeds);
     json.kv("speedup_vs_naive", speedup);
     json.endObject();
@@ -138,8 +146,9 @@ int
 main(int argc, char **argv)
 {
     banner("Seeding: packed popcount FM-index + k-mer table + batching",
-           "batched packed seeding is >= 3x the naive scalar baseline "
-           "at 101 bp reads on a multi-Mbp genome");
+           "batched packed seeding is about 2.3-2.5x the naive scalar "
+           "baseline at 101 bp reads on a multi-Mbp genome (unique "
+           "matches skip the rank walk on every layout)");
 
     const bool quick = quickMode(argc, argv);
     std::string out_path = flagValue(argc, argv, "--out", nullptr);
@@ -160,7 +169,7 @@ main(int argc, char **argv)
 
     TextTable table;
     table.setHeader({"genome", "reads", "config", "batch", "reads/s",
-                     "Mbases/s", "occ/read", "speedup"});
+                     "Mbases/s", "occ/read", "text/read", "speedup"});
     obs::JsonWriter json;
     json.beginObject();
     beginSweepDoc(json, "bench_seed");
@@ -204,10 +213,10 @@ main(int argc, char **argv)
             const double speedup = naive_reads_per_s > 0
                 ? res.reads_per_s / naive_reads_per_s
                 : 0;
-            // The headline claim is ">= 3x at 101 bp reads on a
-            // >= 10 Mbp genome": every full-sweep genome qualifies, so
-            // take the best batch-16 cell across them (the per-genome
-            // numbers all stay in the table and the JSON).
+            // The headline is measured at 101 bp reads on a >= 10 Mbp
+            // genome: every full-sweep genome qualifies, so take the
+            // best batch-16 cell across them (the per-genome numbers
+            // all stay in the table and the JSON).
             if (cfg.batch == 16)
                 headline_speedup = std::max(headline_speedup, speedup);
             appendCell(json, genome, n_reads, cfg, res, speedup);
@@ -217,6 +226,7 @@ main(int argc, char **argv)
                           strprintf("%.0f", res.reads_per_s),
                           strprintf("%.1f", res.mbases_per_s),
                           strprintf("%.1f", res.occ_per_read),
+                          strprintf("%.1f", res.text_per_read),
                           strprintf("%.2f", speedup)});
         }
     }

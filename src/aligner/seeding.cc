@@ -14,6 +14,7 @@ struct SeedMetrics
 {
     obs::Counter &occ_calls;
     obs::Counter &kmer_hits;
+    obs::Counter &text_steps;
     obs::Gauge &batch_size;
     obs::LatencyHistogram &batch_seconds;
 
@@ -23,6 +24,7 @@ struct SeedMetrics
         static SeedMetrics m{
             obs::MetricsRegistry::global().counter("seed.occ_calls"),
             obs::MetricsRegistry::global().counter("seed.kmer_hits"),
+            obs::MetricsRegistry::global().counter("seed.text_steps"),
             obs::MetricsRegistry::global().gauge("seed.batch_size"),
             obs::MetricsRegistry::global().histogram("seed.batch.seconds"),
         };
@@ -46,6 +48,7 @@ class CounterFlush
         SeedMetrics &m = SeedMetrics::get();
         m.occ_calls.inc(now.occ_calls - before_.occ_calls);
         m.kmer_hits.inc(now.kmer_hits - before_.kmer_hits);
+        m.text_steps.inc(now.text_steps - before_.text_steps);
     }
 
   private:
@@ -62,8 +65,11 @@ smemsToSeeds(const FmdIndex &index, const std::vector<Smem> &smems,
         if (smem.interval.s > params.max_occurrences)
             continue; // repeat-masked, as BWA skips high-frequency seeds
         hits.clear();
-        index.locateInto(smem.interval, params.max_hits,
-                         static_cast<size_t>(smem.length()), hits);
+        const size_t len = static_cast<size_t>(smem.length());
+        if (!smem.located())
+            index.locateInto(smem.interval, params.max_hits, len, hits);
+        else if (params.max_hits > 0)
+            hits.push_back(index.hitAt(smem.text_pos, len));
         for (const FmdHit &hit : hits) {
             Seed seed;
             seed.len = smem.length();

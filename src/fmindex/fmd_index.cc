@@ -114,6 +114,7 @@ FmdIndex::FmdIndex(const Sequence &reference, const FmdIndexOptions &options)
     ref_len_ = reference.size();
     if (ref_len_ == 0)
         throw std::runtime_error("FmdIndex: empty reference");
+    text_ = PackedSequence::pack(reference);
 
     // Index text: forward strand then reverse complement, shifted to
     // 1..4 ($ = 0 is appended conceptually as the final sentinel).
@@ -380,22 +381,10 @@ FmdIndex::locateInto(const FmdInterval &interval, size_t max_hits,
                      size_t pattern_len, std::vector<FmdHit> &hits) const
 {
     const uint64_t n = std::min<uint64_t>(interval.s, max_hits);
-    const uint64_t L = ref_len_;
-    auto emit = [&](uint64_t pos) {
-        FmdHit hit;
-        if (pos < L) {
-            hit.pos = pos;
-            hit.reverse = false;
-        } else {
-            hit.pos = 2 * L - pos - pattern_len;
-            hit.reverse = true;
-        }
-        hits.push_back(hit);
-    };
     if (n == 0)
         return;
     if (n == 1) {
-        emit(suffixToText(interval.k));
+        hits.push_back(hitAt(suffixToText(interval.k), pattern_len));
         return;
     }
 
@@ -440,7 +429,7 @@ FmdIndex::locateInto(const FmdInterval &interval, size_t max_hits,
         }
     }
     for (uint64_t r = 0; r < n; ++r)
-        emit(sc.pos[r]);
+        hits.push_back(hitAt(sc.pos[r], pattern_len));
 }
 
 std::vector<FmdHit>
@@ -470,7 +459,8 @@ FmdIndex::match(const Sequence &pattern) const
 size_t
 FmdIndex::storageBytes() const
 {
-    size_t bytes = bwt_.size() + packed_.storageBytes() +
+    size_t bytes = text_.storageBytes() + bwt_.size() +
+        packed_.storageBytes() +
         occ_checkpoints_.size() * sizeof(uint64_t) +
         sa_mark_.size() * sizeof(uint64_t) +
         sa_mark_rank_.size() * sizeof(uint32_t) +
@@ -503,7 +493,7 @@ FmdIndex::save(std::ostream &os) const
 }
 
 std::unique_ptr<FmdIndex>
-FmdIndex::load(std::istream &is, int kmer_k)
+FmdIndex::load(std::istream &is, const Sequence &reference, int kmer_k)
 {
     uint64_t magic = 0;
     uint32_t version = 0;
@@ -514,7 +504,8 @@ FmdIndex::load(std::istream &is, int kmer_k)
         readPod(is, layout) && layout <= 1 &&
         readPod(is, idx->ref_len_) && readPod(is, idx->text_len_) &&
         readPod(is, idx->primary_);
-    if (!ok || idx->text_len_ != 2 * idx->ref_len_ + 1)
+    if (!ok || idx->text_len_ != 2 * idx->ref_len_ + 1 ||
+        idx->ref_len_ != reference.size())
         return nullptr;
     idx->layout_ = static_cast<FmLayout>(layout);
     for (uint64_t &c : idx->counts_)
@@ -551,6 +542,7 @@ FmdIndex::load(std::istream &is, int kmer_k)
         }
     }
     idx->buildSaMarkRank();
+    idx->text_ = PackedSequence::pack(reference);
     const int k = kmer_k < 0 ? KmerTable::defaultK(idx->ref_len_)
                              : std::min(kmer_k, 12);
     if (k > 0)

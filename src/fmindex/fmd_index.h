@@ -91,6 +91,9 @@ struct FmdThreadCounters
     uint64_t occ_calls = 0;
     /** Forward-extension steps answered by the k-mer table. */
     uint64_t kmer_hits = 0;
+    /** Extension steps of a unique match answered by comparing the
+     *  query against the index text (forward and backward). */
+    uint64_t text_steps = 0;
 };
 
 /**
@@ -105,6 +108,12 @@ struct FmdThreadCounters
  * bit-identical intervals and hits. The suffix array is sampled by text
  * position (every kSaStep-th position marks its rank), which bounds
  * every locate walk to < kSaStep LF steps.
+ *
+ * The index also owns its text T = ref . revcomp(ref) . $ (N collapsed
+ * to A, length 2L+1) as a 2-bit pack of the forward strand, L/4 bytes:
+ * once a pattern has a single occurrence, SMEM search locates it once
+ * and extends it by comparing the query against textBase() instead of
+ * ranking the BWT.
  */
 class FmdIndex
 {
@@ -121,6 +130,21 @@ class FmdIndex
 
     /** Reference length L (the index text is 2L+... with both strands). */
     uint64_t referenceLength() const { return ref_len_; }
+
+    /**
+     * Symbol j of the index text T: the forward strand for j < L, its
+     * reverse complement for L <= j < 2L, and kBaseN for the sentinel
+     * at j = 2L, so the sentinel never matches a query base.
+     */
+    Base
+    textBase(uint64_t j) const
+    {
+        if (j < ref_len_)
+            return text_[j];
+        if (j < 2 * ref_len_)
+            return static_cast<Base>(3 - text_[2 * ref_len_ - 1 - j]);
+        return kBaseN;
+    }
 
     FmLayout layout() const { return layout_; }
 
@@ -148,6 +172,22 @@ class FmdIndex
      */
     void extendBatch(FmdExtendRequest *requests, size_t n) const;
 
+    /**
+     * Text position of the suffix at BWT row `rank` (the start of the
+     * occurrence that row stands for); < kSaStep LF steps.
+     */
+    uint64_t suffixToText(uint64_t rank) const;
+
+    /** The reference hit of a `pattern_len`-base occurrence that starts
+     *  at index-text position `text_pos`. */
+    FmdHit
+    hitAt(uint64_t text_pos, size_t pattern_len) const
+    {
+        if (text_pos < ref_len_)
+            return {text_pos, false};
+        return {2 * ref_len_ - text_pos - pattern_len, true};
+    }
+
     /** All positions of the interval's occurrences (<= max_hits). */
     std::vector<FmdHit> locate(const FmdInterval &interval,
                                size_t max_hits,
@@ -164,20 +204,23 @@ class FmdIndex
     /** Exact-match interval of a whole pattern (backward search). */
     FmdInterval match(const Sequence &pattern) const;
 
-    /** Bytes used by the index structures (models the memory-bandwidth
-     *  discussion of §VIII). */
+    /** Bytes used by the index structures, text included (models the
+     *  memory-bandwidth discussion of §VIII). */
     size_t storageBytes() const;
 
     // ---- Serialization.
-    /** Write the index (without the k-mer table, which is rebuilt at
-     *  load) to a binary stream; returns false on I/O failure. */
+    /** Write the index (without the text and the k-mer table, which are
+     *  rebuilt at load) to a binary stream; returns false on I/O
+     *  failure. */
     bool save(std::ostream &os) const;
 
-    /** Load an index previously written by save(); the k-mer table is
-     *  rebuilt per `options.kmer_k`. Returns nullptr on a malformed
-     *  stream. The saved layout is preserved. */
+    /** Load an index previously written by save() over `reference`
+     *  (the sequence it was built from; its text is packed from it).
+     *  The k-mer table is rebuilt per `kmer_k`. Returns nullptr on a
+     *  malformed stream or a reference of the wrong length. The saved
+     *  layout is preserved. */
     static std::unique_ptr<FmdIndex>
-    load(std::istream &is, int kmer_k = -1);
+    load(std::istream &is, const Sequence &reference, int kmer_k = -1);
 
     /** This thread's query counters (see FmdThreadCounters). */
     static FmdThreadCounters &threadCounters();
@@ -192,7 +235,6 @@ class FmdIndex
     uint64_t occ(uint8_t c, uint64_t i) const;
     void occAll(uint64_t i, uint64_t out[5]) const;
     uint8_t bwtSymbol(uint64_t rank) const;
-    uint64_t suffixToText(uint64_t rank) const;
     /** Prefetch the occ block(s) covering position i. */
     void prefetchOcc(uint64_t i) const;
     /** Prefetch the suffix-array mark word of rank j. */
@@ -204,6 +246,7 @@ class FmdIndex
 
     uint64_t ref_len_ = 0;
     uint64_t text_len_ = 0; ///< 2 * ref_len_ + 1 (with sentinel)
+    PackedSequence text_; ///< forward strand of the text, N -> A
     FmLayout layout_ = FmLayout::Packed;
     std::vector<uint8_t> bwt_; ///< naive layout: symbols in 0..4 ($=0)
     PackedBwt packed_;         ///< packed layout

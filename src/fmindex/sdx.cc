@@ -188,12 +188,11 @@ loadSdx(const std::string &path, int kmer_k)
 
     MemBuf idx_buf(cur.p, cur.left);
     std::istream idx_stream(&idx_buf);
-    data.index = FmdIndex::load(idx_stream, kmer_k);
+    data.index = FmdIndex::load(idx_stream, data.reference, kmer_k);
     if (!data.index)
-        failCorrupt(path, "corrupt index (malformed FM-index payload)");
-    if (data.index->referenceLength() != ref_len)
-        failCorrupt(path, "corrupt index (FM-index length does not match "
-                          "the stored reference)");
+        failCorrupt(path, "corrupt index (malformed FM-index payload, or "
+                          "its length does not match the stored "
+                          "reference)");
     return data;
 }
 

@@ -33,7 +33,9 @@ namespace seedex {
  * The reference sequence is stored alongside the index (the aligner
  * needs the text for extension and traceback, and the FM-index cannot
  * reproduce it exactly: construction collapses N to A). Nibble packing
- * keeps codes 0..4 intact at half a byte per base.
+ * keeps codes 0..4 intact at half a byte per base. The FM-index's own
+ * 2-bit text (SMEM search compares unique matches against it) is not
+ * stored a second time: loadSdx packs it from this decoded reference.
  */
 
 /** One contig recorded in a `.sdx` container, in reference order. */
@@ -69,8 +71,9 @@ void saveSdx(const std::string &path, const std::vector<SdxContig> &contigs,
 
 /**
  * Read and verify a container. The whole file is checksummed before any
- * field is trusted; `kmer_k` is forwarded to FmdIndex::load (the k-mer
- * table is rebuilt at load, not stored). Throws SdxError on any failure.
+ * field is trusted; the decoded reference and `kmer_k` are forwarded to
+ * FmdIndex::load (the index text and the k-mer table are rebuilt at
+ * load, not stored). Throws SdxError on any failure.
  */
 SdxData loadSdx(const std::string &path, int kmer_k = -1);
 

@@ -8,16 +8,25 @@
 
 namespace seedex {
 
+/** Smem::text_pos of a match known only by its interval. */
+inline constexpr uint64_t kNoTextPos = ~uint64_t{0};
+
 /** A supermaximal exact match of a query against the index. */
 struct Smem
 {
     /** Query span [qbeg, qend). */
     int qbeg = 0;
     int qend = 0;
-    /** Bidirectional interval of the match (s = occurrence count). */
+    /** Bidirectional interval of the match (s = occurrence count). A
+     *  located match keeps only s (= 1): its k and l are 0. */
     FmdInterval interval;
+    /** Index-text position where the single occurrence of a located
+     *  match starts; kNoTextPos when the match is known only by its
+     *  interval. */
+    uint64_t text_pos = kNoTextPos;
 
     int length() const { return qend - qbeg; }
+    bool located() const { return text_pos != kNoTextPos; }
     bool operator==(const Smem &) const = default;
 };
 
@@ -42,6 +51,10 @@ struct SmemWorkspace
         int i = 0;   ///< forward/backward loop position
         int ret = 0; ///< next pivot once this one finishes
         uint32_t code = 0; ///< packed k-mer prefix of the forward sweep
+        /** Text position of the pivot's unique match (ik during the
+         *  forward sweep, prev[0] during the backward pass), or
+         *  kNoTextPos while it is still on the BWT. */
+        uint64_t tpos = kNoTextPos;
         size_t pivot_start = 0; ///< out->size() when the pivot began
         size_t req_first = 0;   ///< this round's slice of the request buffer
         size_t req_count = 0;
@@ -64,7 +77,10 @@ struct SmemWorkspace
  * matches covering it via forward extension followed by a backward
  * shrink pass (Li 2012 / bwt_smem1). When the index carries a k-mer
  * interval table, the first k forward steps of every sweep are table
- * lookups instead of occ queries.
+ * lookups instead of occ queries. With min_intv == 1, once the forward
+ * sweep's match has a single occurrence it is located once and extends
+ * by comparing the query against the index text (FmdIndex::textBase),
+ * forward and then backward; the SMEM it ends as is `located()`.
  *
  * @param min_seed_len Discard SMEMs shorter than this (BWA default 19).
  * @param min_intv Minimum interval size to keep extending (default 1).

@@ -1,6 +1,8 @@
 #include "genome/sequence.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 
 namespace seedex {
 
@@ -57,15 +59,47 @@ Sequence::append(const Sequence &other)
     bases_.insert(bases_.end(), other.bases_.begin(), other.bases_.end());
 }
 
+namespace {
+
+/**
+ * Gather 8 one-byte codes into 16 bits (base j at bits 2j, 2j+1).
+ * `b & 3` maps N (4) to A, as index construction does. The codes are
+ * loaded as one little-endian word, so the loop never reads a byte
+ * through a pointer that may alias the word store.
+ */
+inline uint64_t
+gather8(const Base *p)
+{
+    uint64_t w;
+    std::memcpy(&w, p, sizeof(w));
+    w &= 0x0303030303030303ULL;
+    w = (w | (w >> 6)) & 0x000F000F000F000FULL;
+    w = (w | (w >> 12)) & 0x000000FF000000FFULL;
+    return (w | (w >> 24)) & 0xFFFFULL;
+}
+
+} // namespace
+
 PackedSequence
 PackedSequence::pack(const Sequence &seq)
 {
+    static_assert(std::endian::native == std::endian::little,
+                  "gather8 assumes little-endian words");
     PackedSequence packed;
-    packed.size_ = seq.size();
-    packed.words_.assign((seq.size() + 31) / 32, 0);
-    for (size_t i = 0; i < seq.size(); ++i) {
-        const Base b = seq[i] < kNumBases ? seq[i] : kBaseA;
-        packed.words_[i >> 5] |= static_cast<uint64_t>(b) << ((i & 31) * 2);
+    const size_t n = seq.size();
+    packed.size_ = n;
+    packed.words_.reserve((n + 31) / 32);
+    const Base *codes = seq.data();
+    size_t i = 0;
+    for (; i + 32 <= n; i += 32)
+        packed.words_.push_back(
+            gather8(codes + i) | gather8(codes + i + 8) << 16 |
+            gather8(codes + i + 16) << 32 | gather8(codes + i + 24) << 48);
+    if (i < n) {
+        uint64_t tail = 0;
+        for (size_t j = 0; i + j < n; ++j)
+            tail |= static_cast<uint64_t>(codes[i + j] & 3) << (2 * j);
+        packed.words_.push_back(tail);
     }
     return packed;
 }

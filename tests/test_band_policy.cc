@@ -32,6 +32,9 @@ using namespace seedex;
 // ---------------------------------------------------------------------
 // Allocation-counting hooks (same scheme as test_kernel.cc): every
 // global operator new bumps a counter the steady-state test snapshots.
+// Every delete form is replaced, the sized aligned ones included:
+// otherwise the runtime's (ASan's) version frees these malloc'd blocks
+// as operator-new memory and reports alloc-dealloc-mismatch.
 
 namespace {
 std::atomic<uint64_t> g_new_calls{0};
@@ -70,6 +73,16 @@ void operator delete(void *p, size_t) noexcept { std::free(p); }
 void operator delete[](void *p, size_t) noexcept { std::free(p); }
 void operator delete(void *p, std::align_val_t) noexcept { std::free(p); }
 void operator delete[](void *p, std::align_val_t) noexcept { std::free(p); }
+void
+operator delete(void *p, size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+void
+operator delete[](void *p, size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
 
 namespace seedex {
 namespace {

@@ -10,13 +10,23 @@
  * round-trips, verifies the seed.* instruments advance, and asserts the
  * steady-state batch seeding path performs zero heap allocations via
  * global operator new/delete counting hooks.
+ *
+ * Unique matches extend by comparison against the index text, not by
+ * rank queries. A test-local rank-only SMEM search (every step a BWT
+ * extension, every hit a locate walk) is the oracle for that path: the
+ * SMEM spans, occurrence counts, located positions and seeds of both
+ * drivers must equal it on every layout, across the strand junction,
+ * at both reference ends, and with min_intv = 2, where the text path
+ * never engages.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
 #include <sstream>
+#include <string>
 
 #include "aligner/seeding.h"
 #include "fmindex/fmd_index.h"
@@ -256,6 +266,374 @@ TEST_F(SeedingDifferential, ReadsShorterThanTableDepthAgree)
     }
 }
 
+// ------------------------------------------------- text path vs rank oracle
+
+/**
+ * The rank-only bwt_smem1: every forward and backward step, unique or
+ * not, is a BWT extension. It is the reference the text path of both
+ * drivers must reproduce.
+ */
+int
+oracleSmem1(const FmdIndex &index, const Sequence &query, int x,
+            uint64_t min_intv, std::vector<Smem> &out)
+{
+    const int len = static_cast<int>(query.size());
+    if (query[x] >= kNumBases)
+        return x + 1;
+    std::vector<FmdInterval> curr, prev;
+    FmdInterval ik = index.init(query[x]);
+    ik.info = static_cast<uint64_t>(x) + 1;
+    int i;
+    for (i = x + 1; i < len; ++i) {
+        if (query[i] >= kNumBases) {
+            curr.push_back(ik);
+            break;
+        }
+        const FmdInterval ok = index.extend(ik, query[i], false);
+        if (ok.s != ik.s) {
+            curr.push_back(ik);
+            if (ok.s < min_intv)
+                break;
+        }
+        ik = ok;
+        ik.info = static_cast<uint64_t>(i) + 1;
+    }
+    if (i == len)
+        curr.push_back(ik);
+    std::reverse(curr.begin(), curr.end());
+    const int ret = static_cast<int>(curr.front().info);
+    std::swap(curr, prev);
+
+    const size_t pivot_start = out.size();
+    for (i = x - 1; i >= -1; --i) {
+        const Base c = i < 0 ? kBaseN : query[i];
+        curr.clear();
+        for (const FmdInterval &p : prev) {
+            FmdInterval ok;
+            if (c < kNumBases)
+                ok = index.extend(p, c, true);
+            if (c >= kNumBases || ok.s < min_intv) {
+                if (curr.empty() && (out.size() == pivot_start ||
+                                     i + 1 < out.back().qbeg)) {
+                    Smem smem;
+                    smem.qbeg = i + 1;
+                    smem.qend = static_cast<int>(p.info);
+                    smem.interval = p;
+                    out.push_back(smem);
+                }
+            } else if (curr.empty() || ok.s != curr.back().s) {
+                ok.info = p.info;
+                curr.push_back(ok);
+            }
+        }
+        if (curr.empty())
+            break;
+        std::swap(curr, prev);
+    }
+    return ret;
+}
+
+std::vector<Smem>
+oracleSmems(const FmdIndex &index, const Sequence &query, int min_seed_len,
+            uint64_t min_intv)
+{
+    std::vector<Smem> out;
+    for (int x = 0; x < static_cast<int>(query.size());)
+        x = oracleSmem1(index, query, x, min_intv, out);
+    out.erase(std::remove_if(out.begin(), out.end(),
+                             [&](const Smem &m) {
+                                 return m.length() < min_seed_len;
+                             }),
+              out.end());
+    std::sort(out.begin(), out.end(), [](const Smem &a, const Smem &b) {
+        return a.qbeg != b.qbeg ? a.qbeg < b.qbeg : a.qend < b.qend;
+    });
+    return out;
+}
+
+/** Seeds of the oracle SMEMs: every hit is a locate walk of one BWT row,
+ *  converted to a strand and forward position here, independently of
+ *  FmdIndex::hitAt. */
+std::vector<Seed>
+oracleSeeds(const FmdIndex &index, const Sequence &read,
+            const SeedingParams &params)
+{
+    const uint64_t L = index.referenceLength();
+    const int read_len = static_cast<int>(read.size());
+    std::vector<Seed> seeds;
+    for (const Smem &smem :
+         oracleSmems(index, read, params.min_seed_len, 1)) {
+        if (smem.interval.s > params.max_occurrences)
+            continue;
+        const uint64_t n =
+            std::min<uint64_t>(smem.interval.s, params.max_hits);
+        for (uint64_t r = 0; r < n; ++r) {
+            const uint64_t pos = index.suffixToText(smem.interval.k + r);
+            Seed seed;
+            seed.len = smem.length();
+            seed.reverse = pos >= L;
+            seed.rbeg = seed.reverse
+                ? 2 * L - pos - static_cast<uint64_t>(seed.len)
+                : pos;
+            seed.occurrences = smem.interval.s;
+            seed.qbeg = seed.reverse ? read_len - smem.qend : smem.qbeg;
+            seeds.push_back(seed);
+        }
+    }
+    std::sort(seeds.begin(), seeds.end(), [](const Seed &a, const Seed &b) {
+        if (a.reverse != b.reverse)
+            return !a.reverse;
+        if (a.rbeg != b.rbeg)
+            return a.rbeg < b.rbeg;
+        return a.qbeg < b.qbeg;
+    });
+    return seeds;
+}
+
+/** What the located SMEMs of a comparison covered. */
+struct TextCoverage
+{
+    uint64_t located = 0;
+    uint64_t junction = 0;  ///< occurrence spans T[L-1], T[L]
+    uint64_t text_start = 0; ///< occurrence starts at T[0]
+    uint64_t text_end = 0;  ///< occurrence ends at the sentinel
+};
+
+/** Expect `got` to equal the oracle's SMEMs: same spans, counts and
+ *  interval ends; a located SMEM is unique and sits where the oracle's
+ *  interval locates, anything else carries the oracle's interval. */
+void
+expectMatchesOracle(const FmdIndex &index, const std::vector<Smem> &got,
+                    const std::vector<Smem> &want, const std::string &ctx,
+                    TextCoverage &cov)
+{
+    ASSERT_EQ(got.size(), want.size()) << ctx;
+    const uint64_t L = index.referenceLength();
+    for (size_t m = 0; m < got.size(); ++m) {
+        const Smem &g = got[m];
+        const Smem &w = want[m];
+        EXPECT_EQ(g.qbeg, w.qbeg) << ctx << ", smem " << m;
+        EXPECT_EQ(g.qend, w.qend) << ctx << ", smem " << m;
+        EXPECT_EQ(g.interval.s, w.interval.s) << ctx << ", smem " << m;
+        EXPECT_EQ(g.interval.info, w.interval.info) << ctx;
+        if (!g.located()) {
+            EXPECT_EQ(g.interval, w.interval) << ctx << ", smem " << m;
+            continue;
+        }
+        ASSERT_EQ(w.interval.s, 1u) << ctx << ", smem " << m;
+        EXPECT_EQ(g.interval.k, 0u) << ctx;
+        EXPECT_EQ(g.interval.l, 0u) << ctx;
+        EXPECT_EQ(g.text_pos, index.suffixToText(w.interval.k))
+            << ctx << ", smem " << m;
+        const uint64_t end = g.text_pos + static_cast<uint64_t>(g.length());
+        ++cov.located;
+        cov.junction += g.text_pos < L && end > L;
+        cov.text_start += g.text_pos == 0;
+        cov.text_end += end == 2 * L;
+    }
+}
+
+void
+expectSameSeeds(const std::vector<Seed> &got, const std::vector<Seed> &want,
+                const std::string &ctx)
+{
+    ASSERT_EQ(got.size(), want.size()) << ctx;
+    for (size_t s = 0; s < got.size(); ++s) {
+        EXPECT_EQ(got[s].qbeg, want[s].qbeg) << ctx << ", seed " << s;
+        EXPECT_EQ(got[s].len, want[s].len) << ctx << ", seed " << s;
+        EXPECT_EQ(got[s].rbeg, want[s].rbeg) << ctx << ", seed " << s;
+        EXPECT_EQ(got[s].reverse, want[s].reverse) << ctx << ", seed " << s;
+        EXPECT_EQ(got[s].occurrences, want[s].occurrences) << ctx;
+    }
+}
+
+/** The index text without its sentinel: ref (N as A) . revcomp. */
+Sequence
+indexText(const Sequence &ref)
+{
+    Sequence fwd = ref;
+    for (size_t i = 0; i < fwd.size(); ++i)
+        if (fwd[i] >= kNumBases)
+            fwd[i] = kBaseA;
+    Sequence text = fwd;
+    text.append(fwd.reverseComplement());
+    return text;
+}
+
+Base
+randomBase(Rng &rng)
+{
+    return static_cast<Base>(rng.pick(4));
+}
+
+/**
+ * Reads that put the text path at its edges: windows across the strand
+ * junction (the reference's last bases, then the first bases of its
+ * reverse complement), at both reference ends with one foreign base
+ * beyond (so a unique match runs into T[0] or the sentinel), exact
+ * windows of either strand, some with a mismatch, plus the usual
+ * sampled reads with mismatches and Ns.
+ */
+std::vector<Sequence>
+textPathReads(Rng &rng, const Sequence &ref, int count)
+{
+    const Sequence text = indexText(ref);
+    const size_t L = ref.size();
+    std::vector<Sequence> reads;
+    for (int it = 0; it < count; ++it) {
+        const size_t len = 24 + rng.pick(90);
+        Sequence read;
+        switch (it % 5) {
+          case 0: { // across the strand junction
+            const size_t a = 1 + rng.pick(len - 1);
+            read = text.slice(L - a, len);
+            break;
+          }
+          case 1: // the reference start, one foreign base before it
+            read.push_back(randomBase(rng));
+            read.append(text.slice(0, len));
+            break;
+          case 2: // the text end (the sentinel follows)
+            read = text.slice(2 * L - len, len);
+            read.push_back(randomBase(rng));
+            break;
+          case 3: // exact window of either strand
+            read = text.slice(rng.pick(2 * L - len), len);
+            break;
+          default:
+            read = sampleRead(rng, ref, len);
+            break;
+        }
+        if (it % 5 != 4 && rng.coin(0.3)) {
+            const size_t at = rng.pick(read.size());
+            read[at] = static_cast<Base>((read[at] + 1 + rng.pick(3)) % 4);
+        }
+        reads.push_back(read);
+    }
+    return reads;
+}
+
+TEST_F(SeedingDifferential, TextPathSmemsMatchRankOracle)
+{
+    Rng rng(41);
+    const std::vector<Sequence> reads = textPathReads(rng, ref_, 400);
+    std::vector<const Sequence *> queries;
+    for (const Sequence &read : reads)
+        queries.push_back(&read);
+    SmemWorkspace ws;
+    std::vector<std::vector<Smem>> batch_out;
+    const std::pair<const char *, const FmdIndex *> indexes[] = {
+        {"naive", &set_->naive_plain},
+        {"packed", &set_->packed_plain},
+        {"packed+kmer", &set_->packed_kmer},
+    };
+    for (const auto &[name, index] : indexes) {
+        for (const uint64_t min_intv : {uint64_t{1}, uint64_t{2}}) {
+            const std::string cfg = std::string(name) +
+                ", min_intv=" + std::to_string(min_intv);
+            const uint64_t steps0 = FmdIndex::threadCounters().text_steps;
+            TextCoverage cov;
+            batch_out.assign(reads.size(), {});
+            collectSmemsBatch(*index, queries.data(), queries.size(), 1,
+                              min_intv, ws, batch_out);
+            for (size_t r = 0; r < reads.size(); ++r) {
+                const auto want = oracleSmems(*index, reads[r], 1, min_intv);
+                expectMatchesOracle(
+                    *index, collectSmems(*index, reads[r], 1, min_intv),
+                    want, cfg + ", scalar, read " + std::to_string(r), cov);
+                expectMatchesOracle(*index, batch_out[r], want,
+                                    cfg + ", batch, read " +
+                                        std::to_string(r),
+                                    cov);
+            }
+            const uint64_t steps =
+                FmdIndex::threadCounters().text_steps - steps0;
+            if (min_intv == 1) {
+                // Every edge the path has must actually be exercised.
+                EXPECT_GT(steps, 0u) << cfg;
+                EXPECT_GT(cov.junction, 0u) << cfg;
+                EXPECT_GT(cov.text_start, 0u) << cfg;
+                EXPECT_GT(cov.text_end, 0u) << cfg;
+            } else {
+                EXPECT_EQ(cov.located, 0u) << cfg;
+                EXPECT_EQ(steps, 0u) << cfg;
+            }
+        }
+    }
+}
+
+TEST_F(SeedingDifferential, TextPathSeedsMatchRankOracle)
+{
+    Rng rng(43);
+    SeedingParams params;
+    params.min_seed_len = 12;
+    const std::vector<Sequence> reads = textPathReads(rng, ref_, 150);
+    std::vector<const Sequence *> queries;
+    for (const Sequence &read : reads)
+        queries.push_back(&read);
+    SeedWorkspace ws;
+    std::vector<std::vector<Seed>> batch_out(reads.size());
+    for (const FmdIndex *index : {&set_->naive_plain, &set_->packed_plain,
+                                  &set_->packed_kmer}) {
+        collectSeedsBatch(*index, queries.data(), queries.size(), params,
+                          ws, batch_out);
+        for (size_t r = 0; r < reads.size(); ++r) {
+            const auto want = oracleSeeds(*index, reads[r], params);
+            const std::string ctx = "read " + std::to_string(r);
+            expectSameSeeds(batch_out[r], want, "batch, " + ctx);
+            expectSameSeeds(collectSeeds(*index, reads[r], params), want,
+                            "scalar, " + ctx);
+        }
+    }
+}
+
+TEST(SeedingTextPath, TinyReferencesMatchRankOracle)
+{
+    // On a few dozen bases a single symbol can already be unique, so
+    // the text path starts at the pivot's first base, and most matches
+    // run into a reference end or the junction. With min_intv = 2 such
+    // a unique first base must still stay on the BWT.
+    Rng rng(47);
+    SmemWorkspace ws;
+    std::vector<std::vector<Smem>> batch_out(1);
+    for (int g = 0; g < 60; ++g) {
+        Sequence ref;
+        const size_t len = 2 + rng.pick(40);
+        for (size_t i = 0; i < len; ++i)
+            ref.push_back(rng.coin(0.05) ? kBaseN : randomBase(rng));
+        const FmdIndex naive(ref, FmdIndexOptions{FmLayout::Naive, 0});
+        const FmdIndex packed(ref, FmdIndexOptions{FmLayout::Packed, -1});
+        const Sequence text = indexText(ref);
+        for (int it = 0; it < 20; ++it) {
+            const size_t rlen = 1 + rng.pick(text.size());
+            Sequence read = text.slice(rng.pick(text.size() - rlen + 1),
+                                       rlen);
+            if (rng.coin(0.5))
+                read.push_back(randomBase(rng));
+            for (const FmdIndex *index : {&naive, &packed}) {
+                for (const uint64_t min_intv : {uint64_t{1}, uint64_t{2}}) {
+                    TextCoverage cov;
+                    const auto want = oracleSmems(*index, read, 1, min_intv);
+                    const std::string ctx = "ref " + ref.toString() +
+                        ", read " + read.toString() +
+                        ", min_intv=" + std::to_string(min_intv);
+                    expectMatchesOracle(
+                        *index, collectSmems(*index, read, 1, min_intv),
+                        want, ctx + ", scalar", cov);
+                    const Sequence *q = &read;
+                    collectSmemsBatch(*index, &q, 1, 1, min_intv, ws,
+                                      batch_out);
+                    expectMatchesOracle(*index, batch_out[0], want,
+                                        ctx + ", batch", cov);
+                    if (min_intv == 2) {
+                        EXPECT_EQ(cov.located, 0u) << ctx;
+                    }
+                }
+            }
+        }
+    }
+}
+
 // ------------------------------------------------------------- seed layer
 
 TEST_F(SeedingDifferential, SeedBatchMatchesScalarSeeds)
@@ -302,9 +680,15 @@ TEST_F(SeedingDifferential, SerializationRoundTripsBothLayouts)
          {&set_->naive_plain, &set_->packed_kmer}) {
         std::stringstream ss;
         ASSERT_TRUE(index->save(ss));
-        const auto loaded = FmdIndex::load(
-            ss, index->kmerTable() ? index->kmerTable()->k() : 0);
+        const int k = index->kmerTable() ? index->kmerTable()->k() : 0;
+        const std::string bytes = ss.str();
+        std::stringstream wrong(bytes);
+        EXPECT_EQ(FmdIndex::load(wrong, ref_.slice(1, ref_.size()), k),
+                  nullptr)
+            << "a reference of the wrong length must be rejected";
+        const auto loaded = FmdIndex::load(ss, ref_, k);
         ASSERT_NE(loaded, nullptr);
+        EXPECT_EQ(loaded->storageBytes(), index->storageBytes());
         EXPECT_EQ(loaded->layout(), index->layout());
         EXPECT_EQ(loaded->referenceLength(), index->referenceLength());
         for (int it = 0; it < 40; ++it) {
@@ -330,10 +714,11 @@ TEST_F(SeedingDifferential, SerializationRoundTripsBothLayouts)
 
 TEST(SeedingSerialization, RejectsMalformedStreams)
 {
+    const Sequence ref = Sequence::fromString("ACGTACGTTGCA");
     std::stringstream empty;
-    EXPECT_EQ(FmdIndex::load(empty), nullptr);
+    EXPECT_EQ(FmdIndex::load(empty, ref), nullptr);
     std::stringstream garbage("not an index at all, not even close");
-    EXPECT_EQ(FmdIndex::load(garbage), nullptr);
+    EXPECT_EQ(FmdIndex::load(garbage, ref), nullptr);
 }
 
 // ------------------------------------------------------------ observability
@@ -345,6 +730,7 @@ TEST_F(SeedingDifferential, SeedInstrumentsAdvance)
     const auto before = registry.snapshot();
     const uint64_t occ0 = before.counterValue("seed.occ_calls");
     const uint64_t kmer0 = before.counterValue("seed.kmer_hits");
+    const uint64_t text0 = before.counterValue("seed.text_steps");
 
     SeedingParams params;
     SeedWorkspace ws;
@@ -361,6 +747,7 @@ TEST_F(SeedingDifferential, SeedInstrumentsAdvance)
     const auto after = registry.snapshot();
     EXPECT_GT(after.counterValue("seed.occ_calls"), occ0);
     EXPECT_GT(after.counterValue("seed.kmer_hits"), kmer0);
+    EXPECT_GT(after.counterValue("seed.text_steps"), text0);
     bool found_gauge = false;
     for (const auto &[name, value] : after.gauges)
         if (name == "seed.batch_size") {

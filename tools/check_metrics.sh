@@ -251,9 +251,12 @@ assert report["bench"] == "bench_seed"
 
 counters = report["metrics"]["counters"]
 # Every config issues occ queries; the k-mer configs answer the first k
-# forward steps from the table instead.
+# forward steps from the table instead, and every config extends unique
+# matches by comparing against the index text.
 assert counters.get("seed.occ_calls", 0) > 0, "seed.occ_calls never moved"
 assert counters.get("seed.kmer_hits", 0) > 0, "seed.kmer_hits never moved"
+assert counters.get("seed.text_steps", 0) > 0, \
+    "seed.text_steps never moved"
 
 gauges = report["metrics"]["gauges"]
 # Largest batch size set by the batched configs (>= 1 even on --quick).
@@ -276,6 +279,7 @@ for cell in cells:
     assert cell["reads_per_s"] > 0
     assert cell["batch"] >= 1
     assert cell["occ_calls_per_read"] > 0
+    assert cell["text_steps_per_read"] > 0
     assert cell["speedup_vs_naive"] > 0
 names = {c["config"] for c in cells}
 # The sweep always carries the oracle baseline and the headline config.
@@ -285,6 +289,7 @@ assert sweep["headline_speedup"] > 0
 
 print(f"ok: seed.occ_calls={counters['seed.occ_calls']} "
       f"seed.kmer_hits={counters['seed.kmer_hits']} "
+      f"seed.text_steps={counters['seed.text_steps']} "
       f"batch latency p50={hist['p50']:.2e}s; "
       f"{len(cells)} sweep cells, "
       f"headline={sweep['headline_speedup']:.2f}x")
