@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <istream>
+#include <iterator>
 #include <ostream>
 #include <stdexcept>
 #include <string>
@@ -53,12 +54,14 @@ writeVec(std::ostream &os, const std::vector<T> &v)
     return os.good();
 }
 
+/** Read a saved array whose element count must be exactly `expected`;
+ *  the count is checked before the vector is sized. */
 template <typename T>
 bool
-readVec(std::istream &is, std::vector<T> &v, uint64_t max_elems)
+readVec(std::istream &is, std::vector<T> &v, uint64_t expected)
 {
     uint64_t n = 0;
-    if (!readPod(is, n) || n > max_elems)
+    if (!readPod(is, n) || n != expected)
         return false;
     v.resize(n);
     is.read(reinterpret_cast<char *>(v.data()),
@@ -152,7 +155,6 @@ FmdIndex::FmdIndex(const Sequence &reference, const FmdIndexOptions &options)
             primary_ = rank;
         record(rank, pos);
     }
-    buildSaMarkRank();
 
     // C array: counts_[c] = number of symbols < c.
     uint64_t hist[5] = {};
@@ -162,19 +164,30 @@ FmdIndex::FmdIndex(const Sequence &reference, const FmdIndexOptions &options)
     for (int c = 1; c <= 5; ++c)
         counts_[c] = counts_[c - 1] + hist[c - 1];
 
-    finishConstruction(options);
-}
-
-void
-FmdIndex::finishConstruction(const FmdIndexOptions &options)
-{
     layout_ = options.layout;
     if (layout_ == FmLayout::Packed) {
         packed_ = PackedBwt(bwt_);
         bwt_.clear();
         bwt_.shrink_to_fit();
-    } else {
-        // Occ checkpoints of the naive layout.
+    }
+    // Construction records one sample per mark, so this cannot fail.
+    deriveStructures(options.kmer_k);
+}
+
+bool
+FmdIndex::deriveStructures(int kmer_k)
+{
+    sa_mark_rank_.resize(sa_mark_.size());
+    uint64_t marked = 0;
+    for (size_t w = 0; w < sa_mark_.size(); ++w) {
+        sa_mark_rank_[w] = static_cast<uint32_t>(marked);
+        marked += static_cast<uint64_t>(std::popcount(sa_mark_[w]));
+    }
+    if (marked != sa_samples_.size())
+        return false;
+
+    if (layout_ == FmLayout::Naive) {
+        // Occ checkpoints of the naive layout (derived, never stored).
         const uint64_t blocks = text_len_ / kOccStep + 1;
         occ_checkpoints_.assign(blocks * 5, 0);
         uint64_t running[5] = {};
@@ -187,21 +200,11 @@ FmdIndex::finishConstruction(const FmdIndexOptions &options)
         }
     }
 
-    const int k = options.kmer_k < 0 ? KmerTable::defaultK(ref_len_)
-                                     : std::min(options.kmer_k, 12);
+    const int k = kmer_k < 0 ? KmerTable::defaultK(ref_len_)
+                             : std::min(kmer_k, 12);
     if (k > 0)
         kmer_table_ = std::make_unique<KmerTable>(*this, k);
-}
-
-void
-FmdIndex::buildSaMarkRank()
-{
-    sa_mark_rank_.resize(sa_mark_.size());
-    uint32_t running = 0;
-    for (size_t w = 0; w < sa_mark_.size(); ++w) {
-        sa_mark_rank_[w] = running;
-        running += static_cast<uint32_t>(std::popcount(sa_mark_[w]));
-    }
+    return true;
 }
 
 bool
@@ -283,6 +286,41 @@ FmdIndex::init(Base c) const
     return iv;
 }
 
+void
+FmdIndex::rankPair(uint64_t lo, uint64_t s, uint64_t tk[5],
+                   uint64_t tl[5]) const
+{
+    threadCounters().occ_calls += 2;
+    if (layout_ == FmLayout::Packed) {
+        packed_.rankAllPair(lo, lo + s, tk, tl);
+    } else {
+        occAll(lo, tk);
+        occAll(lo + s, tl);
+    }
+}
+
+FmdInterval
+FmdIndex::childFromRanks(const FmdInterval &in, const uint64_t tk[5],
+                         const uint64_t tl[5], uint8_t sc) const
+{
+    uint64_t size[5];
+    for (int b = 0; b < 5; ++b)
+        size[b] = tl[b] - tk[b];
+    // New l values accumulate in complement order: $, T, G, C, A.
+    uint64_t l_new[5];
+    l_new[4] = in.l + size[0];              // T after the sentinel block
+    l_new[3] = l_new[4] + size[4];          // G after T
+    l_new[2] = l_new[3] + size[3];          // C after G
+    l_new[1] = l_new[2] + size[2];          // A after C
+    l_new[0] = in.l;                        // unused ($)
+    FmdInterval out;
+    out.k = counts_[sc] + tk[sc];
+    out.l = l_new[sc];
+    out.s = size[sc];
+    out.info = in.info;
+    return out;
+}
+
 FmdInterval
 FmdIndex::extend(const FmdInterval &in, Base c, bool back) const
 {
@@ -294,31 +332,46 @@ FmdIndex::extend(const FmdInterval &in, Base c, bool back) const
         FmdInterval out = extend(swapped, complement(c), true);
         return {out.l, out.k, out.s, in.info};
     }
-    threadCounters().occ_calls += 2;
     uint64_t tk[5], tl[5];
-    if (layout_ == FmLayout::Packed) {
-        packed_.rankAllPair(in.k, in.k + in.s, tk, tl);
-    } else {
-        occAll(in.k, tk);
-        occAll(in.k + in.s, tl);
+    rankPair(in.k, in.s, tk, tl);
+    return childFromRanks(in, tk, tl, static_cast<uint8_t>(c + 1));
+}
+
+void
+FmdIndex::extendAll(const FmdInterval &in, bool back,
+                    FmdInterval out[kNumBases]) const
+{
+    if (in.empty()) {
+        for (Base c = 0; c < kNumBases; ++c)
+            out[c] = {};
+        return;
     }
-    uint64_t size[5];
-    for (int b = 0; b < 5; ++b)
-        size[b] = tl[b] - tk[b];
-    // New l values accumulate in complement order: $, T, G, C, A.
-    uint64_t l_new[5];
-    l_new[4] = in.l + size[0];              // T after the sentinel block
-    l_new[3] = l_new[4] + size[4];          // G after T
-    l_new[2] = l_new[3] + size[3];          // C after G
-    l_new[1] = l_new[2] + size[2];          // A after C
-    l_new[0] = in.l;                        // unused ($)
-    const uint8_t sc = static_cast<uint8_t>(c + 1);
-    FmdInterval out;
-    out.k = counts_[sc] + tk[sc];
-    out.l = l_new[sc];
-    out.s = size[sc];
-    out.info = in.info;
-    return out;
+    // A forward extension by c is the backward extension of the
+    // reverse-complement view by complement(c), as in extend().
+    const FmdInterval view =
+        back ? in : FmdInterval{in.l, in.k, in.s, in.info};
+    uint64_t tk[5], tl[5];
+    rankPair(view.k, view.s, tk, tl);
+    for (Base c = 0; c < kNumBases; ++c) {
+        if (back) {
+            out[c] = childFromRanks(view, tk, tl,
+                                    static_cast<uint8_t>(c + 1));
+        } else {
+            const FmdInterval o = childFromRanks(
+                view, tk, tl, static_cast<uint8_t>(complement(c) + 1));
+            out[c] = {o.l, o.k, o.s, in.info};
+        }
+    }
+}
+
+void
+FmdIndex::prefetchExtend(const FmdInterval &in, bool back) const
+{
+    // A backward extension ranks [k, k+s); a forward one ranks the same
+    // span on the reverse-complement side, [l, l+s).
+    const uint64_t lo = back ? in.k : in.l;
+    prefetchOcc(lo);
+    prefetchOcc(lo + in.s);
 }
 
 void
@@ -327,27 +380,19 @@ FmdIndex::extendBatch(FmdExtendRequest *requests, size_t n) const
     // Single fused pass: request r+kLookahead's occ blocks are hinted
     // while request r computes, so every line is in flight kLookahead
     // extensions ahead of its use without paying a second sweep over
-    // the request array. A backward extension ranks at [k, k+s); a
-    // forward one ranks the same span on the reverse-complement side,
-    // [l, l+s).
+    // the request array.
     constexpr size_t kLookahead = 8;
     const size_t warm = n < kLookahead ? n : kLookahead;
     for (size_t r = 0; r < warm; ++r) {
         const FmdExtendRequest &req = requests[r];
-        if (req.c >= kNumBases || req.in.empty())
-            continue;
-        const uint64_t lo = req.back ? req.in.k : req.in.l;
-        prefetchOcc(lo);
-        prefetchOcc(lo + req.in.s);
+        if (req.c < kNumBases && !req.in.empty())
+            prefetchExtend(req.in, req.back);
     }
     for (size_t r = 0; r < n; ++r) {
         if (r + kLookahead < n) {
             const FmdExtendRequest &next = requests[r + kLookahead];
-            if (next.c < kNumBases && !next.in.empty()) {
-                const uint64_t lo = next.back ? next.in.k : next.in.l;
-                prefetchOcc(lo);
-                prefetchOcc(lo + next.in.s);
-            }
+            if (next.c < kNumBases && !next.in.empty())
+                prefetchExtend(next.in, next.back);
         }
         requests[r].in = extend(requests[r].in, requests[r].c,
                                 requests[r].back);
@@ -492,8 +537,8 @@ FmdIndex::save(std::ostream &os) const
     return ok;
 }
 
-std::unique_ptr<FmdIndex>
-FmdIndex::load(std::istream &is, const Sequence &reference, int kmer_k)
+std::optional<FmdIndex::Stored>
+FmdIndex::read(std::istream &is, uint64_t ref_len)
 {
     uint64_t magic = 0;
     uint32_t version = 0;
@@ -504,50 +549,61 @@ FmdIndex::load(std::istream &is, const Sequence &reference, int kmer_k)
         readPod(is, layout) && layout <= 1 &&
         readPod(is, idx->ref_len_) && readPod(is, idx->text_len_) &&
         readPod(is, idx->primary_);
-    if (!ok || idx->text_len_ != 2 * idx->ref_len_ + 1 ||
-        idx->ref_len_ != reference.size())
-        return nullptr;
+    const uint64_t T = 2 * ref_len + 1;
+    if (!ok || idx->ref_len_ != ref_len || idx->text_len_ != T ||
+        idx->primary_ >= T)
+        return std::nullopt;
     idx->layout_ = static_cast<FmLayout>(layout);
     for (uint64_t &c : idx->counts_)
         ok = ok && readPod(is, c);
-    const uint64_t cap = idx->text_len_ + 64;
-    ok = ok && readVec(is, idx->sa_mark_, cap) &&
-        readVec(is, idx->sa_samples_, cap);
+    // counts_ is a cumulative histogram of the T BWT symbols.
+    ok = ok && idx->counts_[0] == 0 && idx->counts_[5] == T &&
+        std::is_sorted(std::begin(idx->counts_), std::end(idx->counts_));
+    // Every array's count must be the one T implies (see save()).
+    ok = ok && readVec(is, idx->sa_mark_, (T + 63) / 64) &&
+        readVec(is, idx->sa_samples_, (T - 1) / kSaStep + 1);
     if (!ok)
-        return nullptr;
+        return std::nullopt;
     if (idx->layout_ == FmLayout::Packed) {
-        ok = readVec(is, idx->packed_.blocks_, cap) &&
-            readVec(is, idx->packed_.exceptions_, cap) &&
-            readPod(is, idx->packed_.size_);
-        if (!ok || idx->packed_.size_ != idx->text_len_)
-            return nullptr;
-        if (!idx->packed_.exceptions_.empty())
-            idx->packed_.first_exception_ =
-                idx->packed_.exceptions_.front();
+        PackedBwt &p = idx->packed_;
+        ok = readVec(is, p.blocks_, T / PackedBwt::kBlockSymbols + 1) &&
+            readVec(is, p.exceptions_, 1) && readPod(is, p.size_);
+        // The one exception is the sentinel, at the primary row.
+        if (!ok || p.size_ != T || p.exceptions_[0] != idx->primary_)
+            return std::nullopt;
+        p.first_exception_ = p.exceptions_[0];
     } else {
-        if (!readVec(is, idx->bwt_, cap) ||
-            idx->bwt_.size() != idx->text_len_)
-            return nullptr;
-        // Rebuild the derived checkpoint array rather than storing it.
-        const uint64_t blocks = idx->text_len_ / kOccStep + 1;
-        idx->occ_checkpoints_.assign(blocks * 5, 0);
-        uint64_t running[5] = {};
-        for (uint64_t i = 0; i < idx->text_len_; ++i) {
-            if (i % kOccStep == 0) {
-                for (int c = 0; c < 5; ++c)
-                    idx->occ_checkpoints_[(i / kOccStep) * 5 + c] =
-                        running[c];
-            }
-            ++running[idx->bwt_[i]];
-        }
+        if (!readVec(is, idx->bwt_, T))
+            return std::nullopt;
+        // Symbols are 0..4: the occ checkpoint build counts by symbol.
+        bool bad_symbol = false;
+        for (uint8_t sym : idx->bwt_)
+            bad_symbol |= sym > 4;
+        if (bad_symbol)
+            return std::nullopt;
     }
-    idx->buildSaMarkRank();
+    return Stored(std::move(idx));
+}
+
+std::unique_ptr<FmdIndex>
+FmdIndex::build(Stored stored, const Sequence &reference, int kmer_k)
+{
+    std::unique_ptr<FmdIndex> idx = std::move(stored.index_);
+    if (!idx || reference.size() != idx->ref_len_)
+        return nullptr;
     idx->text_ = PackedSequence::pack(reference);
-    const int k = kmer_k < 0 ? KmerTable::defaultK(idx->ref_len_)
-                             : std::min(kmer_k, 12);
-    if (k > 0)
-        idx->kmer_table_ = std::make_unique<KmerTable>(*idx, k);
+    if (!idx->deriveStructures(kmer_k))
+        return nullptr;
     return idx;
+}
+
+std::unique_ptr<FmdIndex>
+FmdIndex::load(std::istream &is, const Sequence &reference, int kmer_k)
+{
+    std::optional<Stored> stored = read(is, reference.size());
+    if (!stored)
+        return nullptr;
+    return build(std::move(*stored), reference, kmer_k);
 }
 
 } // namespace seedex

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "fmindex/kmer_table.h"
@@ -164,6 +165,18 @@ class FmdIndex
     FmdInterval extend(const FmdInterval &in, Base c, bool back) const;
 
     /**
+     * All four extensions of `in` from one rank pair: out[c] equals
+     * extend(in, c, back) for every base c. Walking a node's children
+     * this way costs one rank pair instead of four.
+     */
+    void extendAll(const FmdInterval &in, bool back,
+                   FmdInterval out[kNumBases]) const;
+
+    /** Hint the cache that `in` is about to be extended in direction
+     *  `back` (the two occ blocks its rank pair reads). */
+    void prefetchExtend(const FmdInterval &in, bool back) const;
+
+    /**
      * Extend a batch of independent intervals in place (each request's
      * `in` becomes the extended interval). A fused software-pipelined
      * pass prefetches request r+8's occ blocks while computing request
@@ -214,11 +227,47 @@ class FmdIndex
      *  failure. */
     bool save(std::ostream &os) const;
 
-    /** Load an index previously written by save() over `reference`
-     *  (the sequence it was built from; its text is packed from it).
-     *  The k-mer table is rebuilt per `kmer_k`. Returns nullptr on a
-     *  malformed stream or a reference of the wrong length. The saved
-     *  layout is preserved. */
+    /**
+     * The stored arrays of a saved index, read and size-checked but not
+     * yet usable: nothing is derived from them until build(). Opaque
+     * outside FmdIndex, so a half-built index cannot escape.
+     */
+    class Stored
+    {
+      private:
+        friend class FmdIndex;
+        explicit Stored(std::unique_ptr<FmdIndex> index)
+            : index_(std::move(index))
+        {}
+        std::unique_ptr<FmdIndex> index_;
+    };
+
+    /**
+     * Read step of load(): the header and the stored arrays of an index
+     * saved over a reference of `ref_len` bases. Each array's element
+     * count must equal the size the text length T = 2 * ref_len + 1
+     * implies, and is checked before anything is allocated, so no
+     * payload value sizes an allocation beyond what T allows. Nothing
+     * read here indexes memory. Returns nullopt on a malformed or short
+     * stream.
+     */
+    static std::optional<Stored> read(std::istream &is, uint64_t ref_len);
+
+    /**
+     * Build step of load(): derive the structures that index memory with
+     * stored values (the suffix-array rank directory, the naive layout's
+     * occ checkpoints, the k-mer table per `kmer_k`) and pack the text
+     * from `reference`. A caller that checksums the stream runs this
+     * only after the checksum matched. Returns nullptr when `reference`
+     * has the wrong length or the arrays are inconsistent.
+     */
+    static std::unique_ptr<FmdIndex>
+    build(Stored stored, const Sequence &reference, int kmer_k = -1);
+
+    /** Load an index previously written by save() over `reference`:
+     *  read() then build(). The saved layout is preserved. Returns
+     *  nullptr on a malformed stream or a reference of the wrong
+     *  length. */
     static std::unique_ptr<FmdIndex>
     load(std::istream &is, const Sequence &reference, int kmer_k = -1);
 
@@ -230,7 +279,7 @@ class FmdIndex
     static constexpr uint64_t kSaStep = 8;
 
   private:
-    FmdIndex() = default; // for load()
+    FmdIndex() = default; // for read()
 
     uint64_t occ(uint8_t c, uint64_t i) const;
     void occAll(uint64_t i, uint64_t out[5]) const;
@@ -241,8 +290,17 @@ class FmdIndex
     void prefetchSaMark(uint64_t j) const;
     bool saMarked(uint64_t rank) const;
     uint64_t saSampleSlot(uint64_t rank) const;
-    void buildSaMarkRank();
-    void finishConstruction(const FmdIndexOptions &options);
+    /** The backward extension of `in` by shifted symbol sc, from the
+     *  occ counts at its two ends (tk at in.k, tl at in.k + in.s). */
+    FmdInterval childFromRanks(const FmdInterval &in, const uint64_t tk[5],
+                               const uint64_t tl[5], uint8_t sc) const;
+    /** occ of all symbols at both ends of [lo, lo + s). */
+    void rankPair(uint64_t lo, uint64_t s, uint64_t tk[5],
+                  uint64_t tl[5]) const;
+    /** Derive everything not stored: the SA rank directory, the naive
+     *  occ checkpoints and the k-mer table. Returns false when sa_mark_
+     *  marks a different number of ranks than sa_samples_ holds. */
+    bool deriveStructures(int kmer_k);
 
     uint64_t ref_len_ = 0;
     uint64_t text_len_ = 0; ///< 2 * ref_len_ + 1 (with sentinel)

@@ -12,31 +12,39 @@ KmerTable::KmerTable(const FmdIndex &index, int k) : k_(k)
     for (int l = 1; l <= k_; ++l)
         levels_[l].assign(size_t{1} << (2 * l), Entry{});
 
-    // Pruned DFS: a dead interval kills its whole subtree, so small
-    // genomes fill only the populated fringe of the 4^k space.
-    struct Frame
-    {
-        FmdInterval iv;
-        uint32_t code;
-        int len;
-    };
-    std::vector<Frame> stack;
+    // Level 1 is the seed of every search, verbatim (an absent base
+    // keeps its k/l with s == 0).
     for (Base c = 0; c < kNumBases; ++c) {
         const FmdInterval iv = index.init(c);
-        stack.push_back({iv, static_cast<uint32_t>(c), 1});
-        while (!stack.empty()) {
-            const Frame f = stack.back();
-            stack.pop_back();
-            levels_[f.len][f.code] = {f.iv.k, f.iv.l, f.iv.s};
-            if (f.len == k_ || f.iv.empty())
+        levels_[1][c] = {iv.k, iv.l, iv.s};
+    }
+
+    // Level order: one rank pair per present parent yields all four
+    // children. A child appends base n at code bits (2l, 2l+1), so the
+    // children of parents taken in ascending code order land in four
+    // sequential streams, one per n. A dead parent has no children;
+    // absent entries stay {0,0,0}.
+    constexpr size_t kLookahead = 8;
+    for (int l = 1; l < k_; ++l) {
+        const std::vector<Entry> &parents = levels_[l];
+        std::vector<Entry> &children = levels_[l + 1];
+        const size_t n_parents = parents.size();
+        for (size_t p = 0; p < n_parents; ++p) {
+            if (p + kLookahead < n_parents) {
+                const Entry &next = parents[p + kLookahead];
+                if (next.s != 0)
+                    index.prefetchExtend({next.k, next.l, next.s, 0},
+                                         false);
+            }
+            const Entry &e = parents[p];
+            if (e.s == 0)
                 continue;
+            FmdInterval out[kNumBases];
+            index.extendAll({e.k, e.l, e.s, 0}, false, out);
             for (Base n = 0; n < kNumBases; ++n) {
-                const FmdInterval child = index.extend(f.iv, n, false);
-                if (child.s == 0)
-                    continue; // absent: level entry stays {0,0,0}
-                const uint32_t code =
-                    f.code | (static_cast<uint32_t>(n) << (2 * f.len));
-                stack.push_back({child, code, f.len + 1});
+                if (out[n].s != 0)
+                    children[p + n * n_parents] = {out[n].k, out[n].l,
+                                                   out[n].s};
             }
         }
     }

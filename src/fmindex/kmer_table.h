@@ -39,7 +39,13 @@ class KmerTable
         uint64_t s = 0;
     };
 
-    /** Build by pruned DFS over the index (forward extensions). */
+    /**
+     * Build level by level over the index (forward extensions): each
+     * present entry of level l is ranked once, and that one rank pair
+     * yields its four level-(l+1) children (FmdIndex::extendAll). Dead
+     * entries are never ranked, so small genomes touch only the
+     * populated fringe of the 4^k space.
+     */
     KmerTable(const FmdIndex &index, int k);
 
     int k() const { return k_; }

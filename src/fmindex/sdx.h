@@ -24,7 +24,7 @@ namespace seedex {
  *              FmdIndex::save() stream
  *     [n-4..]  u32 CRC-32 of every preceding byte (magic included)
  *
- * The CRC footer is what makes the cache trustworthy: FmdIndex::load's
+ * The CRC footer is what makes the cache trustworthy: FmdIndex::read's
  * structural checks accept any bit-flip that keeps the size fields
  * consistent, so a silently corrupted index could misalign every read.
  * Here a single flipped payload byte fails the checksum and loadSdx
@@ -70,10 +70,17 @@ void saveSdx(const std::string &path, const std::vector<SdxContig> &contigs,
              const Sequence &reference, const FmdIndex &index);
 
 /**
- * Read and verify a container. The whole file is checksummed before any
- * field is trusted; the decoded reference and `kmer_k` are forwarded to
- * FmdIndex::load (the index text and the k-mer table are rebuilt at
- * load, not stored). Throws SdxError on any failure.
+ * Read and verify a container in one front-to-back pass: each section
+ * is read once, straight from the file into its final array, and every
+ * byte goes through the CRC as it arrives. Each stored array's size is
+ * checked against the reference length before it is allocated, and
+ * nothing that indexes memory with payload values (the k-mer table per
+ * `kmer_k`, the naive layout's occ checkpoints) is built until the
+ * footer has matched (FmdIndex::read, then the footer, then
+ * FmdIndex::build). The index text is packed from the decoded
+ * reference. On a structural failure the rest of the payload is still
+ * checksummed first, so a corrupt file reports its checksum mismatch.
+ * Throws SdxError on any failure.
  */
 SdxData loadSdx(const std::string &path, int kmer_k = -1);
 

@@ -1,6 +1,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <initializer_list>
 #include <sstream>
@@ -19,6 +20,7 @@
 #include "genome/fastx_stream.h"
 #include "genome/read_sim.h"
 #include "genome/reference.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 
 namespace seedex {
@@ -69,6 +71,16 @@ tempPath(const std::string &name)
     tempPaths().push_back(::testing::TempDir() + "seedex_cli_" +
                           std::to_string(getpid()) + "_" + name);
     return tempPaths().back();
+}
+
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_TRUE(in.good()) << path;
+    std::ostringstream out;
+    out << in.rdbuf();
+    return out.str();
 }
 
 std::vector<std::string>
@@ -218,6 +230,72 @@ TEST(Sdx, SaveLoadRoundTrip)
     EXPECT_EQ(data.index->referenceLength(), ref.size());
 }
 
+/** Byte offsets of the sections of a saved `.sdx` file (layout in
+ *  fmindex/sdx.h; the FM-index stream as FmdIndex::save writes it). */
+struct SdxSections
+{
+    size_t header = 8;     ///< version, contig count, contigs, ref length
+    size_t reference = 0;  ///< nibble-packed bases
+    size_t fm = 0;         ///< FM-index stream: its magic
+    size_t fm_arrays = 0;  ///< first array count, right after counts_
+    std::vector<size_t> array_counts; ///< each FM array's count field
+    std::vector<size_t> array_data;   ///< each FM array's first byte
+    size_t footer = 0;     ///< CRC-32 footer
+};
+
+SdxSections
+sdxSections(const std::string &blob)
+{
+    const auto u32 = [&](size_t at) {
+        uint32_t v = 0;
+        std::memcpy(&v, blob.data() + at, sizeof(v));
+        return v;
+    };
+    const auto u64 = [&](size_t at) {
+        uint64_t v = 0;
+        std::memcpy(&v, blob.data() + at, sizeof(v));
+        return v;
+    };
+    SdxSections s;
+    size_t at = 16; // magic, version, contig count
+    for (uint32_t i = 0, n = u32(12); i < n; ++i)
+        at += 4 + u32(at) + 8;
+    const uint64_t ref_len = u64(at);
+    s.reference = at + 8;
+    s.fm = s.reference + (ref_len + 1) / 2;
+    const bool packed = blob[s.fm + 12] == 1; // after magic and version
+    // magic, version, layout, ref_len, text_len, primary, counts_[6].
+    s.fm_arrays = s.fm + 8 + 4 + 1 + 8 + 8 + 8 + 6 * 8;
+    at = s.fm_arrays;
+    for (const size_t elem : packed ? std::vector<size_t>{8, 4, 64, 8}
+                                    : std::vector<size_t>{8, 4, 1}) {
+        s.array_counts.push_back(at);
+        s.array_data.push_back(at + 8);
+        at += 8 + u64(at) * elem;
+    }
+    s.footer = blob.size() - 4;
+    return s;
+}
+
+void
+writeFile(const std::string &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/** The diagnostic loadSdx gives for `path`, or "" if it loads. */
+std::string
+loadError(const std::string &path)
+{
+    try {
+        loadSdx(path);
+    } catch (const SdxError &e) {
+        return e.what();
+    }
+    return "";
+}
+
 TEST(Sdx, SingleFlippedByteRejected)
 {
     Rng rng(8);
@@ -227,28 +305,41 @@ TEST(Sdx, SingleFlippedByteRejected)
     const FmdIndex index(ref);
     const std::string path = tempPath("corrupt.sdx");
     saveSdx(path, {{"c", 2000}}, ref, index);
+    const std::string blob = slurp(path);
+    const SdxSections sec = sdxSections(blob);
 
-    std::ifstream in(path, std::ios::binary);
-    std::string blob((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    in.close();
+    // Bytes whose damage the loader parses before it can reach the
+    // footer: every byte of the container header, of the FM-index
+    // header (magic through counts_) and of each array's count field;
+    // a stride through the reference and the arrays; the footer. The
+    // magic is covered by the bad-magic case below.
+    std::vector<size_t> targets;
+    for (size_t at = sec.header; at < sec.reference; ++at)
+        targets.push_back(at);
+    for (size_t at = sec.fm; at < sec.fm_arrays; ++at)
+        targets.push_back(at);
+    for (const size_t count : sec.array_counts)
+        for (size_t at = count; at < count + 8; ++at)
+            targets.push_back(at);
+    for (size_t at = sec.reference; at < sec.fm; at += 37)
+        targets.push_back(at);
+    for (size_t at = sec.array_data.front(); at < sec.footer; at += 37)
+        targets.push_back(at);
+    for (size_t at = sec.footer; at < blob.size(); ++at)
+        targets.push_back(at);
 
-    // Flip one byte at several depths: contig header, packed reference,
-    // FM-index payload, CRC footer itself.
-    for (const size_t at : {size_t{10}, size_t{30}, blob.size() / 2,
-                            blob.size() - 2}) {
-        std::string bad = blob;
-        bad[at] = static_cast<char>(bad[at] ^ 0x40);
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out.write(bad.data(), static_cast<std::streamsize>(bad.size()));
-        out.close();
-        try {
-            loadSdx(path);
-            FAIL() << "flipped byte at " << at << " was accepted";
-        } catch (const SdxError &e) {
-            EXPECT_NE(std::string(e.what()).find("seedex index"),
+    for (const size_t at : targets) {
+        for (const int bit : {0, 7}) {
+            std::string bad = blob;
+            bad[at] = static_cast<char>(bad[at] ^ (1 << bit));
+            writeFile(path, bad);
+            const std::string err = loadError(path);
+            EXPECT_NE(err.find("checksum mismatch"), std::string::npos)
+                << "bit " << bit << " of byte " << at << ": "
+                << (err.empty() ? "accepted" : err);
+            EXPECT_NE(err.find("rebuild with `seedex index`"),
                       std::string::npos)
-                << e.what();
+                << err;
         }
     }
 }
@@ -262,24 +353,35 @@ TEST(Sdx, TruncationAndBadMagicRejected)
     const FmdIndex index(ref);
     const std::string path = tempPath("trunc.sdx");
     saveSdx(path, {{"c", 2000}}, ref, index);
+    const std::string blob = slurp(path);
+    const SdxSections sec = sdxSections(blob);
 
-    std::ifstream in(path, std::ios::binary);
-    std::string blob((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    in.close();
-
-    for (const size_t keep : {size_t{0}, size_t{4}, size_t{20},
-                              blob.size() - 5}) {
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out.write(blob.data(), static_cast<std::streamsize>(keep));
-        out.close();
-        EXPECT_THROW(loadSdx(path), SdxError) << "kept " << keep;
+    // Truncated inside the minimum size, at every section boundary, and
+    // one byte short of the footer.
+    std::vector<size_t> keeps = {0, 4, 8, 12, 16, 20, sec.reference - 8,
+                                 sec.reference, sec.fm, sec.fm_arrays,
+                                 sec.footer, blob.size() - 1};
+    keeps.insert(keeps.end(), sec.array_counts.begin(),
+                 sec.array_counts.end());
+    keeps.insert(keeps.end(), sec.array_data.begin(),
+                 sec.array_data.end());
+    for (const size_t keep : keeps) {
+        writeFile(path, blob.substr(0, keep));
+        const std::string err = loadError(path);
+        EXPECT_NE(err.find("rebuild with `seedex index`"),
+                  std::string::npos)
+            << "kept " << keep << ": " << (err.empty() ? "accepted" : err);
     }
+    writeFile(path, blob.substr(0, 20));
+    EXPECT_NE(loadError(path).find("truncated index file"),
+              std::string::npos);
 
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << "not an index at all, definitely long enough to read";
-    out.close();
-    EXPECT_THROW(loadSdx(path), SdxError);
+    // One appended byte shifts the footer.
+    writeFile(path, blob + '\0');
+    EXPECT_NE(loadError(path).find("checksum mismatch"), std::string::npos);
+
+    writeFile(path, "not an index at all, definitely long enough to read");
+    EXPECT_NE(loadError(path).find("bad magic"), std::string::npos);
     EXPECT_FALSE(isSdxFile(path));
 }
 
@@ -475,16 +577,6 @@ class ScopedEnv
     std::string saved_;
 };
 
-std::string
-slurp(const std::string &path)
-{
-    std::ifstream in(path);
-    EXPECT_TRUE(in.good()) << path;
-    std::ostringstream out;
-    out << in.rdbuf();
-    return out.str();
-}
-
 /** Value of `"key":` in a flat JSON document, as raw text up to the
  *  next comma/brace (whitespace-tolerant; enough for report fields). */
 std::string
@@ -574,6 +666,77 @@ TEST_F(CliPrecedence, BadPolicyValuesAreUsageErrors)
                    out, "--band-policy=adaptive",
                    "--band-ladder=11,23,41"}),
               0);
+}
+
+// ---- --kmer with a prebuilt index --------------------------------------
+
+/** SAM text without its @PG line (which records the command line). */
+std::string
+samWithoutPg(const std::string &path)
+{
+    std::istringstream in(slurp(path));
+    std::string out, line;
+    while (std::getline(in, line))
+        if (line.rfind("@PG\t", 0) != 0)
+            out += line + '\n';
+    return out;
+}
+
+TEST(CliKmer, SdxHonoursKmerFlag)
+{
+    // The flag is exported to SEEDEX_SEED_KMER; restore it afterwards.
+    ScopedEnv env("SEEDEX_SEED_KMER", "");
+    const Workload w = buildWorkload("kmer", 200);
+    const std::string sdx = tempPath("kmer.sdx");
+    ASSERT_EQ(cli({"seedex", "index", w.fasta_path, "-o", sdx}), 0);
+
+    struct Run
+    {
+        std::string sam;
+        uint64_t kmer_hits = 0;
+    };
+    const auto align = [&](const std::string &tag,
+                           std::initializer_list<std::string> extra) {
+        const std::string out = tempPath("kmer_" + tag + ".sam");
+        const std::string metrics = tempPath("kmer_" + tag + ".json");
+        std::vector<std::string> args = {"seedex", "align", sdx,
+                                         w.fastq_path, "-o", out,
+                                         "--metrics-out=" + metrics};
+        args.insert(args.end(), extra.begin(), extra.end());
+        std::vector<char *> argv;
+        for (std::string &a : args)
+            argv.push_back(a.data());
+        obs::MetricsRegistry::global().reset();
+        EXPECT_EQ(runCli(static_cast<int>(argv.size()), argv.data()), 0);
+        return Run{samWithoutPg(out),
+                   std::stoull(jsonValue(slurp(metrics),
+                                         "seed.kmer_hits"))};
+    };
+    const Run with_table = align("default", {});
+    const Run without = align("off", {"--kmer=0"});
+    EXPECT_GT(with_table.kmer_hits, 0u);
+    EXPECT_EQ(without.kmer_hits, 0u);
+    EXPECT_EQ(without.sam, with_table.sam);
+}
+
+TEST(CliReport, LoadTimedInReportAndTrace)
+{
+    const Workload w = buildWorkload("load", 20);
+    const std::string sdx = tempPath("load.sdx");
+    ASSERT_EQ(cli({"seedex", "index", w.fasta_path, "-o", sdx}), 0);
+    // A .sdx load and a FASTA parse + index build are both timed.
+    for (const std::string &ref : {sdx, w.fasta_path}) {
+        const std::string metrics = tempPath("load_metrics.json");
+        const std::string trace = tempPath("load_trace.json");
+        ASSERT_EQ(cli({"seedex", "align", ref, w.fastq_path, "-o",
+                       tempPath("load.sam"), "--metrics-out=" + metrics,
+                       "--trace-out=" + trace}),
+                  0);
+        EXPECT_GT(std::stod(jsonValue(slurp(metrics), "load_seconds")), 0.0)
+            << ref;
+        EXPECT_NE(slurp(trace).find("\"index.load\""), std::string::npos)
+            << ref;
+    }
 }
 
 // ---- unmapped-record SAM fields ----------------------------------------

@@ -7,9 +7,11 @@
  * naive scalar baseline. This file fuzzes that promise across random
  * genomes with injected N runs, sentinel-adjacent patterns, and reads
  * shorter than the k-mer table depth, checks index serialization
- * round-trips, verifies the seed.* instruments advance, and asserts the
- * steady-state batch seeding path performs zero heap allocations via
- * global operator new/delete counting hooks.
+ * round-trips and that malformed streams are rejected before anything
+ * is sized from them, compares the level-order k-mer table with a
+ * depth-first oracle, verifies the seed.* instruments advance, and
+ * asserts the steady-state batch seeding path performs zero heap
+ * allocations via global operator new/delete counting hooks.
  *
  * Unique matches extend by comparison against the index text, not by
  * rank queries. A test-local rank-only SMEM search (every step a BWT
@@ -24,12 +26,14 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <sstream>
 #include <string>
 
 #include "aligner/seeding.h"
 #include "fmindex/fmd_index.h"
+#include "fmindex/kmer_table.h"
 #include "fmindex/smem.h"
 #include "genome/reference.h"
 #include "obs/metrics.h"
@@ -40,15 +44,22 @@ using namespace seedex;
 // ---------------------------------------------------------------------
 // Allocation-counting hooks (same discipline as test_kernel.cc): every
 // global operator new bumps a counter so the zero-allocation test can
-// snapshot the steady state.
+// snapshot the steady state, and records the largest request so the
+// serialization tests can bound what a corrupt stream makes load()
+// allocate.
 
 namespace {
 std::atomic<uint64_t> g_new_calls{0};
+std::atomic<size_t> g_largest_new{0};
 
 void *
 countedAlloc(size_t n, size_t align)
 {
     g_new_calls.fetch_add(1, std::memory_order_relaxed);
+    size_t largest = g_largest_new.load(std::memory_order_relaxed);
+    while (n > largest && !g_largest_new.compare_exchange_weak(
+                              largest, n, std::memory_order_relaxed)) {
+    }
     void *p = nullptr;
     if (align <= alignof(std::max_align_t)) {
         p = std::malloc(n ? n : 1);
@@ -712,6 +723,26 @@ TEST_F(SeedingDifferential, SerializationRoundTripsBothLayouts)
     }
 }
 
+/** Offsets of the element-count fields of the arrays in a saved index
+ *  stream, in stream order (see FmdIndex::save). */
+std::vector<size_t>
+arrayCountOffsets(const std::string &bytes, FmLayout layout)
+{
+    // magic, version, layout, ref_len, text_len, primary, counts_[6].
+    size_t at = 8 + 4 + 1 + 8 + 8 + 8 + 6 * 8;
+    const std::vector<size_t> elem_bytes = layout == FmLayout::Packed
+        ? std::vector<size_t>{8, 4, 64, 8} // sa_mark, samples, blocks, exc
+        : std::vector<size_t>{8, 4, 1};    // sa_mark, samples, bwt
+    std::vector<size_t> offsets;
+    for (const size_t elem : elem_bytes) {
+        uint64_t n = 0;
+        std::memcpy(&n, bytes.data() + at, sizeof(n));
+        offsets.push_back(at);
+        at += sizeof(n) + n * elem;
+    }
+    return offsets;
+}
+
 TEST(SeedingSerialization, RejectsMalformedStreams)
 {
     const Sequence ref = Sequence::fromString("ACGTACGTTGCA");
@@ -719,6 +750,181 @@ TEST(SeedingSerialization, RejectsMalformedStreams)
     EXPECT_EQ(FmdIndex::load(empty, ref), nullptr);
     std::stringstream garbage("not an index at all, not even close");
     EXPECT_EQ(FmdIndex::load(garbage, ref), nullptr);
+
+    // Every array's count must be exactly the size the text length
+    // implies: one more or one fewer element is rejected before the
+    // array is sized, on either layout.
+    Rng rng(33);
+    ReferenceParams params;
+    params.length = 700;
+    const Sequence longer = generateReference(params, rng);
+    for (const FmLayout layout : {FmLayout::Packed, FmLayout::Naive}) {
+        const FmdIndex index(longer, FmdIndexOptions{layout, 0});
+        std::stringstream ss;
+        ASSERT_TRUE(index.save(ss));
+        const std::string bytes = ss.str();
+        std::stringstream intact(bytes);
+        ASSERT_NE(FmdIndex::load(intact, longer, 0), nullptr);
+        for (const size_t at : arrayCountOffsets(bytes, layout)) {
+            for (const int64_t delta : {int64_t{1}, int64_t{-1}}) {
+                std::string bad = bytes;
+                uint64_t n = 0;
+                std::memcpy(&n, bad.data() + at, sizeof(n));
+                n += static_cast<uint64_t>(delta);
+                std::memcpy(bad.data() + at, &n, sizeof(n));
+                std::stringstream in(bad);
+                EXPECT_EQ(FmdIndex::load(in, longer, 0), nullptr)
+                    << "layout " << static_cast<int>(layout)
+                    << " count at " << at << " off by " << delta;
+            }
+        }
+    }
+}
+
+TEST(SeedingSerialization, OversizedCountRejectedBeforeAllocation)
+{
+    // A packed-block count of T blocks (inside a T + 64 element cap, far
+    // above the T/128 + 1 the text length implies) must be rejected
+    // before the block array is sized: load() allocates nothing near
+    // T * 64 bytes.
+    Rng rng(34);
+    ReferenceParams params;
+    params.length = 700;
+    const Sequence ref = generateReference(params, rng);
+    const FmdIndex index(ref, FmdIndexOptions{FmLayout::Packed, 0});
+    std::stringstream ss;
+    ASSERT_TRUE(index.save(ss));
+    std::string bytes = ss.str();
+    const uint64_t text_len = 2 * ref.size() + 1;
+    const size_t blocks_at = arrayCountOffsets(bytes, FmLayout::Packed)[2];
+    std::memcpy(bytes.data() + blocks_at, &text_len, sizeof(text_len));
+    std::stringstream in(bytes);
+    g_largest_new.store(0, std::memory_order_relaxed);
+    EXPECT_EQ(FmdIndex::load(in, ref, 0), nullptr);
+    EXPECT_LT(g_largest_new.load(std::memory_order_relaxed), text_len * 8);
+}
+
+// ------------------------------------------------------------- k-mer table
+
+/** The k-mer table as a pruned depth-first search builds it, one forward
+ *  extension per child: the oracle for the level-order build. */
+std::vector<std::vector<KmerTable::Entry>>
+depthFirstKmerTable(const FmdIndex &index, int k)
+{
+    std::vector<std::vector<KmerTable::Entry>> levels(
+        static_cast<size_t>(k) + 1);
+    for (int l = 1; l <= k; ++l)
+        levels[l].assign(size_t{1} << (2 * l), KmerTable::Entry{});
+    struct Frame
+    {
+        FmdInterval iv;
+        uint32_t code;
+        int len;
+    };
+    std::vector<Frame> stack;
+    for (Base c = 0; c < kNumBases; ++c) {
+        stack.push_back({index.init(c), static_cast<uint32_t>(c), 1});
+        while (!stack.empty()) {
+            const Frame f = stack.back();
+            stack.pop_back();
+            levels[f.len][f.code] = {f.iv.k, f.iv.l, f.iv.s};
+            if (f.len == k || f.iv.empty())
+                continue;
+            for (Base n = 0; n < kNumBases; ++n) {
+                const FmdInterval child = index.extend(f.iv, n, false);
+                if (child.s == 0)
+                    continue;
+                stack.push_back(
+                    {child, f.code | (static_cast<uint32_t>(n) << (2 * f.len)),
+                     f.len + 1});
+            }
+        }
+    }
+    return levels;
+}
+
+/** Compare k, l and s of every entry at every level with the oracle;
+ *  returns the number of present entries. */
+size_t
+expectKmerTableMatchesOracle(const FmdIndex &index, const std::string &what)
+{
+    const KmerTable *table = index.kmerTable();
+    EXPECT_NE(table, nullptr) << what;
+    if (table == nullptr)
+        return 0;
+    const auto want = depthFirstKmerTable(index, table->k());
+    size_t present = 0;
+    for (int len = 1; len <= table->k(); ++len) {
+        for (uint32_t code = 0; code < want[len].size(); ++code) {
+            const KmerTable::Entry &got = table->lookup(code, len);
+            const KmerTable::Entry &exp = want[len][code];
+            EXPECT_TRUE(got.k == exp.k && got.l == exp.l && got.s == exp.s)
+                << what << ": len " << len << " code " << code << " got {"
+                << got.k << "," << got.l << "," << got.s << "} want {"
+                << exp.k << "," << exp.l << "," << exp.s << "}";
+            present += exp.s != 0;
+        }
+    }
+    return present;
+}
+
+TEST(KmerTableBuild, LevelOrderMatchesDepthFirstOracle)
+{
+    Rng rng(57);
+    ReferenceParams params;
+    params.length = 3000;
+    const Sequence plain = generateReference(params, rng);
+    const Sequence with_n = referenceWithNRuns(rng, 3000);
+    // Only A and T: the text ref . revcomp(ref) has no C or G either, so
+    // their level-1 entries (and every code containing them) are empty.
+    std::vector<Base> at_bases(2000);
+    for (Base &b : at_bases)
+        b = rng.coin(0.5) ? kBaseA : kBaseT;
+    const Sequence at_only(std::move(at_bases));
+
+    const std::pair<const char *, const Sequence *> refs[] = {
+        {"3 kbp", &plain}, {"N runs", &with_n}, {"A/T only", &at_only}};
+    for (const auto &[name, ref] : refs) {
+        for (const FmLayout layout : {FmLayout::Packed, FmLayout::Naive}) {
+            const FmdIndex index(*ref, FmdIndexOptions{layout, 6});
+            const std::string what = std::string(name) +
+                (layout == FmLayout::Packed ? " packed" : " naive");
+            EXPECT_GT(expectKmerTableMatchesOracle(index, what), 0u)
+                << what;
+            // Level 1 holds init(c) verbatim, empty bases included.
+            for (Base c = 0; c < kNumBases; ++c) {
+                const FmdInterval iv = index.init(c);
+                const KmerTable::Entry &e = index.kmerTable()->lookup(c, 1);
+                EXPECT_TRUE(e.k == iv.k && e.l == iv.l && e.s == iv.s)
+                    << what << " base " << int(c);
+            }
+        }
+    }
+    const FmdIndex at_index(at_only, FmdIndexOptions{FmLayout::Packed, 6});
+    EXPECT_EQ(at_index.kmerTable()->lookup(kBaseC, 1).s, 0u);
+    EXPECT_EQ(at_index.kmerTable()->lookup(kBaseG, 1).s, 0u);
+}
+
+TEST(KmerTableBuild, ExtendAllMatchesExtend)
+{
+    Rng rng(58);
+    const Sequence ref = referenceWithNRuns(rng, 3000);
+    for (const FmLayout layout : {FmLayout::Packed, FmLayout::Naive}) {
+        const FmdIndex index(ref, FmdIndexOptions{layout, 0});
+        for (int it = 0; it < 200; ++it) {
+            const size_t len = 1 + rng.pick(6);
+            const Sequence p = ref.slice(rng.pick(ref.size() - len), len);
+            const FmdInterval iv = index.match(p);
+            for (const bool back : {true, false}) {
+                FmdInterval all[kNumBases];
+                index.extendAll(iv, back, all);
+                for (Base c = 0; c < kNumBases; ++c)
+                    EXPECT_EQ(all[c], index.extend(iv, c, back))
+                        << p.toString() << " base " << int(c) << " back "
+                        << back;
+            }
+        }
+    }
 }
 
 // ------------------------------------------------------------ observability

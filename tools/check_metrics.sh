@@ -15,10 +15,10 @@
 # bit-identity self-gate and the cells-saved headline); finally runs the
 # CLI paired-end path (simulate --paired with shredded rescue-bait
 # mates, threaded align -1/-2) and validates the `paired` report
-# section, the seedex.paired.* instruments, the extension reconciliation
-# identity filter.verdict.total == aligner.extensions +
-# threaded.extensions + paired.rescue_extensions, and the ledger's pair
-# fields.
+# section, the run section's load_seconds, the seedex.paired.*
+# instruments, the extension reconciliation identity
+# filter.verdict.total == aligner.extensions + threaded.extensions +
+# paired.rescue_extensions, and the ledger's pair fields.
 #
 # Usage: tools/check_metrics.sh [BUILD_DIR]     (default: build)
 set -euo pipefail
@@ -540,9 +540,11 @@ assert counters["seedex.paired.pairs"] == paired["pairs"]
 assert counters["seedex.paired.proper"] == paired["proper"]
 assert counters["seedex.paired.rescues"] == paired["rescues"]
 
-# --- Every emitted record belongs to a pair.
+# --- Every emitted record belongs to a pair; index load (read, verify
+# and k-mer build of the .sdx) is timed apart from the alignment wall.
 run = report["run"]
 assert run["reads"] == 2 * paired["pairs"], (run["reads"], paired)
+assert run["load_seconds"] > 0, run
 
 # --- The CLI's `threaded` section: helped batches are a subset of all
 # batches, and the stage CPU split covers device emulation.
