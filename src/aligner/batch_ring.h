@@ -34,14 +34,15 @@ namespace seedex {
  *    in-flight window instead of buffering and sorting the whole run.
  */
 
-/** One seeded read inside a batch slab. Pointer fields alias the
- *  caller's read set; owned fields are recycled storage. */
+/** One seeded read inside a batch slab. Every field is recycled
+ *  storage: the producer swaps a pulled read into `name`/`read`, and the
+ *  grown capacity stays with the slab. */
 struct SeededRead
 {
     size_t read_idx = 0;
-    const std::string *name = nullptr;
-    const Sequence *read = nullptr;
-    /** Recycled storage, filled only when a kept chain is reverse. */
+    std::string name;
+    Sequence read;
+    /** Filled only when a kept chain is reverse. */
     Sequence reverse_complement;
     /** Recycled chain storage; the first n_chains entries are live
      *  (chainSeedsInto's contract), the rest spare capacity. */
@@ -54,21 +55,14 @@ struct SeededRead
 /** A fixed-capacity slab of seeded reads published as one unit. */
 struct SeededBatch
 {
-    /** Dense batch sequence number (read base / batch size): the
-     *  reorder key. */
+    /** Dense batch sequence number (the order reads were pulled in):
+     *  the reorder key. */
     uint64_t seq = 0;
     /** Index of the first read in this batch. */
     size_t base = 0;
     /** Slab storage; the first n_items entries are live. */
     std::vector<SeededRead> items;
     size_t n_items = 0;
-
-    /** Slab-owned read storage for the streaming-source mode: the
-     *  producer swaps pulled reads in here and points items[i].name /
-     *  items[i].read at these vectors instead of at a caller-owned read
-     *  set. Empty (unused) in the vector path. */
-    std::vector<std::string> names;
-    std::vector<Sequence> seqs;
 
     /** Grow the slab to `capacity` reads (idempotent) and mark empty. */
     void
@@ -77,18 +71,6 @@ struct SeededBatch
         if (items.size() < capacity)
             items.resize(capacity);
         n_items = 0;
-    }
-
-    /** Grow the owned-read storage to `capacity` (idempotent). Recycled
-     *  slabs keep the grown string/sequence capacity, so source-mode
-     *  refills stop allocating once every slab has warmed up. */
-    void
-    ensureOwned(size_t capacity)
-    {
-        if (names.size() < capacity) {
-            names.resize(capacity);
-            seqs.resize(capacity);
-        }
     }
 };
 

@@ -8,18 +8,21 @@ namespace seedex {
 
 namespace {
 
-Sequence
-reversed(const Sequence &s)
+/** Overwrite `out` with `len` bases of `src` from `pos`, reversed when
+ *  `reverse` is set, reusing `out`'s storage. */
+void
+copyFlank(Sequence &out, const Sequence &src, size_t pos, size_t len,
+          bool reverse)
 {
-    std::vector<Base> b(s.bases().rbegin(), s.bases().rend());
-    return Sequence(std::move(b));
+    out.clear();
+    for (size_t i = 0; i < len; ++i)
+        out.push_back(src[reverse ? pos + len - 1 - i : pos + i]);
 }
 
 } // namespace
 
 ExtendResult
-FullBandEngine::extend(const Sequence &query, const Sequence &target,
-                       int h0)
+FullBandEngine::extend(const ExtensionJob &job)
 {
     ++calls_;
     ExtendConfig cfg;
@@ -27,24 +30,24 @@ FullBandEngine::extend(const Sequence &query, const Sequence &target,
     // BWA-MEM sizes the band from the query length *including* the clip
     // penalty (pen_clip enters max_ins/max_del), which matters for short
     // flanks where a to-end gap can beat clipping by up to the bonus.
-    cfg.band = estimateFullBand(static_cast<int>(query.size()), scoring_,
-                                end_bonus_);
-    return kswExtend(query, target, h0, cfg);
+    cfg.band = estimateFullBand(static_cast<int>(job.query.size()),
+                                scoring_, end_bonus_);
+    return kswExtend(job.query, job.target, job.h0, cfg);
 }
 
 ExtendResult
-BandedEngine::extend(const Sequence &query, const Sequence &target, int h0)
+BandedEngine::extend(const ExtensionJob &job)
 {
     ++calls_;
     ExtendConfig cfg;
     cfg.scoring = scoring_;
     // BWA caps the configured band at the per-extension estimate (the
     // estimate is the band that cannot miss anything affordable).
-    const int est = estimateFullBand(static_cast<int>(query.size()),
+    const int est = estimateFullBand(static_cast<int>(job.query.size()),
                                      scoring_, end_bonus_);
     cfg.band = std::min(band_, est);
     cfg.zdrop = zdrop_;
-    const ExtendResult r = kswExtend(query, target, h0, cfg);
+    const ExtendResult r = kswExtend(job.query, job.target, job.h0, cfg);
     // Unguaranteed-path provenance: this engine has no optimality
     // checks, so the ledger records *why* its output may diverge from
     // the full band (Fig. 13): the kernel z-dropped, or the optimal
@@ -59,7 +62,7 @@ BandedEngine::extend(const Sequence &query, const Sequence &target, int h0)
 }
 
 ExtendResult
-SeedExEngine::extend(const Sequence &query, const Sequence &target, int h0)
+SeedExEngine::extend(const ExtensionJob &job)
 {
     ++calls_;
     // The band policy runs the speculation ladder: for the fixed policy
@@ -70,9 +73,114 @@ SeedExEngine::extend(const Sequence &query, const Sequence &target, int h0)
     // rung replays the optimality checks, so accepted results stay
     // bit-identical to the estimated-band baseline (narrow <= estimated
     // <= unbanded, and acceptance proves narrow == unbanded).
-    const BandHint hint = hint_ != nullptr ? *hint_ : BandHint{};
-    return policy_.extend(filter_, query, target, h0, hint, &stats_)
+    return policy_
+        .extend(filter_, job.query, job.target, job.h0, job.hint, &stats_)
         .result;
+}
+
+void
+submitToEngine(ExtensionEngine &engine, ExtensionBatch &batch)
+{
+    for (const ExtensionJob &job : batch.jobs)
+        batch.results.push_back(engine.extend(job));
+}
+
+void
+extendChains(std::span<ChainSlot> slots, const Sequence &reference,
+             const ExtensionParams &params, ExtensionBatch &batch,
+             const ExtensionSubmit &submit)
+{
+    size_t longest = 0;
+    for (ChainSlot &slot : slots) {
+        const Seed &anchor = slot.chain->anchor();
+        ChainAlignment &aln = slot.aln;
+        aln = ChainAlignment{};
+        aln.reverse = slot.chain->reverse;
+        aln.seed_score = anchor.len * params.scoring.match;
+        aln.score = aln.seed_score;
+        aln.qbeg = anchor.qbeg;
+        aln.qend = anchor.qend();
+        aln.rbeg = anchor.rbeg;
+        aln.rend = anchor.rend();
+        longest = std::max(longest, slot.read->size());
+    }
+    // Both flanks are bounded by the read length plus the window slack;
+    // sizing the thread's workspace here keeps steady-state runs
+    // allocation-free.
+    DpWorkspace::tls().prepareExtension(
+        longest, longest + static_cast<size_t>(params.window_slack));
+
+    const uint64_t ref_len = reference.size();
+    for (const bool left : {true, false}) {
+        size_t n_jobs = 0;
+        for (size_t s = 0; s < slots.size(); ++s) {
+            const ChainSlot &slot = slots[s];
+            const Chain &chain = *slot.chain;
+            const Seed &anchor = chain.anchor();
+            const int n = static_cast<int>(slot.read->size());
+            const int qlen = left ? anchor.qbeg : n - anchor.qend();
+            if (qlen <= 0)
+                continue;
+            // Reference window: the query remainder plus the slack (BWA's
+            // rmax band margin), cut at the reference ends.
+            const uint64_t avail = left
+                ? anchor.rbeg
+                : ref_len - std::min<uint64_t>(ref_len, anchor.rend());
+            const size_t tlen = static_cast<size_t>(std::min<uint64_t>(
+                avail, static_cast<uint64_t>(qlen + params.window_slack)));
+            if (n_jobs == batch.jobs.size()) {
+                batch.jobs.emplace_back();
+                batch.slot_of.emplace_back();
+            }
+            ExtensionJob &job = batch.jobs[n_jobs];
+            copyFlank(job.query, *slot.read,
+                      static_cast<size_t>(left ? 0 : anchor.qend()),
+                      static_cast<size_t>(qlen), left);
+            copyFlank(job.target, reference,
+                      left ? anchor.rbeg - tlen : anchor.rend(), tlen, left);
+            // h0: the seed score for a left flank; for a right flank, the
+            // score after the left one ("the initial score must be
+            // updated with the left extension score", §V-B).
+            job.h0 = slot.aln.score;
+            // Band-prediction signals: the oriented read length, how much
+            // of it the chain's seeds cover, and how fragmented the chain
+            // is (junctions between seeds are where indels hide).
+            job.hint.read_len = n;
+            job.hint.chain_weight = chain.weight;
+            job.hint.n_seeds = static_cast<int>(chain.seeds.size());
+            batch.slot_of[n_jobs++] = s;
+        }
+        if (n_jobs == 0)
+            continue;
+        batch.jobs.resize(n_jobs);
+        batch.slot_of.resize(n_jobs);
+        batch.results.clear();
+        submit(batch);
+
+        for (size_t k = 0; k < n_jobs; ++k) {
+            ChainSlot &slot = slots[batch.slot_of[k]];
+            ChainAlignment &aln = slot.aln;
+            const ExtendResult &r = batch.results[k];
+            aln.max_off = std::max(aln.max_off, r.max_off);
+            // BWA's clip decision: prefer reaching the read end unless
+            // the local max beats it by more than the end bonus.
+            const bool clip =
+                r.gscore <= 0 || r.gscore < r.score - params.end_bonus;
+            aln.score = clip ? r.score : r.gscore;
+            // Bases the flank adds beyond the anchor (this side's ends
+            // are still the anchor's).
+            const int n = static_cast<int>(slot.read->size());
+            const int qext = clip ? r.qle : (left ? aln.qbeg : n - aln.qend);
+            const uint64_t text = static_cast<uint64_t>(clip ? r.tle : r.gtle);
+            if (left) {
+                aln.qbeg -= qext;
+                aln.rbeg -= text;
+            } else {
+                aln.qend += qext;
+                aln.rend += text;
+            }
+        }
+    }
 }
 
 ChainAlignment
@@ -80,86 +188,11 @@ extendChain(const Chain &chain, const Sequence &oriented_read,
             const Sequence &reference, ExtensionEngine &engine,
             const ExtensionParams &params)
 {
-    const Seed &anchor = chain.anchor();
-    const int n = static_cast<int>(oriented_read.size());
-    const uint64_t ref_len = reference.size();
-
-    // Both flanks are bounded by the read length plus the window slack;
-    // sizing the thread's workspace here keeps single-threaded pipeline
-    // runs allocation-free in steady state (the threaded driver also
-    // pre-sizes per worker, making this a capacity no-op there).
-    DpWorkspace::tls().prepareExtension(
-        oriented_read.size(),
-        oriented_read.size() + static_cast<size_t>(params.window_slack));
-
-    // Band-prediction signals for both flanks: the oriented read length,
-    // how much of it the chain's seeds cover, and how fragmented the
-    // chain is (junctions between seeds are where indels hide).
-    BandHint hint;
-    hint.read_len = n;
-    hint.chain_weight = chain.weight;
-    hint.n_seeds = static_cast<int>(chain.seeds.size());
-
-    ChainAlignment out;
-    out.reverse = chain.reverse;
-    out.seed_score = anchor.len * params.scoring.match;
-    out.qbeg = anchor.qbeg;
-    out.qend = anchor.qend();
-    out.rbeg = anchor.rbeg;
-    out.rend = anchor.rend();
-    int score = out.seed_score;
-
-    // ---- Left extension: read prefix vs reference window, reversed.
-    if (anchor.qbeg > 0) {
-        const Sequence q = reversed(oriented_read.slice(
-            0, static_cast<size_t>(anchor.qbeg)));
-        const uint64_t window = std::min<uint64_t>(
-            anchor.rbeg,
-            static_cast<uint64_t>(anchor.qbeg + params.window_slack));
-        const Sequence t = reversed(reference.slice(
-            anchor.rbeg - window, static_cast<size_t>(window)));
-        const ExtendResult r = engine.extendHinted(q, t, score, hint);
-        out.max_off = std::max(out.max_off, r.max_off);
-        // BWA's clip decision: prefer reaching the read end unless the
-        // local max beats it by more than the end bonus.
-        if (r.gscore <= 0 || r.gscore < r.score - params.end_bonus) {
-            score = r.score; // clipped
-            out.qbeg = anchor.qbeg - r.qle;
-            out.rbeg = anchor.rbeg - static_cast<uint64_t>(r.tle);
-        } else {
-            score = r.gscore; // to the read's 5' end
-            out.qbeg = 0;
-            out.rbeg = anchor.rbeg - static_cast<uint64_t>(r.gtle);
-        }
-    }
-
-    // ---- Right extension, seeded with the accumulated score (§V-B:
-    // "the initial score must be updated with the left extension score").
-    if (anchor.qend() < n) {
-        const int remain = n - anchor.qend();
-        const Sequence q = oriented_read.slice(
-            static_cast<size_t>(anchor.qend()),
-            static_cast<size_t>(remain));
-        const uint64_t window = std::min<uint64_t>(
-            ref_len - std::min<uint64_t>(ref_len, anchor.rend()),
-            static_cast<uint64_t>(remain + params.window_slack));
-        const Sequence t =
-            reference.slice(anchor.rend(), static_cast<size_t>(window));
-        const ExtendResult r = engine.extendHinted(q, t, score, hint);
-        out.max_off = std::max(out.max_off, r.max_off);
-        if (r.gscore <= 0 || r.gscore < r.score - params.end_bonus) {
-            score = r.score;
-            out.qend = anchor.qend() + r.qle;
-            out.rend = anchor.rend() + static_cast<uint64_t>(r.tle);
-        } else {
-            score = r.gscore;
-            out.qend = n;
-            out.rend = anchor.rend() + static_cast<uint64_t>(r.gtle);
-        }
-    }
-
-    out.score = score;
-    return out;
+    thread_local ExtensionBatch batch;
+    ChainSlot slot{&chain, &oriented_read, {}};
+    extendChains({&slot, 1}, reference, params, batch,
+                 [&engine](ExtensionBatch &b) { submitToEngine(engine, b); });
+    return slot.aln;
 }
 
 } // namespace seedex

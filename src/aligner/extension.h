@@ -1,11 +1,15 @@
 #ifndef SEEDEX_ALIGNER_EXTENSION_H
 #define SEEDEX_ALIGNER_EXTENSION_H
 
+#include <functional>
 #include <memory>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "aligner/chaining.h"
 #include "align/extend.h"
+#include "hw/throughput_model.h"
 #include "seedex/band_policy.h"
 #include "seedex/filter.h"
 
@@ -22,26 +26,15 @@ class ExtensionEngine
   public:
     virtual ~ExtensionEngine() = default;
 
-    /** Perform one semi-global extension with initial score h0. */
-    virtual ExtendResult extend(const Sequence &query,
-                                const Sequence &target, int h0) = 0;
-
     /**
-     * extend() with per-extension band-prediction signals attached. The
-     * hint is advisory: engines that ignore it (full band, banded) are
+     * Perform one semi-global extension of `job.query` against
+     * `job.target` with initial score `job.h0`. The job's band hint is
+     * advisory: engines that ignore it (full band, banded) are
      * unchanged, and the SeedEx engine's output is hint-independent by
      * the band-invariance guarantee — hints only steer where DP work is
-     * spent. Decorators forward the active hint to their inner engine.
+     * spent.
      */
-    ExtendResult
-    extendHinted(const Sequence &query, const Sequence &target, int h0,
-                 const BandHint &hint)
-    {
-        hint_ = &hint;
-        ExtendResult r = extend(query, target, h0);
-        hint_ = nullptr;
-        return r;
-    }
+    virtual ExtendResult extend(const ExtensionJob &job) = 0;
 
     virtual std::string name() const = 0;
 
@@ -49,9 +42,6 @@ class ExtensionEngine
     uint64_t calls() const { return calls_; }
 
   protected:
-    /** Hint of the in-flight extendHinted() call; null for bare
-     *  extend() calls (degrades to the length-only prediction). */
-    const BandHint *hint_ = nullptr;
     uint64_t calls_ = 0;
 };
 
@@ -64,8 +54,7 @@ class FullBandEngine : public ExtensionEngine
         : scoring_(scoring), end_bonus_(end_bonus)
     {}
 
-    ExtendResult extend(const Sequence &query, const Sequence &target,
-                        int h0) override;
+    ExtendResult extend(const ExtensionJob &job) override;
     std::string name() const override { return "full-band"; }
 
   private:
@@ -85,8 +74,7 @@ class BandedEngine : public ExtensionEngine
           zdrop_(zdrop)
     {}
 
-    ExtendResult extend(const Sequence &query, const Sequence &target,
-                        int h0) override;
+    ExtendResult extend(const ExtensionJob &job) override;
     std::string name() const override
     {
         return "banded-w" + std::to_string(band_);
@@ -112,8 +100,7 @@ class SeedExEngine : public ExtensionEngine
         : filter_(config), policy_(std::move(policy))
     {}
 
-    ExtendResult extend(const Sequence &query, const Sequence &target,
-                        int h0) override;
+    ExtendResult extend(const ExtensionJob &job) override;
     std::string name() const override
     {
         return "seedex-w" + std::to_string(filter_.config().band);
@@ -155,12 +142,49 @@ struct ExtensionParams
     int end_bonus = 5;
 };
 
+/** One chain handed to the extension driver. */
+struct ChainSlot
+{
+    const Chain *chain = nullptr;
+    /** The read in the chain's orientation. */
+    const Sequence *read = nullptr;
+    /** The driver's output. */
+    ChainAlignment aln;
+};
+
+/** The flank jobs of one driver pass and their results. Recycled across
+ *  calls: packaging overwrites the kept jobs' sequences in place. */
+struct ExtensionBatch
+{
+    std::vector<ExtensionJob> jobs;
+    /** Slot each job came from, parallel to `jobs`. */
+    std::vector<size_t> slot_of;
+    /** Written by the submit step, parallel to `jobs`. */
+    std::vector<ExtendResult> results;
+};
+
+/** The driver's backend: extend every job of `batch.jobs` into
+ *  `batch.results` (empty on entry). */
+using ExtensionSubmit = std::function<void(ExtensionBatch &batch)>;
+
+/** Submit step that runs each job through `engine`, in job order. */
+void submitToEngine(ExtensionEngine &engine, ExtensionBatch &batch);
+
 /**
- * Extend one chain with the given engine: a left extension from the
- * anchor seed (reversed strings), then a right extension seeded with the
- * accumulated score — BWA-MEM's two-sided extension with h0 propagation
- * (§V-B), including the clip-vs-to-end decision on each side.
+ * The extension driver: BWA-MEM's two-sided extension with h0
+ * propagation (§V-B) for every slot. All left flanks (read prefix vs the
+ * reference window before the anchor, both reversed, h0 = the anchor's
+ * seed score) go to `submit` as one batch; each result's clip-vs-to-end
+ * decision sets its slot's left end and the h0 of its right flank
+ * ("the initial score must be updated with the left extension score").
+ * Then the same happens for the right flanks. Chains whose anchor
+ * reaches a read end submit no job for that side.
  */
+void extendChains(std::span<ChainSlot> slots, const Sequence &reference,
+                  const ExtensionParams &params, ExtensionBatch &batch,
+                  const ExtensionSubmit &submit);
+
+/** The driver's one-slot case, with `engine` as the submit step. */
 ChainAlignment extendChain(const Chain &chain, const Sequence &oriented_read,
                            const Sequence &reference,
                            ExtensionEngine &engine,

@@ -301,9 +301,9 @@ rescueMate(const std::string &name, const Sequence &mate,
         return rec;
 
     // Extend each candidate as a single-seed chain through the engine:
-    // extendChain routes both flanks through extendHinted with a
-    // BandHint, so rescue extensions hit the same speculate-and-test
-    // filter (and the same FilterStats funnel) as primary extensions.
+    // extendChain sends both flanks as hinted jobs, so rescue extensions
+    // hit the same speculate-and-test filter (and the same FilterStats
+    // funnel) as primary extensions.
     const uint64_t calls_before = engine.calls();
     ChainAlignment best;
     ChainAlignment runner_up;

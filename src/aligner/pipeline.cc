@@ -58,35 +58,6 @@ alignerProfiles()
     return profiles;
 }
 
-/** Engine decorator that captures every extension job for the device
- *  model (the FPGA threads' batching path, §V-B). */
-class CapturingEngine : public ExtensionEngine
-{
-  public:
-    CapturingEngine(ExtensionEngine &inner,
-                    std::vector<ExtensionJob> *sink)
-        : inner_(inner), sink_(sink)
-    {}
-
-    ExtendResult
-    extend(const Sequence &query, const Sequence &target, int h0) override
-    {
-        // Forward the active hint so captured jobs carry the same
-        // band-prediction signals the inner engine sees (the threaded
-        // pipeline replays captured jobs through the device model).
-        const BandHint hint = hint_ != nullptr ? *hint_ : BandHint{};
-        if (sink_)
-            sink_->push_back({query, target, h0, hint});
-        return inner_.extendHinted(query, target, h0, hint);
-    }
-
-    std::string name() const override { return inner_.name(); }
-
-  private:
-    ExtensionEngine &inner_;
-    std::vector<ExtensionJob> *sink_;
-};
-
 std::unique_ptr<ExtensionEngine>
 makeEngine(const PipelineConfig &config)
 {
@@ -112,6 +83,25 @@ makeEngine(const PipelineConfig &config)
 }
 
 } // namespace
+
+SamRecord
+bestChainRecord(const std::string &name, const Sequence &read,
+                std::span<const ChainSlot> slots, const Sequence &reference,
+                const PipelineConfig &config, size_t &chosen)
+{
+    chosen = 0;
+    int sub = 0;
+    for (size_t i = 1; i < slots.size(); ++i) {
+        if (slots[i].aln.score > slots[chosen].aln.score) {
+            sub = slots[chosen].aln.score;
+            chosen = i;
+        } else {
+            sub = std::max(sub, slots[i].aln.score);
+        }
+    }
+    return buildSamRecord(name, read, slots[chosen].aln, sub, reference,
+                          config.extension.scoring, config.contigs);
+}
 
 Aligner::Aligner(const Sequence &reference, PipelineConfig config)
     : Aligner(reference, std::move(config), nullptr)
@@ -180,20 +170,28 @@ Aligner::alignSeeded(const std::string &name, const Sequence &read,
         rec = unmappedRecord(name, read);
         other_watch.stop();
     } else {
-        // --- Seed extension through the configured engine.
+        // --- Seed extension through the configured engine, chain by
+        //     chain: the submission order the captured jobs replay in.
         obs::TraceSpan span("aligner.extension", "aligner");
         obs::PerfScope perf(alignerProfiles().extension);
         extension_watch.start();
-        CapturingEngine engine(*engine_, capture);
-        const Sequence rc = read.reverseComplement();
-        std::vector<ChainAlignment> results;
-        results.reserve(n_chains);
+        thread_local Sequence rc;
+        thread_local std::vector<ChainSlot> slots;
+        thread_local ExtensionBatch batch;
+        read.reverseComplementInto(rc);
+        slots.resize(n_chains);
+        const ExtensionSubmit submit = [this, capture](ExtensionBatch &b) {
+            if (capture != nullptr)
+                capture->insert(capture->end(), b.jobs.begin(),
+                                b.jobs.end());
+            submitToEngine(*engine_, b);
+        };
         const uint64_t calls_before = engine_->calls();
         for (size_t c = 0; c < n_chains; ++c) {
-            const Chain &chain = chains[c];
-            const Sequence &oriented = chain.reverse ? rc : read;
-            results.push_back(extendChain(chain, oriented, ref_, engine,
-                                          config_.extension));
+            slots[c].chain = &chains[c];
+            slots[c].read = chains[c].reverse ? &rc : &read;
+            extendChains({&slots[c], 1}, ref_, config_.extension, batch,
+                         submit);
         }
         extension_watch.stop();
         read_extensions = engine_->calls() - calls_before;
@@ -203,17 +201,8 @@ Aligner::alignSeeded(const std::string &name, const Sequence &read,
         obs::PerfScope other_perf(alignerProfiles().postprocess);
         other_watch.start();
         size_t best = 0;
-        int sub = 0;
-        for (size_t i = 1; i < results.size(); ++i) {
-            if (results[i].score > results[best].score) {
-                sub = results[best].score;
-                best = i;
-            } else {
-                sub = std::max(sub, results[i].score);
-            }
-        }
-        rec = buildSamRecord(name, read, results[best], sub, ref_,
-                             config_.extension.scoring, config_.contigs);
+        rec = bestChainRecord(name, read, {slots.data(), n_chains}, ref_,
+                              config_, best);
         chain_chosen = static_cast<int>(best);
         other_watch.stop();
 

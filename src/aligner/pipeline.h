@@ -2,6 +2,7 @@
 #define SEEDEX_ALIGNER_PIPELINE_H
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "aligner/chaining.h"
@@ -64,11 +65,25 @@ struct PipelineStats
 };
 
 /**
+ * The SAM record of one read's best chain: the highest-scoring slot
+ * (the first on ties), with the best score among the others as the
+ * runner-up for MAPQ. `chosen` receives the winning slot's index.
+ */
+SamRecord bestChainRecord(const std::string &name, const Sequence &read,
+                          std::span<const ChainSlot> slots,
+                          const Sequence &reference,
+                          const PipelineConfig &config, size_t &chosen);
+
+/**
  * The single-end mini-aligner (the BWA-MEM stand-in of DESIGN.md §1):
  * FMD-index seeding, chaining, two-sided banded extension through a
  * pluggable engine, host traceback, SAM records. Its measured stage
  * times drive the Fig. 17 model; its output equivalence across engines
  * reproduces Fig. 13 at application level.
+ *
+ * The aligner borrows `reference`: the caller keeps it alive, unmoved
+ * and unmodified for the aligner's whole lifetime (temporaries are
+ * rejected at compile time).
  */
 class Aligner
 {
@@ -81,9 +96,14 @@ class Aligner
     Aligner(const Sequence &reference, PipelineConfig config,
             std::unique_ptr<FmdIndex> index);
 
+    Aligner(Sequence &&reference, PipelineConfig config) = delete;
+    Aligner(Sequence &&reference, PipelineConfig config,
+            std::unique_ptr<FmdIndex> index) = delete;
+
     /** Align one read; stats are accumulated if non-null. Extension jobs
-     *  are appended to `capture` (if non-null) for the accelerator
-     *  device model. */
+     *  are appended to `capture` (if non-null) in submission order, each
+     *  chain's left flank before its right, for the accelerator device
+     *  model. */
     SamRecord alignRead(const std::string &name, const Sequence &read,
                         PipelineStats *stats = nullptr,
                         std::vector<ExtensionJob> *capture = nullptr);
@@ -109,7 +129,7 @@ class Aligner
                           double seed_seconds, PipelineStats *stats,
                           std::vector<ExtensionJob> *capture);
 
-    Sequence ref_;
+    const Sequence &ref_;
     PipelineConfig config_;
     std::unique_ptr<FmdIndex> index_;
     std::unique_ptr<ExtensionEngine> engine_;

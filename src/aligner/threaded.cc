@@ -1,14 +1,15 @@
 #include "aligner/threaded.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <stdexcept>
 #include <thread>
 
 #include "align/kernel.h"
-#include "align/workspace.h"
 #include "aligner/batch_ring.h"
 #include "obs/ledger.h"
 #include "obs/log.h"
@@ -65,23 +66,6 @@ threadedProfiles()
     return profiles;
 }
 
-/** One pending extension of a chain (left or right side). */
-struct PendingExtension
-{
-    size_t batch_slot = 0; ///< index into the batch's chain table
-    ExtensionJob job;
-};
-
-/** One chain of the batch being extended (the chain table entry). */
-struct Slot
-{
-    const SeededRead *item;
-    size_t item_idx;
-    const Chain *chain;
-    ChainAlignment aln;
-    int score;
-};
-
 /** Band-speculation policy of the consumer stage: the configured policy
  *  with the device band as its base band. */
 BandPolicyConfig
@@ -115,9 +99,10 @@ struct ConsumerCtx
                 filter_cfg, consumerPolicyConfig(config));
     }
 
-    std::vector<Slot> slots;
-    std::vector<PendingExtension> pending;
-    std::vector<ExtensionJob> jobs;
+    /** The slab's chain table and, parallel to it, each slot's item. */
+    std::vector<ChainSlot> slots;
+    std::vector<size_t> slot_item;
+    ExtensionBatch batch;
     std::vector<obs::ReadRecord> ledger_recs;
     std::vector<int> rec_of_item;
     BandPolicy policy;
@@ -125,13 +110,6 @@ struct ConsumerCtx
     /** CPU spent inside processBatch (device emulation). */
     double device_cpu = 0;
 };
-
-Sequence
-reversedSeq(const Sequence &s)
-{
-    std::vector<Base> b(s.bases().rbegin(), s.bases().rend());
-    return Sequence(std::move(b));
-}
 
 /** Positive integer environment knob; `fallback` when unset/garbage. */
 long
@@ -169,23 +147,10 @@ ThreadedConfig::applyEnv()
         envLong("SEEDEX_QUEUE_SHARDS", static_cast<long>(queue_shards)));
 }
 
-namespace {
-
-/**
- * The shared pipeline body behind alignThreadedStream (vector feed,
- * `reads_vec` non-null) and alignThreadedSource (pull feed, `source`
- * non-null). The two modes differ only in how producers obtain a batch
- * worth of reads and in where read storage lives (caller's vector vs
- * the slab's own names/seqs); seeding, the device stages, and the
- * reorder hand-off are identical.
- */
 void
-runThreadedPipeline(const Sequence &reference,
-                    const std::vector<std::pair<std::string, Sequence>>
-                        *reads_vec,
-                    const ReadSource *source, const ThreadedConfig &config,
-                    const SamSink &sink, ThreadedReport *report,
-                    const FmdIndex *external_index)
+alignThreadedSource(const Sequence &reference, const ReadSource &source,
+                    const ThreadedConfig &config, const SamSink &sink,
+                    ThreadedReport *report, const FmdIndex *external_index)
 {
     std::unique_ptr<FmdIndex> owned_index;
     if (external_index == nullptr) {
@@ -204,14 +169,8 @@ runThreadedPipeline(const Sequence &reference,
     filter_cfg.scoring = config.pipeline.extension.scoring;
     const SeedExAccelerator device(config.organization, filter_cfg);
 
-    if (config.paired && reads_vec != nullptr &&
-        reads_vec->size() % 2 != 0)
-        throw std::invalid_argument(
-            "paired threaded run requires an even read count "
-            "(whole pairs)");
-
     // Paired mode rounds the batch up to even so a pair never straddles
-    // a slab boundary: with an even batch size and whole-pair feeds,
+    // a slab boundary: with an even batch size and whole-pair pulls,
     // mates sit at items 2j/2j+1 of one batch by construction.
     size_t batch_size = std::max<size_t>(1, config.batch_size);
     if (config.paired)
@@ -245,7 +204,6 @@ runThreadedPipeline(const Sequence &reference,
                 sink(base + i, std::move(recs[i]));
         });
 
-    std::atomic<size_t> next_read{0};
     std::atomic<uint64_t> extensions{0}, reruns{0}, batches{0},
         helped_batches{0}, device_cycles{0};
     std::atomic<uint64_t> pair_count{0}, pair_proper{0}, pair_rescues{0},
@@ -256,40 +214,20 @@ runThreadedPipeline(const Sequence &reference,
     Stopwatch wall;
     wall.start();
 
-    // Vector feed: size the per-thread DP workspaces once, before any
-    // read is touched — every extension in the run is bounded by the
-    // longest read (plus the band-dependent target window), so the
-    // steady state never reallocates. A pull feed has no a-priori
-    // length bound; there each thread grows its workspace per batch
-    // instead (grow-only, so allocation stops once the longest read
-    // length has been seen).
-    const size_t band_slack =
-        static_cast<size_t>(std::max(config.pipeline.band, 0)) + 2;
-    size_t max_read_len = 0;
-    if (reads_vec != nullptr)
-        for (const auto &read : *reads_vec)
-            max_read_len = std::max(max_read_len, read.second.size());
-    const size_t max_target_len = max_read_len + band_slack;
-
-    // Pull-feed state: the source callback runs under this mutex
-    // together with sequence/base assignment, so batch numbering stays
-    // dense and read indices contiguous even though producers
-    // interleave pulls.
+    // The source callback runs under this mutex together with
+    // sequence/base assignment, so batch numbering stays dense and read
+    // indices contiguous even though producers interleave pulls.
     std::mutex source_mutex;
     uint64_t source_next_seq = 0;
     size_t source_next_base = 0;
     bool source_done = false;
 
     // ---- Producers: seeding + chaining into pooled batch slabs. Each
-    // claims a whole batch worth of reads and advances their SMEM
+    // pulls a whole batch worth of reads and advances their SMEM
     // searches in lockstep (collectSeedsBatch) a seed-chunk at a time,
     // so the FM-index walks overlap in the memory system; the filled
     // slab is published with a single ring operation.
     const size_t seed_chunk = seedBatchSize();
-    // Seed and chain a slab whose items[i].name/read pointers are
-    // already set: lockstep SMEM searches a seed-chunk at a time so the
-    // FM-index walks overlap in the memory system (identical for both
-    // feeds).
     auto seed_slab = [&](SeededBatch *batch,
                          std::vector<const Sequence *> &queries,
                          std::vector<std::vector<Seed>> &seeds,
@@ -300,7 +238,7 @@ runThreadedPipeline(const Sequence &reference,
             obs::TraceSpan span("threaded.seed_chunk", "threaded");
             obs::PerfScope perf(threadedProfiles().seed_chunk);
             for (size_t r = 0; r < m; ++r)
-                queries[r] = batch->items[chunk + r].read;
+                queries[r] = &batch->items[chunk + r].read;
             collectSeedsBatch(index, queries.data(), m,
                               config.pipeline.seeding, ws, seeds);
             for (size_t r = 0; r < m; ++r) {
@@ -313,38 +251,29 @@ runThreadedPipeline(const Sequence &reference,
                 for (size_t c = 0; c < item.n_chains; ++c)
                     any_reverse |= item.chains[c].reverse;
                 if (any_reverse)
-                    item.read->reverseComplementInto(
+                    item.read.reverseComplementInto(
                         item.reverse_complement);
             }
         }
     };
 
-    // ---- The consumer stage (Fig. 12's FPGA-thread work): package the
-    // left/right extension batches of one claimed slab, push them through
-    // the device model, parse clip/h0, pick the best chain, build SAM,
-    // finalize pairs, and hand the records to the reorder window. FPGA
-    // threads run it on every batch they pop; a seeding thread whose
-    // ring shard is full runs it on a batch it claims instead of
-    // blocking. It never waits on another thread: the batch was reserved
-    // before it was published, so reorder.complete() cannot block.
+    // ---- The consumer stage (Fig. 12's FPGA-thread work): the shared
+    // extension driver pushes the slab's left flanks, then its right
+    // flanks, through the device model; then the best chain per read
+    // becomes SAM, pairs are finalized, and the records go to the
+    // reorder window. FPGA threads run it on every batch they pop; a
+    // seeding thread whose ring shard is full runs it on a batch it
+    // claims instead of blocking. It never waits on another thread: the
+    // batch was reserved before it was published, so reorder.complete()
+    // cannot block.
     const ExtensionParams &xp = config.pipeline.extension;
     const PairContext pair_ctx{reference, config.pipeline.contigs, xp,
                                config.insert, config.mate_rescue};
     auto consume_batch = [&](SeededBatch *claimed, ConsumerCtx &ctx) {
-        std::vector<Slot> &slots = ctx.slots;
-        std::vector<PendingExtension> &pending = ctx.pending;
-        std::vector<ExtensionJob> &jobs = ctx.jobs;
+        std::vector<ChainSlot> &slots = ctx.slots;
         std::vector<obs::ReadRecord> &ledger_recs = ctx.ledger_recs;
         std::vector<int> &rec_of_item = ctx.rec_of_item;
         SeededBatch &batch = *claimed;
-        if (source != nullptr) {
-            size_t longest = 0;
-            for (size_t i = 0; i < batch.n_items; ++i)
-                longest = std::max(longest,
-                                   batch.items[i].read->size());
-            DpWorkspace::tls().prepareExtension(
-                longest, longest + band_slack);
-        }
         obs::TraceSpan batch_span("threaded.fpga_batch", "threaded");
         obs::PerfScope batch_perf(threadedProfiles().fpga_batch);
         Stopwatch batch_watch;
@@ -365,7 +294,7 @@ runThreadedPipeline(const Sequence &reference,
                     continue;
                 obs::ReadRecord rec;
                 rec.read_index = batch.items[i].read_idx;
-                rec.name = *batch.items[i].name;
+                rec.name = batch.items[i].name;
                 rec.seeds = batch.items[i].n_seeds;
                 rec.chains =
                     static_cast<uint32_t>(batch.items[i].n_chains);
@@ -379,177 +308,53 @@ runThreadedPipeline(const Sequence &reference,
 
         // Chain table for the whole batch.
         slots.clear();
+        ctx.slot_item.clear();
         for (size_t i = 0; i < batch.n_items; ++i) {
             const SeededRead &item = batch.items[i];
             for (size_t c = 0; c < item.n_chains; ++c) {
                 const Chain &chain = item.chains[c];
-                Slot slot;
-                slot.item = &item;
-                slot.item_idx = i;
-                slot.chain = &chain;
-                const Seed &anchor = chain.anchor();
-                slot.aln.reverse = chain.reverse;
-                slot.aln.seed_score = anchor.len * xp.scoring.match;
-                slot.aln.qbeg = anchor.qbeg;
-                slot.aln.qend = anchor.qend();
-                slot.aln.rbeg = anchor.rbeg;
-                slot.aln.rend = anchor.rend();
-                slot.score = slot.aln.seed_score;
-                slots.push_back(std::move(slot));
+                slots.push_back({&chain,
+                                 chain.reverse ? &item.reverse_complement
+                                               : &item.read,
+                                 {}});
+                ctx.slot_item.push_back(i);
             }
         }
 
-        auto oriented = [&](const Slot &slot) -> const Sequence & {
-            return slot.chain->reverse
-                ? slot.item->reverse_complement
-                : *slot.item->read;
-        };
-
-        // Fold one device job's outcome into its read's ledger
-        // record (the per-job vectors in BatchResult are parallel
-        // to the pending list handed to run_batch).
-        auto attribute = [&](const BatchResult &res, size_t k,
-                             const Slot &slot) {
-            if (!ledger_on)
-                return;
-            const int ri = rec_of_item[slot.item_idx];
-            if (ri < 0)
-                return;
-            obs::ReadRecord &rec =
-                ledger_recs[static_cast<size_t>(ri)];
-            ++rec.extensions;
-            // One narrow speculation per filtered ladder rung.
-            rec.kernel_calls += res.ladder_rungs[k];
-            rec.ladder_rungs += res.ladder_rungs[k];
-            if (res.band_predicted[k] > rec.band_predicted)
-                rec.band_predicted = res.band_predicted[k];
-            rec.addVerdict(ledgerVerdict(res.verdicts[k]),
-                           res.edit_runs[k]);
-            if (res.rerun[k]) {
-                ++rec.reruns;
-                ++rec.kernel_calls; // host full-band rerun
-            }
-            rec.band_used =
-                std::max(rec.band_used, res.results[k].max_off);
-        };
-
-        // Phase 1: package all left extensions.
-        pending.clear();
-        for (size_t s = 0; s < slots.size(); ++s) {
-            const Seed &anchor = slots[s].chain->anchor();
-            if (anchor.qbeg == 0)
-                continue;
-            PendingExtension p;
-            p.batch_slot = s;
-            p.job.query = reversedSeq(oriented(slots[s]).slice(
-                0, static_cast<size_t>(anchor.qbeg)));
-            const uint64_t window = std::min<uint64_t>(
-                anchor.rbeg, static_cast<uint64_t>(
-                                 anchor.qbeg + xp.window_slack));
-            p.job.target = reversedSeq(reference.slice(
-                anchor.rbeg - window, static_cast<size_t>(window)));
-            p.job.h0 = slots[s].score;
-            p.job.hint.read_len =
-                static_cast<int>(oriented(slots[s]).size());
-            p.job.hint.chain_weight = slots[s].chain->weight;
-            p.job.hint.n_seeds =
-                static_cast<int>(slots[s].chain->seeds.size());
-            pending.push_back(std::move(p));
-        }
-        auto run_batch = [&](std::vector<PendingExtension> &pend) {
-            jobs.clear();
-            jobs.reserve(pend.size());
-            for (PendingExtension &p : pend)
-                jobs.push_back(p.job);
-            obs::TraceSpan push_span("threaded.device_push",
-                                     "threaded");
+        // The submit step: one device batch per flank side. The per-job
+        // vectors of the BatchResult are parallel to the jobs, which is
+        // how each outcome reaches its read's ledger record.
+        const ExtensionSubmit to_device = [&](ExtensionBatch &b) {
+            obs::TraceSpan push_span("threaded.device_push", "threaded");
             const double device_begin = threadCpuSeconds();
-            BatchResult r = device.processBatch(jobs, &ctx.policy);
+            BatchResult res = device.processBatch(b.jobs, &ctx.policy);
             ctx.device_cpu += threadCpuSeconds() - device_begin;
-            device_cycles += r.device_cycles;
-            extensions += jobs.size();
-            reruns += r.reruns_checks + r.reruns_exception;
-            return r;
+            device_cycles += res.device_cycles;
+            extensions += b.jobs.size();
+            reruns += res.reruns_checks + res.reruns_exception;
+            for (size_t k = 0; ledger_on && k < b.jobs.size(); ++k) {
+                const int ri = rec_of_item[ctx.slot_item[b.slot_of[k]]];
+                if (ri < 0)
+                    continue;
+                obs::ReadRecord &rec = ledger_recs[static_cast<size_t>(ri)];
+                ++rec.extensions;
+                // One narrow speculation per filtered ladder rung.
+                rec.kernel_calls += res.ladder_rungs[k];
+                rec.ladder_rungs += res.ladder_rungs[k];
+                if (res.band_predicted[k] > rec.band_predicted)
+                    rec.band_predicted = res.band_predicted[k];
+                rec.addVerdict(ledgerVerdict(res.verdicts[k]),
+                               res.edit_runs[k]);
+                if (res.rerun[k]) {
+                    ++rec.reruns;
+                    ++rec.kernel_calls; // host full-band rerun
+                }
+                rec.band_used =
+                    std::max(rec.band_used, res.results[k].max_off);
+            }
+            b.results = std::move(res.results);
         };
-        if (!pending.empty()) {
-            const BatchResult left = run_batch(pending);
-            // Parse left results: clip decision + h0 update (§V-B).
-            for (size_t k = 0; k < pending.size(); ++k) {
-                Slot &slot = slots[pending[k].batch_slot];
-                attribute(left, k, slot);
-                const ExtendResult &r = left.results[k];
-                const Seed &anchor = slot.chain->anchor();
-                slot.aln.max_off =
-                    std::max(slot.aln.max_off, r.max_off);
-                if (r.gscore <= 0 ||
-                    r.gscore < r.score - xp.end_bonus) {
-                    slot.score = r.score;
-                    slot.aln.qbeg = anchor.qbeg - r.qle;
-                    slot.aln.rbeg =
-                        anchor.rbeg - static_cast<uint64_t>(r.tle);
-                } else {
-                    slot.score = r.gscore;
-                    slot.aln.qbeg = 0;
-                    slot.aln.rbeg =
-                        anchor.rbeg - static_cast<uint64_t>(r.gtle);
-                }
-            }
-        }
-
-        // Phase 2: right extensions seeded with the updated score.
-        pending.clear();
-        for (size_t s = 0; s < slots.size(); ++s) {
-            Slot &slot = slots[s];
-            const Seed &anchor = slot.chain->anchor();
-            const int n =
-                static_cast<int>(oriented(slot).size());
-            if (anchor.qend() >= n)
-                continue;
-            const int remain = n - anchor.qend();
-            PendingExtension p;
-            p.batch_slot = s;
-            p.job.query = oriented(slot).slice(
-                static_cast<size_t>(anchor.qend()),
-                static_cast<size_t>(remain));
-            const uint64_t avail = reference.size() -
-                std::min<uint64_t>(reference.size(), anchor.rend());
-            const uint64_t window = std::min<uint64_t>(
-                avail,
-                static_cast<uint64_t>(remain + xp.window_slack));
-            p.job.target = reference.slice(
-                anchor.rend(), static_cast<size_t>(window));
-            p.job.h0 = slot.score;
-            p.job.hint.read_len = n;
-            p.job.hint.chain_weight = slot.chain->weight;
-            p.job.hint.n_seeds =
-                static_cast<int>(slot.chain->seeds.size());
-            pending.push_back(std::move(p));
-        }
-        if (!pending.empty()) {
-            const BatchResult right = run_batch(pending);
-            for (size_t k = 0; k < pending.size(); ++k) {
-                Slot &slot = slots[pending[k].batch_slot];
-                attribute(right, k, slot);
-                const ExtendResult &r = right.results[k];
-                const Seed &anchor = slot.chain->anchor();
-                const int n =
-                    static_cast<int>(oriented(slot).size());
-                slot.aln.max_off =
-                    std::max(slot.aln.max_off, r.max_off);
-                if (r.gscore <= 0 ||
-                    r.gscore < r.score - xp.end_bonus) {
-                    slot.score = r.score;
-                    slot.aln.qend = anchor.qend() + r.qle;
-                    slot.aln.rend =
-                        anchor.rend() + static_cast<uint64_t>(r.tle);
-                } else {
-                    slot.score = r.gscore;
-                    slot.aln.qend = n;
-                    slot.aln.rend = anchor.rend() +
-                                    static_cast<uint64_t>(r.gtle);
-                }
-            }
-        }
+        extendChains(slots, reference, xp, ctx.batch, to_device);
 
         // Post-processing: best chain per read, traceback, SAM,
         // then hand the whole batch to the reorder window.
@@ -558,34 +363,21 @@ runThreadedPipeline(const Sequence &reference,
         size_t s = 0;
         for (size_t i = 0; i < batch.n_items; ++i) {
             const SeededRead &item = batch.items[i];
-            obs::ReadRecord *rec =
-                ledger_on && rec_of_item[i] >= 0
-                    ? &ledger_recs[static_cast<size_t>(
-                          rec_of_item[i])]
-                    : nullptr;
             if (item.n_chains == 0) {
-                recs[i] = unmappedRecord(*item.name, *item.read);
+                recs[i] = unmappedRecord(item.name, item.read);
                 continue;
             }
-            size_t best = s;
-            int sub = 0;
-            for (size_t c = 1; c < item.n_chains; ++c) {
-                if (slots[s + c].score > slots[best].score) {
-                    sub = slots[best].score;
-                    best = s + c;
-                } else {
-                    sub = std::max(sub, slots[s + c].score);
-                }
-            }
-            slots[best].aln.score = slots[best].score;
-            recs[i] = buildSamRecord(*item.name, *item.read,
-                                     slots[best].aln, sub, reference,
-                                     xp.scoring,
-                                     config.pipeline.contigs);
-            if (rec != nullptr) {
-                rec->chain_chosen = static_cast<int>(best - s);
-                rec->score = recs[i].score;
-                rec->mapped = recs[i].mapped();
+            size_t chosen = 0;
+            recs[i] = bestChainRecord(
+                item.name, item.read,
+                std::span<const ChainSlot>(slots).subspan(s, item.n_chains),
+                reference, config.pipeline, chosen);
+            if (ledger_on && rec_of_item[i] >= 0) {
+                obs::ReadRecord &rec =
+                    ledger_recs[static_cast<size_t>(rec_of_item[i])];
+                rec.chain_chosen = static_cast<int>(chosen);
+                rec.score = recs[i].score;
+                rec.mapped = recs[i].mapped();
             }
             s += item.n_chains;
         }
@@ -597,8 +389,8 @@ runThreadedPipeline(const Sequence &reference,
         if (config.paired) {
             for (size_t i = 0; i + 1 < batch.n_items; i += 2) {
                 const PairOutcome po = finalizePair(
-                    recs[i], recs[i + 1], *batch.items[i].read,
-                    *batch.items[i + 1].read, *ctx.rescue_engine,
+                    recs[i], recs[i + 1], batch.items[i].read,
+                    batch.items[i + 1].read, *ctx.rescue_engine,
                     pair_ctx);
                 ++pair_count;
                 pair_proper += po.proper ? 1 : 0;
@@ -650,93 +442,59 @@ runThreadedPipeline(const Sequence &reference,
     };
 
     auto seeding_worker = [&](size_t producer_id) {
-        if (reads_vec != nullptr)
-            DpWorkspace::tls().prepareExtension(max_read_len,
-                                                max_target_len);
         SeedWorkspace &ws = SeedWorkspace::tls();
         ChainWorkspace &cws = ChainWorkspace::tls();
         std::vector<const Sequence *> queries(seed_chunk);
         std::vector<std::vector<Seed>> seeds(seed_chunk);
-        // Pull-feed buffer, recycled across pulls (the source assigns
-        // into the existing strings/sequences, reusing their capacity).
-        std::vector<std::pair<std::string, Sequence>> pulled;
-        if (source != nullptr)
-            pulled.resize(batch_size);
+        // Pull buffer, recycled across pulls (the source assigns into
+        // the existing strings/sequences, reusing their capacity).
+        std::vector<std::pair<std::string, Sequence>> pulled(batch_size);
         // Consumer-stage state, created on the first batch this thread
         // helps with; the CPU it spends there is consumer CPU.
         std::unique_ptr<ConsumerCtx> helper;
         double help_cpu = 0;
         const double cpu_begin = threadCpuSeconds();
         for (;;) {
-            SeededBatch *batch = nullptr;
-            if (reads_vec != nullptr) {
-                const size_t base = next_read.fetch_add(batch_size);
-                if (base >= reads_vec->size())
+            size_t n = 0;
+            uint64_t seq = 0;
+            size_t base = 0;
+            {
+                std::lock_guard<std::mutex> lock(source_mutex);
+                if (source_done)
                     break;
-                const size_t n =
-                    std::min(batch_size, reads_vec->size() - base);
-                // Admission control: wait until this sequence number
-                // fits the reorder window BEFORE taking a slab.
-                // Published batches are then inside the window by
-                // construction, so consumers never block in
-                // reorder.complete() and always drain the ring (a
-                // consumer parked at the window edge while the head
-                // batch sat unclaimed in another shard would deadlock
-                // the run).
-                reorder.reserve(base / batch_size);
-                batch = pool.acquire();
-                batch->seq = base / batch_size;
-                batch->base = base;
-                batch->n_items = n;
-                for (size_t i = 0; i < n; ++i) {
-                    SeededRead &item = batch->items[i];
-                    item.read_idx = base + i;
-                    item.name = &(*reads_vec)[base + i].first;
-                    item.read = &(*reads_vec)[base + i].second;
+                n = source(pulled, batch_size);
+                if (n == 0) {
+                    source_done = true;
+                    break;
                 }
-            } else {
-                size_t n = 0;
-                uint64_t seq = 0;
-                size_t base = 0;
-                {
-                    std::lock_guard<std::mutex> lock(source_mutex);
-                    if (source_done)
-                        break;
-                    n = (*source)(pulled, batch_size);
-                    if (n == 0) {
-                        source_done = true;
-                        break;
-                    }
-                    seq = source_next_seq++;
-                    base = source_next_base;
-                    source_next_base += n;
-                }
-                // Admission control AFTER the pull (the mutex cannot be
-                // held across a blocking reserve). Still deadlock-free:
-                // smaller sequence numbers are always handed out first,
-                // and their holders either block in reserve() on yet
-                // smaller numbers or go on to publish, so the window
-                // head always advances. Blocking here parks only this
-                // producer's pulled reads — memory stays bounded by
-                // producers × batch_size.
-                reorder.reserve(seq);
-                batch = pool.acquire();
-                batch->ensureOwned(batch_size);
-                batch->seq = seq;
-                batch->base = base;
-                batch->n_items = n;
-                size_t longest = 0;
-                for (size_t i = 0; i < n; ++i) {
-                    std::swap(batch->names[i], pulled[i].first);
-                    std::swap(batch->seqs[i], pulled[i].second);
-                    SeededRead &item = batch->items[i];
-                    item.read_idx = base + i;
-                    item.name = &batch->names[i];
-                    item.read = &batch->seqs[i];
-                    longest = std::max(longest, batch->seqs[i].size());
-                }
-                DpWorkspace::tls().prepareExtension(
-                    longest, longest + band_slack);
+                seq = source_next_seq++;
+                base = source_next_base;
+                source_next_base += n;
+            }
+            // Admission control: wait until this sequence number fits
+            // the reorder window BEFORE taking a slab. Published batches
+            // are then inside the window by construction, so consumers
+            // never block in reorder.complete() and always drain the
+            // ring (a consumer parked at the window edge while the head
+            // batch sat unclaimed in another shard would deadlock the
+            // run). It runs after the pull because the mutex cannot be
+            // held across a blocking reserve; that is still
+            // deadlock-free: smaller sequence numbers are always handed
+            // out first, and their holders either block in reserve() on
+            // yet smaller numbers or go on to publish, so the window
+            // head always advances. Blocking here parks only this
+            // producer's pulled reads — memory stays bounded by
+            // producers × batch_size.
+            reorder.reserve(seq);
+            SeededBatch *batch = pool.acquire();
+            batch->seq = seq;
+            batch->base = base;
+            batch->n_items = n;
+            for (size_t i = 0; i < n; ++i) {
+                SeededRead &item = batch->items[i];
+                item.read_idx = base + i;
+                std::swap(item.name, pulled[i].first);
+                std::swap(item.read, pulled[i].second);
             }
             seed_slab(batch, queries, seeds, ws, cws);
             // Publish; while the home shard is full, help drain it
@@ -769,9 +527,6 @@ runThreadedPipeline(const Sequence &reference,
 
     // ---- Consumers: FPGA threads.
     auto fpga_worker = [&](size_t consumer_id) {
-        if (reads_vec != nullptr)
-            DpWorkspace::tls().prepareExtension(max_read_len,
-                                                max_target_len);
         ConsumerCtx ctx(config, filter_cfg);
         const double cpu_begin = threadCpuSeconds();
         while (SeededBatch *claimed = ring.pop(consumer_id))
@@ -804,8 +559,7 @@ runThreadedPipeline(const Sequence &reference,
         m.reruns.inc(reruns);
         m.helped_batches.inc(helped_batches);
     }
-    const size_t total_reads =
-        reads_vec != nullptr ? reads_vec->size() : source_next_base;
+    const size_t total_reads = source_next_base;
     SEEDEX_LOG(Info, "threaded",
                "%zu reads in %.3f s (%d seeding + %d fpga threads, %llu "
                "batches (%llu helped), %llu extensions, %llu reruns, %llu "
@@ -855,35 +609,30 @@ runThreadedPipeline(const Sequence &reference,
     }
 }
 
-} // namespace
-
-void
-alignThreadedStream(const Sequence &reference,
-                    const std::vector<std::pair<std::string, Sequence>> &reads,
-                    const ThreadedConfig &config, const SamSink &sink,
-                    ThreadedReport *report, const FmdIndex *index)
-{
-    runThreadedPipeline(reference, &reads, nullptr, config, sink, report,
-                        index);
-}
-
-void
-alignThreadedSource(const Sequence &reference, const ReadSource &source,
-                    const ThreadedConfig &config, const SamSink &sink,
-                    ThreadedReport *report, const FmdIndex *index)
-{
-    runThreadedPipeline(reference, nullptr, &source, config, sink, report,
-                        index);
-}
-
 std::vector<SamRecord>
 alignThreaded(const Sequence &reference,
               const std::vector<std::pair<std::string, Sequence>> &reads,
               const ThreadedConfig &config, ThreadedReport *report)
 {
+    if (config.paired && reads.size() % 2 != 0)
+        throw std::invalid_argument(
+            "paired threaded run requires an even read count "
+            "(whole pairs)");
+    // Pulls of `max` reads: in paired mode `max` is the even batch size,
+    // so with an even read count every pull holds whole pairs.
+    size_t next = 0;
+    const ReadSource source =
+        [&](std::vector<std::pair<std::string, Sequence>> &out,
+            size_t max) {
+            const size_t n = std::min(max, reads.size() - next);
+            std::copy_n(reads.begin() + static_cast<ptrdiff_t>(next), n,
+                        out.begin());
+            next += n;
+            return n;
+        };
     std::vector<SamRecord> records(reads.size());
-    alignThreadedStream(
-        reference, reads, config,
+    alignThreadedSource(
+        reference, source, config,
         [&](size_t read_idx, SamRecord &&rec) {
             records[read_idx] = std::move(rec);
         },

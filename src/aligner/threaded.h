@@ -156,36 +156,24 @@ using SamSink = std::function<void(size_t read_idx, SamRecord &&rec)>;
  * into the recycled strings/sequences, so their capacity is reused) and
  * returns n. Returning 0 ends the stream. Called under an internal
  * pipeline mutex, so implementations need no locking of their own, and
- * successive calls see strictly increasing file positions.
+ * successive calls see strictly increasing file positions. In paired
+ * mode every pull must return whole pairs.
  */
 using ReadSource = std::function<size_t(
     std::vector<std::pair<std::string, Sequence>> &out, size_t max)>;
 
 /**
- * Align a read set with the producer-consumer pipeline, streaming each
- * record to `sink` in input order as soon as its batch retires from the
- * reorder window (memory stays bounded by the in-flight window, not the
- * read count). Records are bit-identical to the single-threaded
+ * Align the reads `source` supplies with the producer-consumer
+ * pipeline, streaming each record to `sink` in input order as soon as
+ * its batch retires from the reorder window. Producers pull a batch at
+ * a time under a shared mutex and swap the reads into slab-owned
+ * storage, so peak memory is bounded by the in-flight window regardless
+ * of input size. Records are bit-identical to the single-threaded
  * full-band pipeline. The sink runs on consumer threads but is never
- * called concurrently. `index` lets the caller supply a prebuilt
- * FM-index of `reference` (e.g. loaded from a `.sdx` container); when
- * null the pipeline builds its own.
- */
-void
-alignThreadedStream(const Sequence &reference,
-                    const std::vector<std::pair<std::string, Sequence>> &reads,
-                    const ThreadedConfig &config, const SamSink &sink,
-                    ThreadedReport *report = nullptr,
-                    const FmdIndex *index = nullptr);
-
-/**
- * Streaming variant of alignThreadedStream: reads are pulled from
- * `source` batch by batch instead of handed over as one vector, so peak
- * memory is bounded by the in-flight window regardless of input size.
- * Producers pull under a shared mutex, swap the pulled reads into
- * slab-owned storage, and proceed exactly like the vector path; output
- * order and record content are identical. Read indices passed to `sink`
- * count from 0 in pull order.
+ * called concurrently; read indices passed to it count from 0 in pull
+ * order. `index` lets the caller supply a prebuilt FM-index of
+ * `reference` (e.g. loaded from a `.sdx` container); when null the
+ * pipeline builds its own.
  */
 void
 alignThreadedSource(const Sequence &reference, const ReadSource &source,
@@ -194,8 +182,9 @@ alignThreadedSource(const Sequence &reference, const ReadSource &source,
                     const FmdIndex *index = nullptr);
 
 /**
- * Convenience wrapper over alignThreadedStream that collects the full
- * record vector (input order).
+ * Convenience wrapper that pulls `reads` through alignThreadedSource
+ * and collects the full record vector (input order). Paired mode needs
+ * an even read count (std::invalid_argument otherwise).
  */
 std::vector<SamRecord>
 alignThreaded(const Sequence &reference,

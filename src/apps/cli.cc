@@ -128,6 +128,18 @@ struct Args
         return n;
     }
 
+    /** getLong for a count that must be at least `min`. */
+    long
+    getCount(const std::string &name, long fallback, long min) const
+    {
+        const long n = getLong(name, fallback);
+        if (n < min)
+            throw UsageError(name + " must be at least " +
+                             std::to_string(min) + ", got " +
+                             std::to_string(n));
+        return n;
+    }
+
     double
     getDouble(const std::string &name, double fallback) const
     {
@@ -404,21 +416,21 @@ cmdAlign(int argc, char **argv)
     long threads = 1;
     if (const char *v = std::getenv("SEEDEX_THREADS"))
         threads = std::max(1L, std::strtol(v, nullptr, 10));
-    threads = std::max(1L, args.getLong("--threads", threads));
+    threads = args.getCount("--threads", threads, 1);
     tconfig.seeding_threads =
         static_cast<int>(std::max<long>(1, (threads * 3) / 4));
     tconfig.fpga_threads = static_cast<int>(
         std::max<long>(1, threads - tconfig.seeding_threads));
-    tconfig.seeding_threads = static_cast<int>(args.getLong(
-        "--seeding-threads", tconfig.seeding_threads));
+    tconfig.seeding_threads = static_cast<int>(args.getCount(
+        "--seeding-threads", tconfig.seeding_threads, 1));
     tconfig.fpga_threads = static_cast<int>(
-        args.getLong("--fpga-threads", tconfig.fpga_threads));
-    tconfig.batch_size = static_cast<size_t>(args.getLong(
-        "--batch", static_cast<long>(tconfig.batch_size)));
-    tconfig.queue_capacity = static_cast<size_t>(args.getLong(
-        "--queue-cap", static_cast<long>(tconfig.queue_capacity)));
-    tconfig.queue_shards = static_cast<int>(args.getLong(
-        "--queue-shards", tconfig.queue_shards));
+        args.getCount("--fpga-threads", tconfig.fpga_threads, 1));
+    tconfig.batch_size = static_cast<size_t>(args.getCount(
+        "--batch", static_cast<long>(tconfig.batch_size), 1));
+    tconfig.queue_capacity = static_cast<size_t>(args.getCount(
+        "--queue-cap", static_cast<long>(tconfig.queue_capacity), 1));
+    tconfig.queue_shards = static_cast<int>(args.getCount(
+        "--queue-shards", tconfig.queue_shards, 0));
 
     bool threaded = threads > 1 || args.has("--seeding-threads") ||
         args.has("--fpga-threads");
@@ -476,163 +488,118 @@ cmdAlign(int argc, char **argv)
 
     Stopwatch wall;
     wall.start();
-    uint64_t total_reads = 0;
-    ThreadedReport treport;
-    InsertModel insert_model = insert_prior;
-    uint64_t insert_observations = 0;
-    if (paired) {
-        auto pair_source = interleaved
-            ? std::make_unique<PairedReadSource>(reads_path)
-            : std::make_unique<PairedReadSource>(args.get("-1"),
-                                                 args.get("-2"));
-        Aligner aligner(ref.seq, pconfig, std::move(ref.index));
+    Aligner aligner(ref.seq, pconfig, std::move(ref.index));
 
-        // Bootstrap chunk: the first pairs are aligned by the
-        // single-threaded Aligner in EVERY mode, so the frozen insert
-        // model — and the output bytes — cannot depend on --threads.
-        std::vector<PairedRecord> boot;
-        boot.reserve(InsertEstimator::kBootstrapPairs);
-        PairedRecord pr;
-        while (boot.size() < InsertEstimator::kBootstrapPairs &&
-               pair_source->next(pr))
-            boot.push_back(std::move(pr));
-        std::vector<std::pair<std::string, Sequence>> chunk;
-        chunk.reserve(boot.size() * 2);
-        for (const PairedRecord &p : boot) {
-            chunk.emplace_back(p.name, p.first);
-            chunk.emplace_back(p.name, p.second);
-        }
-        std::vector<SamRecord> recs = aligner.alignBatch(chunk);
-        if (!insert_override) {
-            InsertEstimator est(insert_prior);
-            for (size_t i = 0; i + 1 < recs.size(); i += 2)
-                est.observe(recs[i], recs[i + 1]);
-            insert_model = est.freeze();
-            insert_observations = est.observations();
-        }
-        const PairContext ctx{ref.seq,      pconfig.contigs,
-                              pconfig.extension, insert_model,
-                              mate_rescue};
-        const auto finalize_and_emit =
-            [&](std::vector<SamRecord> &rs,
-                const std::vector<std::pair<std::string, Sequence>> &rd) {
-                for (size_t i = 0; i + 1 < rs.size(); i += 2) {
-                    finalizePair(rs[i], rs[i + 1], rd[i].second,
-                                 rd[i + 1].second, aligner.engine(), ctx);
-                    out << rs[i].render() << '\n'
-                        << rs[i + 1].render() << '\n';
+    // One read source for every mode: single-end reads, or whole pairs as
+    // two consecutive reads under the pair's name (so mates share a slab;
+    // batch sizes are even in paired mode). A parse error ends the stream
+    // and is rethrown once the run has drained, so it never unwinds
+    // through a pipeline thread.
+    std::unique_ptr<FastqReader> reader;
+    std::unique_ptr<PairedReadSource> pairs;
+    if (!paired)
+        reader = std::make_unique<FastqReader>(reads_path);
+    else if (interleaved)
+        pairs = std::make_unique<PairedReadSource>(reads_path);
+    else
+        pairs = std::make_unique<PairedReadSource>(args.get("-1"),
+                                                   args.get("-2"));
+    FastqRecord fq;
+    PairedRecord pr;
+    std::exception_ptr read_error;
+    const ReadSource source =
+        [&](std::vector<std::pair<std::string, Sequence>> &pulled,
+            size_t max) -> size_t {
+        if (read_error)
+            return 0;
+        size_t n = 0;
+        try {
+            if (pairs) {
+                while (n + 1 < max && pairs->next(pr)) {
+                    pulled[n].first = pr.name;
+                    pulled[n].second = std::move(pr.first);
+                    pulled[n + 1].first = std::move(pr.name);
+                    pulled[n + 1].second = std::move(pr.second);
+                    n += 2;
                 }
-                total_reads += rs.size();
-            };
-        finalize_and_emit(recs, chunk);
-
-        if (!threaded) {
-            for (;;) {
-                chunk.clear();
-                while (chunk.size() < kAlignChunk &&
-                       pair_source->next(pr)) {
-                    chunk.emplace_back(pr.name, std::move(pr.first));
-                    chunk.emplace_back(std::move(pr.name),
-                                       std::move(pr.second));
-                }
-                if (chunk.empty())
-                    break;
-                recs = aligner.alignBatch(chunk);
-                finalize_and_emit(recs, chunk);
-            }
-        } else {
-            tconfig.paired = true;
-            tconfig.insert = insert_model;
-            tconfig.mate_rescue = mate_rescue;
-            // Whole-pair pull: two consecutive slots per pair, so mates
-            // share a slab (batch sizes are even in paired mode). A
-            // parse error ends the stream and is rethrown after join.
-            std::exception_ptr read_error;
-            ReadSource source =
-                [&](std::vector<std::pair<std::string, Sequence>> &pulled,
-                    size_t max) -> size_t {
-                if (read_error)
-                    return 0;
-                size_t n = 0;
-                try {
-                    while (n + 1 < max && pair_source->next(pr)) {
-                        pulled[n].first = pr.name;
-                        pulled[n].second = std::move(pr.first);
-                        pulled[n + 1].first = std::move(pr.name);
-                        pulled[n + 1].second = std::move(pr.second);
-                        n += 2;
-                    }
-                } catch (...) {
-                    read_error = std::current_exception();
-                }
-                return n;
-            };
-            alignThreadedSource(
-                ref.seq, source, tconfig,
-                [&](size_t, SamRecord &&sam) {
-                    out << sam.render() << '\n';
-                },
-                &treport, &aligner.index());
-            total_reads += treport.reads;
-            if (read_error)
-                std::rethrow_exception(read_error);
-        }
-    } else if (!threaded) {
-        Aligner aligner(ref.seq, pconfig, std::move(ref.index));
-        FastqReader reader(reads_path);
-        FastqRecord rec;
-        std::vector<std::pair<std::string, Sequence>> chunk;
-        chunk.reserve(kAlignChunk);
-        for (;;) {
-            chunk.clear();
-            while (chunk.size() < kAlignChunk && reader.next(rec))
-                chunk.emplace_back(std::move(rec.name),
-                                   std::move(rec.seq));
-            if (chunk.empty())
-                break;
-            for (SamRecord &sam : aligner.alignBatch(chunk))
-                out << sam.render() << '\n';
-            total_reads += chunk.size();
-        }
-    } else {
-        FastqReader reader(reads_path);
-        FastqRecord rec;
-        // The source runs on producer threads; a parse error must not
-        // unwind through the pipeline, so it ends the stream and is
-        // rethrown after the workers have drained and joined.
-        std::exception_ptr read_error;
-        ReadSource source =
-            [&](std::vector<std::pair<std::string, Sequence>> &pulled,
-                size_t max) -> size_t {
-            if (read_error)
-                return 0;
-            size_t n = 0;
-            try {
-                while (n < max && reader.next(rec)) {
-                    pulled[n].first = std::move(rec.name);
-                    pulled[n].second = std::move(rec.seq);
+            } else {
+                while (n < max && reader->next(fq)) {
+                    pulled[n].first = std::move(fq.name);
+                    pulled[n].second = std::move(fq.seq);
                     ++n;
                 }
-            } catch (...) {
-                read_error = std::current_exception();
             }
-            return n;
-        };
-        alignThreadedSource(
-            ref.seq, source, tconfig,
-            [&](size_t, SamRecord &&sam) {
-                out << sam.render() << '\n';
-            },
-            &treport, ref.index.get());
-        total_reads = treport.reads;
-        if (read_error)
-            std::rethrow_exception(read_error);
+        } catch (...) {
+            read_error = std::current_exception();
+        }
+        return n;
+    };
+    const SamSink sink = [&](size_t, SamRecord &&sam) {
+        out << sam.render() << '\n';
+    };
+
+    // Inline alignment of one pulled chunk; false at the end of the
+    // input or on a parse error.
+    std::vector<std::pair<std::string, Sequence>> chunk;
+    std::vector<SamRecord> recs;
+    const auto align_chunk = [&](size_t max) {
+        chunk.resize(max);
+        chunk.resize(source(chunk, max));
+        if (chunk.empty() || read_error)
+            return false;
+        recs = aligner.alignBatch(chunk);
+        return true;
+    };
+
+    // Bootstrap chunk: the first pairs are aligned by the single-threaded
+    // Aligner in EVERY mode, so the frozen insert model — and the output
+    // bytes — cannot depend on --threads.
+    InsertModel insert_model = insert_prior;
+    uint64_t insert_observations = 0;
+    if (paired && align_chunk(2 * InsertEstimator::kBootstrapPairs) &&
+        !insert_override) {
+        InsertEstimator est(insert_prior);
+        for (size_t i = 0; i + 1 < recs.size(); i += 2)
+            est.observe(recs[i], recs[i + 1]);
+        insert_model = est.freeze();
+        insert_observations = est.observations();
+    }
+    const PairContext pair_ctx{ref.seq, pconfig.contigs, pconfig.extension,
+                               insert_model, mate_rescue};
+    uint64_t total_reads = 0;
+    const auto emit_chunk = [&] {
+        for (size_t i = 0; i < recs.size(); ++i) {
+            if (paired && i % 2 == 0)
+                finalizePair(recs[i], recs[i + 1], chunk[i].second,
+                             chunk[i + 1].second, aligner.engine(),
+                             pair_ctx);
+            sink(total_reads + i, std::move(recs[i]));
+        }
+        total_reads += recs.size();
+        recs.clear();
+    };
+    emit_chunk(); // the bootstrap chunk (nothing when single-end)
+
+    ThreadedReport treport;
+    if (threaded) {
+        tconfig.paired = paired;
+        tconfig.insert = insert_model;
+        tconfig.mate_rescue = mate_rescue;
+        alignThreadedSource(ref.seq, source, tconfig, sink, &treport,
+                            &aligner.index());
+        total_reads += treport.reads;
+    } else {
+        // Stop at the first chunk whose write fails.
+        while (out && align_chunk(kAlignChunk))
+            emit_chunk();
     }
     wall.stop();
-    out.flush();
-    if (args.has("-o") && !file_out)
-        throw std::runtime_error(args.get("-o") +
-                                 ": write failed (disk full?)");
+    if (read_error)
+        std::rethrow_exception(read_error);
+    if (!out.flush())
+        throw std::runtime_error(
+            (args.has("-o") ? args.get("-o") : std::string("stdout")) +
+            ": write failed (disk full?)");
 
     std::cerr << strprintf(
         "seedex align: %llu reads in %.2f s (%s)\n",

@@ -5,6 +5,7 @@
 
 #include "aligner/pipeline.h"
 #include "aligner/timing_model.h"
+#include "hw/accelerator.h"
 #include "genome/read_sim.h"
 #include "genome/reference.h"
 #include "util/rng.h"
@@ -511,6 +512,142 @@ TEST_F(AlignerFixture, PlainBandedPipelineDivergesAtSmallBand)
     for (size_t i = 0; i < got.size(); ++i)
         diffs += !got[i].sameAlignment(expected[i]);
     EXPECT_GT(diffs, 0u);
+}
+
+// ------------------------------------------------------- Extension driver
+
+/** An oriented read and one of its chains: the driver's input. */
+struct DriverCase
+{
+    Sequence read;
+    Chain chain;
+};
+
+/** One-seed chain anchored at read [qbeg, qbeg + len) = ref rbeg. */
+Chain
+oneSeedChain(int qbeg, int len, uint64_t rbeg, bool reverse)
+{
+    Chain chain;
+    chain.reverse = reverse;
+    chain.seeds.push_back({qbeg, len, rbeg, reverse, 1});
+    chain.weight = len;
+    return chain;
+}
+
+/** Reference bases [pos, pos + len) with a substitution every 17th
+ *  base, so both flanks need real DP. */
+Sequence
+mutatedSlice(const Sequence &ref, size_t pos, size_t len)
+{
+    Sequence s = ref.slice(pos, len);
+    for (size_t i = 3; i < s.size(); i += 17)
+        s[i] = static_cast<Base>((s[i] + 1) % 4);
+    return s;
+}
+
+void
+expectSameAlignment(const ChainAlignment &a, const ChainAlignment &b,
+                    const std::string &what)
+{
+    EXPECT_EQ(a.score, b.score) << what;
+    EXPECT_EQ(a.reverse, b.reverse) << what;
+    EXPECT_EQ(a.qbeg, b.qbeg) << what;
+    EXPECT_EQ(a.qend, b.qend) << what;
+    EXPECT_EQ(a.rbeg, b.rbeg) << what;
+    EXPECT_EQ(a.rend, b.rend) << what;
+    EXPECT_EQ(a.seed_score, b.seed_score) << what;
+    EXPECT_EQ(a.max_off, b.max_off) << what;
+}
+
+TEST_F(AlignerFixture, DriverBatchEqualsChainByChain)
+{
+    const ExtensionParams params;
+    const uint64_t ref_len = ref_.size();
+    std::vector<DriverCase> cases;
+    // Seeded and chained simulated reads: both strands, multi-seed
+    // chains, several chains per read.
+    const FmdIndex index(ref_);
+    ChainWorkspace cws;
+    std::vector<Chain> chains;
+    for (const auto &[name, read] : simulateReads(40, {}, 611)) {
+        const size_t n = chainSeedsInto(collectSeeds(index, read, {}), {},
+                                        cws, chains);
+        for (size_t c = 0; c < n; ++c)
+            cases.push_back({chains[c].reverse ? read.reverseComplement()
+                                               : read,
+                             chains[c]});
+    }
+    // Edge shapes, on both strands: an anchor at read position 0 (no
+    // left flank), one ending at the read end (no right flank), and
+    // anchors within window_slack of either reference end, where the
+    // window is cut shorter than the flank.
+    const int tail = 20;
+    Sequence over_start;
+    for (int i = 0; i < tail; ++i)
+        over_start.push_back(static_cast<Base>(i % 4));
+    over_start.append(mutatedSlice(ref_, 0, 81));
+    Sequence over_end = mutatedSlice(ref_, ref_len - 81, 81);
+    for (int i = 0; i < tail; ++i)
+        over_end.push_back(static_cast<Base>(i % 4));
+    for (const bool reverse : {false, true}) {
+        cases.push_back({mutatedSlice(ref_, 5000, 101),
+                         oneSeedChain(0, 30, 5000, reverse)});
+        cases.push_back({mutatedSlice(ref_, 6000, 101),
+                         oneSeedChain(71, 30, 6071, reverse)});
+        cases.push_back({mutatedSlice(ref_, 10, 101),
+                         oneSeedChain(40, 25, 50, reverse)});
+        cases.push_back({over_start, oneSeedChain(50, 16, 30, reverse)});
+        cases.push_back({mutatedSlice(ref_, ref_len - 120, 101),
+                         oneSeedChain(30, 25, ref_len - 90, reverse)});
+        cases.push_back({over_end, oneSeedChain(40, 16, ref_len - 41,
+                                                reverse)});
+    }
+    std::vector<ChainSlot> slots;
+    for (const DriverCase &c : cases)
+        slots.push_back({&c.chain, &c.read, {}});
+
+    SeedExConfig sx;
+    sx.band = 10; // narrow enough that some flanks are rerun
+    const auto make = [&](int kind) -> std::unique_ptr<ExtensionEngine> {
+        if (kind == 0)
+            return std::make_unique<FullBandEngine>();
+        if (kind == 1)
+            return std::make_unique<BandedEngine>(8);
+        return std::make_unique<SeedExEngine>(sx);
+    };
+    ExtensionBatch batch;
+    for (int kind = 0; kind < 3; ++kind) {
+        const auto one = make(kind);
+        const auto all = make(kind);
+        int submits = 0;
+        extendChains(slots, ref_, params, batch, [&](ExtensionBatch &b) {
+            ++submits;
+            submitToEngine(*all, b);
+        });
+        EXPECT_EQ(submits, 2) << "one batch of left, one of right flanks";
+        for (size_t i = 0; i < cases.size(); ++i)
+            expectSameAlignment(
+                slots[i].aln,
+                extendChain(cases[i].chain, cases[i].read, ref_, *one,
+                            params),
+                one->name() + " case " + std::to_string(i));
+        EXPECT_EQ(all->calls(), one->calls()) << one->name();
+    }
+
+    // The device model as the submit step gives the SeedEx engine's
+    // results (slots still hold them from the last pass above).
+    std::vector<ChainSlot> device_slots = slots;
+    const SeedExAccelerator device(AcceleratorOrganization{}, sx);
+    uint64_t device_reruns = 0;
+    extendChains(device_slots, ref_, params, batch, [&](ExtensionBatch &b) {
+        BatchResult res = device.processBatch(b.jobs);
+        device_reruns += res.reruns_checks + res.reruns_exception;
+        b.results = std::move(res.results);
+    });
+    EXPECT_GT(device_reruns, 0u) << "no flank exercised the rerun path";
+    for (size_t i = 0; i < cases.size(); ++i)
+        expectSameAlignment(device_slots[i].aln, slots[i].aln,
+                            "device case " + std::to_string(i));
 }
 
 // ------------------------------------------------------------ Fig17 model

@@ -397,12 +397,7 @@ TEST(BandPolicyThreaded, ThreadCountNeverChangesBytes)
         cfg.batch_size = 32;
         cfg.pipeline.engine = EngineKind::SeedEx;
         cfg.pipeline.band_policy.kind = BandPolicyKind::Adaptive;
-        std::vector<SamRecord> got(w.reads.size());
-        alignThreadedStream(w.reference, w.reads, cfg,
-                            [&](size_t idx, SamRecord &&rec) {
-                                got[idx] = std::move(rec);
-                            });
-        EXPECT_EQ(renderAll(got), want)
+        EXPECT_EQ(renderAll(alignThreaded(w.reference, w.reads, cfg)), want)
             << seeding << "+" << fpga << " threads";
     }
 }
@@ -515,7 +510,7 @@ TEST(BandPolicyLedger, BandedEngineReportsZdropAndClip)
         BandedEngine engine(2);
         obs::ReadScope scope("clipped");
         ASSERT_NE(scope.record(), nullptr);
-        engine.extend(Sequence(std::vector<Base>(qv)), Sequence(tv), 30);
+        engine.extend({Sequence(std::vector<Base>(qv)), Sequence(tv), 30});
         EXPECT_GE(scope.record()->band_clips, 1u);
         EXPECT_EQ(scope.record()->zdrops, 0u);
     }
@@ -530,7 +525,7 @@ TEST(BandPolicyLedger, BandedEngineReportsZdropAndClip)
         BandedEngine engine(41, Scoring::bwaDefault(), 5, /*zdrop=*/5);
         obs::ReadScope scope("dropped");
         ASSERT_NE(scope.record(), nullptr);
-        engine.extend(Sequence(std::move(qv)), Sequence(tv), 30);
+        engine.extend({Sequence(std::move(qv)), Sequence(tv), 30});
         EXPECT_GE(scope.record()->zdrops, 1u);
     }
 

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <fstream>
 #include <initializer_list>
+#include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -518,6 +519,13 @@ TEST(CliErrors, UsageErrorsExitTwo)
     EXPECT_EQ(cli({"seedex", "index", "ref.fa"}), 2); // missing -o
     EXPECT_EQ(cli({"seedex", "align", "a", "b", "--bogus=1"}), 2);
     EXPECT_EQ(cli({"seedex", "align", "a", "b", "--threads=soon"}), 2);
+    // Thread and queue shapes are checked before any file is opened.
+    for (const char *bad :
+         {"--threads=0", "--seeding-threads=0", "--fpga-threads=-1",
+          "--batch=0", "--batch=-1", "--queue-cap=0", "--queue-cap=-1",
+          "--queue-shards=-1"})
+        EXPECT_EQ(cli({"seedex", "align", "a", "b", "--threads=4", bad}), 2)
+            << bad;
     EXPECT_EQ(cli({"seedex", "--version"}), 0);
     EXPECT_EQ(cli({"seedex", "--help"}), 0);
 }
@@ -549,6 +557,27 @@ TEST(CliErrors, MalformedFastqExitsOneAfterPartialOutput)
     EXPECT_EQ(cli({"seedex", "align", w.fasta_path, fq, "-o", out,
                    "--threads=4"}),
               1);
+}
+
+/** A stream buffer that refuses every write, like a full disk. */
+class FullDiskBuf : public std::streambuf
+{
+  protected:
+    int_type overflow(int_type) override { return traits_type::eof(); }
+};
+
+TEST(CliErrors, FailedStdoutWriteExitsOne)
+{
+    const Workload w = buildWorkload("fullout", 200);
+    FullDiskBuf full;
+    for (const char *threads : {"--threads=1", "--threads=4"}) {
+        std::streambuf *saved = std::cout.rdbuf(&full);
+        const int rc =
+            cli({"seedex", "align", w.fasta_path, w.fastq_path, threads});
+        std::cout.rdbuf(saved);
+        std::cout.clear();
+        EXPECT_EQ(rc, 1) << threads;
+    }
 }
 
 // ---- flag vs environment precedence ------------------------------------

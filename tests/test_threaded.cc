@@ -222,8 +222,9 @@ randomSeq(Rng &rng, int len)
 TEST(HandoffAllocation, SteadyStateHandoffAllocatesNothing)
 {
     // Deterministic single-threaded drive of the full hand-off path a
-    // producer and consumer share: pool acquire -> chain into recycled
-    // slab storage (chainSeedsInto + reverseComplementInto) -> ring
+    // producer and consumer share: pool acquire -> reads into slab-owned
+    // storage -> chain into recycled slab storage (chainSeedsInto +
+    // reverseComplementInto) -> ring
     // publish -> ring claim -> pool release. After one warm-up cycle
     // every structure has grown to its high-water mark; the loop below
     // must then be allocation-free (the DpWorkspace discipline applied
@@ -262,12 +263,12 @@ TEST(HandoffAllocation, SteadyStateHandoffAllocatesNothing)
         for (size_t i = 0; i < kReads; ++i) {
             SeededRead &item = batch->items[i];
             item.read_idx = i;
-            item.name = &names[i];
-            item.read = &reads[i];
+            item.name = names[i];
+            item.read = reads[i];
             item.n_seeds = static_cast<uint32_t>(seeds[i].size());
             item.n_chains =
                 chainSeedsInto(seeds[i], params, ws, item.chains);
-            item.read->reverseComplementInto(item.reverse_complement);
+            item.read.reverseComplementInto(item.reverse_complement);
         }
         ring.push(batch, 0);
         SeededBatch *claimed = ring.pop(0);
@@ -283,6 +284,21 @@ TEST(HandoffAllocation, SteadyStateHandoffAllocatesNothing)
     const uint64_t after = g_new_calls.load(std::memory_order_relaxed);
     EXPECT_EQ(after - before, 0u)
         << "steady-state hand-off performed heap allocations";
+}
+
+/** A pull source over an in-memory read set (copies each read out). */
+ReadSource
+vectorSource(const std::vector<std::pair<std::string, Sequence>> &reads)
+{
+    return [&reads, next = size_t{0}](
+               std::vector<std::pair<std::string, Sequence>> &dst,
+               size_t max) mutable {
+        const size_t n = std::min(max, reads.size() - next);
+        for (size_t i = 0; i < n; ++i)
+            dst[i] = reads[next + i];
+        next += n;
+        return n;
+    };
 }
 
 // --------------------------------------------------- Threaded stress run
@@ -335,8 +351,8 @@ TEST_F(ThreadedStress, EightByEightStreamsBitIdenticalInInputOrder)
     got.reserve(kReads);
     size_t next_idx = 0;
     bool ordered = true;
-    alignThreadedStream(
-        ref_, reads, config,
+    alignThreadedSource(
+        ref_, vectorSource(reads), config,
         [&](size_t read_idx, SamRecord &&rec) {
             // The reorder buffer's contract: strictly increasing
             // read_idx with no gaps, straight off consumer threads.
@@ -429,12 +445,12 @@ class ThreadedHelp : public ::testing::Test
         std::map<std::string, uint64_t> counters;
     };
 
-    /** One threaded run over `reads`: vector feed, or a pull source
-     *  when `pull` is set. `backlog` selects the forced-help shape
-     *  (3 + 1 threads, one-batch ring, sleeping sink) instead of 1 + 1. */
+    /** One threaded run over `reads`. `backlog` selects the forced-help
+     *  shape (3 + 1 threads, one-batch ring, sleeping sink) instead of
+     *  1 + 1. */
     Run
     run(const std::vector<std::pair<std::string, Sequence>> &reads,
-        ThreadedConfig config, bool pull, bool backlog)
+        ThreadedConfig config, bool backlog)
     {
         config.batch_size = kBatch;
         config.seeding_threads = backlog ? 3 : 1;
@@ -455,21 +471,8 @@ class ThreadedHelp : public ::testing::Test
                 std::this_thread::sleep_for(std::chrono::microseconds(500));
             out.sam[read_idx] = rec.render();
         };
-        if (pull) {
-            size_t next = 0;
-            const ReadSource source =
-                [&](std::vector<std::pair<std::string, Sequence>> &dst,
-                    size_t max) {
-                    const size_t n = std::min(max, reads.size() - next);
-                    for (size_t i = 0; i < n; ++i)
-                        dst[i] = reads[next + i];
-                    next += n;
-                    return n;
-                };
-            alignThreadedSource(ref_, source, config, sink, &out.report);
-        } else {
-            alignThreadedStream(ref_, reads, config, sink, &out.report);
-        }
+        alignThreadedSource(ref_, vectorSource(reads), config, sink,
+                            &out.report);
         for (const std::string &n : names)
             out.counters[n] =
                 obs::MetricsRegistry::global().counter(n).value() -
@@ -481,11 +484,11 @@ class ThreadedHelp : public ::testing::Test
      *  and its instruments equal the 1+1 run's. */
     void
     checkWall(const std::vector<std::pair<std::string, Sequence>> &reads,
-              const ThreadedConfig &config, bool pull,
+              const ThreadedConfig &config,
               const std::vector<std::string> &expect, bool fixed_policy)
     {
-        const Run serial = run(reads, config, pull, /*backlog=*/false);
-        const Run helped = run(reads, config, pull, /*backlog=*/true);
+        const Run serial = run(reads, config, /*backlog=*/false);
+        const Run helped = run(reads, config, /*backlog=*/true);
         EXPECT_GT(helped.report.helped_batches, 0u)
             << "the backlog never made a seeding thread help";
         EXPECT_LE(helped.report.helped_batches, helped.report.batches);
@@ -532,17 +535,10 @@ class ThreadedHelp : public ::testing::Test
     Sequence ref_;
 };
 
-TEST_F(ThreadedHelp, VectorFeedHelpsWithoutChangingBytesOrCounters)
-{
-    const auto reads = singleReads(800, 423);
-    checkWall(reads, ThreadedConfig{}, /*pull=*/false, alignerOracle(reads),
-              /*fixed_policy=*/true);
-}
-
 TEST_F(ThreadedHelp, SourceFeedHelpsWithoutChangingBytesOrCounters)
 {
     const auto reads = singleReads(800, 425);
-    checkWall(reads, ThreadedConfig{}, /*pull=*/true, alignerOracle(reads),
+    checkWall(reads, ThreadedConfig{}, alignerOracle(reads),
               /*fixed_policy=*/true);
 }
 
@@ -551,8 +547,7 @@ TEST_F(ThreadedHelp, AdaptivePolicyHelpsWithoutChangingBytes)
     const auto reads = singleReads(800, 427);
     ThreadedConfig config;
     config.pipeline.band_policy.kind = BandPolicyKind::Adaptive;
-    checkWall(reads, config, /*pull=*/false, alignerOracle(reads),
-              /*fixed_policy=*/false);
+    checkWall(reads, config, alignerOracle(reads), /*fixed_policy=*/false);
 }
 
 TEST_F(ThreadedHelp, PairedModeHelpsWithoutChangingBytesOrCounters)
@@ -584,7 +579,7 @@ TEST_F(ThreadedHelp, PairedModeHelpsWithoutChangingBytesOrCounters)
     ThreadedConfig config;
     config.paired = true;
     config.insert = oconfig.insert;
-    checkWall(reads, config, /*pull=*/false, expect, /*fixed_policy=*/true);
+    checkWall(reads, config, expect, /*fixed_policy=*/true);
 }
 
 // ---------------------------------------------------------- Environment
