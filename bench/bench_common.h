@@ -266,7 +266,6 @@ appendLedgerSummary(obs::JsonWriter &w, const obs::LedgerSummary &s)
     w.kv("edit_machine_runs", s.edit_machine_runs);
     w.kv("reruns", s.reruns);
     w.kv("fallback_rate", s.fallbackRate());
-    w.kv("ladder_rungs", s.ladder_rungs);
     w.kv("zdrops", s.zdrops);
     w.kv("band_clips", s.band_clips);
     w.kv("global_fills", s.global_fills);
@@ -282,28 +281,6 @@ appendLedgerSummary(obs::JsonWriter &w, const obs::LedgerSummary &s)
         w.endObject();
     }
     w.endArray();
-}
-
-/** The band-speculation section of a run report: the configured policy
- *  plus the process-wide seedex.band.* instruments (checked by
- *  tools/check_metrics.sh). */
-inline void
-appendBandPolicy(obs::JsonWriter &w, const BandPolicyConfig &config)
-{
-    w.kv("kind", std::string(bandPolicyKindName(config.kind)));
-    w.kv("base_band", static_cast<int64_t>(config.base_band));
-    w.kv("min_band", static_cast<int64_t>(config.min_band));
-    w.kv("ewma_shift", static_cast<int64_t>(config.ewma_shift));
-    w.kv("headroom", static_cast<int64_t>(config.headroom));
-    w.key("ladder").beginArray();
-    for (const int rung : config.ladder)
-        w.value(static_cast<int64_t>(rung));
-    w.endArray();
-    const obs_detail::BandPolicyCounters c = bandPolicyCounters();
-    w.kv("predicted", c.predicted);
-    w.kv("escalations", c.escalations);
-    w.kv("ladder_hits", c.ladder_hits);
-    w.kv("rerun_cells_saved", c.rerun_cells_saved);
 }
 
 inline void
@@ -338,16 +315,11 @@ inline void
 writeRunReport(const std::string &path, const std::string &bench,
                const PipelineStats *pipeline = nullptr,
                const ThreadedReport *threaded = nullptr,
-               const FilterStats *filter = nullptr,
-               const BandPolicyConfig *band_policy = nullptr)
+               const FilterStats *filter = nullptr)
 {
     if (path.empty())
         return;
     obs::RunReport report(bench);
-    if (band_policy != nullptr)
-        report.section("band_policy", [&](obs::JsonWriter &w) {
-            appendBandPolicy(w, *band_policy);
-        });
     if (pipeline != nullptr)
         report.section("pipeline", [&](obs::JsonWriter &w) {
             appendPipelineStats(w, *pipeline);

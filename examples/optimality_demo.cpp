@@ -90,8 +90,7 @@ main(int argc, char **argv)
                           ? "guarantee holds: accepted == full band\n"
                           : "BUG: accepted result differs!\n");
     } else {
-        const ExtendResult rerun =
-            filter.runWithRerun(query, target, h0);
+        const ExtendResult rerun = filter.speculate(query, target, h0).result;
         std::cout << strprintf(
             "after host rerun   : %d (matches truth: %s)\n", rerun.score,
             rerun.score == truth.score ? "yes" : "NO");

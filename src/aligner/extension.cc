@@ -65,17 +65,7 @@ ExtendResult
 SeedExEngine::extend(const ExtensionJob &job)
 {
     ++calls_;
-    // The band policy runs the speculation ladder: for the fixed policy
-    // that is exactly one filtered rung at min(config band, BWA's
-    // estimate) plus the host full-band rerun on rejection (the
-    // pre-policy behavior); the adaptive policy predicts the first rung
-    // and escalates through wider filtered rungs first. Either way every
-    // rung replays the optimality checks, so accepted results stay
-    // bit-identical to the estimated-band baseline (narrow <= estimated
-    // <= unbanded, and acceptance proves narrow == unbanded).
-    return policy_
-        .extend(filter_, job.query, job.target, job.h0, job.hint, &stats_)
-        .result;
+    return filter_.speculate(job.query, job.target, job.h0, &stats_).result;
 }
 
 void
@@ -115,8 +105,7 @@ extendChains(std::span<ChainSlot> slots, const Sequence &reference,
         size_t n_jobs = 0;
         for (size_t s = 0; s < slots.size(); ++s) {
             const ChainSlot &slot = slots[s];
-            const Chain &chain = *slot.chain;
-            const Seed &anchor = chain.anchor();
+            const Seed &anchor = slot.chain->anchor();
             const int n = static_cast<int>(slot.read->size());
             const int qlen = left ? anchor.qbeg : n - anchor.qend();
             if (qlen <= 0)
@@ -142,12 +131,6 @@ extendChains(std::span<ChainSlot> slots, const Sequence &reference,
             // score after the left one ("the initial score must be
             // updated with the left extension score", §V-B).
             job.h0 = slot.aln.score;
-            // Band-prediction signals: the oriented read length, how much
-            // of it the chain's seeds cover, and how fragmented the chain
-            // is (junctions between seeds are where indels hide).
-            job.hint.read_len = n;
-            job.hint.chain_weight = chain.weight;
-            job.hint.n_seeds = static_cast<int>(chain.seeds.size());
             batch.slot_of[n_jobs++] = s;
         }
         if (n_jobs == 0)

@@ -10,7 +10,6 @@
 #include "aligner/chaining.h"
 #include "align/extend.h"
 #include "hw/throughput_model.h"
-#include "seedex/band_policy.h"
 #include "seedex/filter.h"
 
 namespace seedex {
@@ -28,11 +27,7 @@ class ExtensionEngine
 
     /**
      * Perform one semi-global extension of `job.query` against
-     * `job.target` with initial score `job.h0`. The job's band hint is
-     * advisory: engines that ignore it (full band, banded) are
-     * unchanged, and the SeedEx engine's output is hint-independent by
-     * the band-invariance guarantee — hints only steer where DP work is
-     * spent.
+     * `job.target` with initial score `job.h0`.
      */
     virtual ExtendResult extend(const ExtensionJob &job) = 0;
 
@@ -92,13 +87,7 @@ class BandedEngine : public ExtensionEngine
 class SeedExEngine : public ExtensionEngine
 {
   public:
-    explicit SeedExEngine(SeedExConfig config)
-        : SeedExEngine(config, BandPolicyConfig::fixed(config.band))
-    {}
-
-    SeedExEngine(SeedExConfig config, BandPolicyConfig policy)
-        : filter_(config), policy_(std::move(policy))
-    {}
+    explicit SeedExEngine(SeedExConfig config) : filter_(config) {}
 
     ExtendResult extend(const ExtensionJob &job) override;
     std::string name() const override
@@ -107,12 +96,10 @@ class SeedExEngine : public ExtensionEngine
     }
 
     const FilterStats &stats() const { return stats_; }
-    const BandPolicy &policy() const { return policy_; }
 
   private:
     SeedExFilter filter_;
     FilterStats stats_;
-    BandPolicy policy_;
 };
 
 /** One extended chain: a candidate alignment of the oriented read. */

@@ -301,7 +301,7 @@ rescueMate(const std::string &name, const Sequence &mate,
         return rec;
 
     // Extend each candidate as a single-seed chain through the engine:
-    // extendChain sends both flanks as hinted jobs, so rescue extensions
+    // extendChain sends both flanks as jobs, so rescue extensions
     // hit the same speculate-and-test filter (and the same FilterStats
     // funnel) as primary extensions.
     const uint64_t calls_before = engine.calls();

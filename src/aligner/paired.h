@@ -110,7 +110,7 @@ bool isProperPair(const SamRecord &a, const SamRecord &b,
  * mem_matesw, SeedEx-checked): exact k-mer anchors of the oriented mate
  * are collected inside the insert window implied by `anchor`, the best
  * few become single-seed chains extended via extendChain() — the same
- * driver and hinted jobs as primary extensions — so each rescue
+ * driver and jobs as primary extensions — so each rescue
  * extension gets the same full-band bit-equality acceptance proof (and
  * FilterStats funnel) as a primary extension. Returns an unmapped
  * record when no candidate clears the confidence gate.

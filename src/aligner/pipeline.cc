@@ -74,9 +74,7 @@ makeEngine(const PipelineConfig &config)
         SeedExConfig sx = config.seedex;
         sx.band = config.band;
         sx.scoring = config.extension.scoring;
-        BandPolicyConfig pol = config.band_policy;
-        pol.base_band = config.band;
-        return std::make_unique<SeedExEngine>(sx, std::move(pol));
+        return std::make_unique<SeedExEngine>(sx);
       }
     }
     return nullptr;

@@ -33,11 +33,6 @@ struct PipelineConfig
     /** Band for Banded/SeedEx engines. */
     int band = 41;
     SeedExConfig seedex;
-    /** Band-speculation policy for the SeedEx engine (fixed = the
-     *  paper's one-shot workflow). `base_band` is overridden with
-     *  `band` when the engine is built, so `--band` stays the single
-     *  knob for the speculation cap. */
-    BandPolicyConfig band_policy;
     /** Contig dictionary for SAM emission (RNAME/POS resolution); the
      *  empty default is the legacy single-contig "ref" mode. */
     ContigTable contigs;

@@ -66,37 +66,20 @@ threadedProfiles()
     return profiles;
 }
 
-/** Band-speculation policy of the consumer stage: the configured policy
- *  with the device band as its base band. */
-BandPolicyConfig
-consumerPolicyConfig(const ThreadedConfig &config)
-{
-    BandPolicyConfig cfg = config.pipeline.band_policy;
-    cfg.base_band = config.pipeline.band;
-    return cfg;
-}
-
 /**
  * Per-thread state of the consumer stage: scratch recycled across
- * batches, the band-speculation policy, and (paired mode) a SeedEx
- * rescue engine with the device's filter configuration, so rescue
- * extensions carry the identical full-band bit-equality acceptance
- * proof. Every FPGA thread owns one, and so does each seeding thread
- * from the first batch it helps with. Policy and engine state depend on
- * which batches a context happened to see; that is safe because neither
- * influences output bytes (predictions only steer which bands the ladder
- * tries, every rung re-runs the optimality checks and the final fallback
- * is the full band), so SAM bytes are policy- and schedule-independent.
+ * batches and (paired mode) a SeedEx rescue engine with the device's
+ * filter configuration, so rescue extensions carry the identical
+ * full-band bit-equality acceptance proof. Every FPGA thread owns one,
+ * and so does each seeding thread from the first batch it helps with.
  */
 struct ConsumerCtx
 {
     ConsumerCtx(const ThreadedConfig &config,
                 const SeedExConfig &filter_cfg)
-        : policy(consumerPolicyConfig(config))
     {
         if (config.paired)
-            rescue_engine = std::make_unique<SeedExEngine>(
-                filter_cfg, consumerPolicyConfig(config));
+            rescue_engine = std::make_unique<SeedExEngine>(filter_cfg);
     }
 
     /** The slab's chain table and, parallel to it, each slot's item. */
@@ -105,7 +88,6 @@ struct ConsumerCtx
     ExtensionBatch batch;
     std::vector<obs::ReadRecord> ledger_recs;
     std::vector<int> rec_of_item;
-    BandPolicy policy;
     std::unique_ptr<SeedExEngine> rescue_engine;
     /** CPU spent inside processBatch (device emulation). */
     double device_cpu = 0;
@@ -327,7 +309,7 @@ alignThreadedSource(const Sequence &reference, const ReadSource &source,
         const ExtensionSubmit to_device = [&](ExtensionBatch &b) {
             obs::TraceSpan push_span("threaded.device_push", "threaded");
             const double device_begin = threadCpuSeconds();
-            BatchResult res = device.processBatch(b.jobs, &ctx.policy);
+            BatchResult res = device.processBatch(b.jobs);
             ctx.device_cpu += threadCpuSeconds() - device_begin;
             device_cycles += res.device_cycles;
             extensions += b.jobs.size();
@@ -338,11 +320,7 @@ alignThreadedSource(const Sequence &reference, const ReadSource &source,
                     continue;
                 obs::ReadRecord &rec = ledger_recs[static_cast<size_t>(ri)];
                 ++rec.extensions;
-                // One narrow speculation per filtered ladder rung.
-                rec.kernel_calls += res.ladder_rungs[k];
-                rec.ladder_rungs += res.ladder_rungs[k];
-                if (res.band_predicted[k] > rec.band_predicted)
-                    rec.band_predicted = res.band_predicted[k];
+                ++rec.kernel_calls; // the narrow speculation
                 rec.addVerdict(ledgerVerdict(res.verdicts[k]),
                                res.edit_runs[k]);
                 if (res.rerun[k]) {

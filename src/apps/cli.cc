@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <exception>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -56,20 +57,16 @@ const char kUsage[] =
     "  --engine=NAME       fullband | banded | seedex   [seedex]\n"
     "  --band=N            band width for banded/seedex engines "
     "(SEEDEX_BAND)\n"
-    "  --band-policy=NAME  fixed | adaptive band speculation for the\n"
-    "                      seedex engine (SEEDEX_BAND_POLICY)  [fixed]\n"
-    "  --band-ladder=LIST  comma-separated ascending escalation bands\n"
-    "                      for --band-policy=adaptive "
-    "(SEEDEX_BAND_LADDER)\n"
     "  --threads=N         total worker threads (SEEDEX_THREADS); 1 =\n"
     "                      single-threaded in-process pipeline\n"
     "  --seeding-threads=N / --fpga-threads=N  explicit 3:1 split override\n"
     "  --batch=N           reads per pipeline batch (SEEDEX_BATCH)\n"
     "  --queue-cap=N       ring capacity per shard (SEEDEX_QUEUE_CAP)\n"
     "  --queue-shards=N    ring shards (SEEDEX_QUEUE_SHARDS)\n"
-    "  --kernel=NAME       scalar | sse | avx2 (SEEDEX_KERNEL)\n"
+    "  --kernel=NAME       scalar | sse | avx2 | auto (SEEDEX_KERNEL)\n"
     "  --fm-layout=NAME    naive | packed (SEEDEX_FM_LAYOUT)\n"
-    "  --kmer=K            seed k-mer table size (SEEDEX_SEED_KMER)\n"
+    "  --kmer=K            seed k-mer table size, 0-12, 0 = off\n"
+    "                      (SEEDEX_SEED_KMER)\n"
     "  --metrics-out=FILE  machine-readable run report (SEEDEX_METRICS_OUT)\n"
     "  --trace-out=FILE    Chrome trace (SEEDEX_TRACE)\n"
     "  --ledger-out=FILE   per-read provenance JSONL (SEEDEX_LEDGER_OUT)\n"
@@ -84,7 +81,8 @@ const char kUsage[] =
     "  --insert-mean=F / --insert-sd=F  fragment model      [400 / 50]\n"
     "\n"
     "index options:\n"
-    "  --kmer=K            seed k-mer table size baked at load time\n";
+    "  --kmer=K            seed k-mer table size, 0-12, 0 = off\n"
+    "  --fm-layout=NAME    naive | packed occ layout stored in the index\n";
 
 /** Parsed command line: positional operands plus --name[=value] flags
  *  (`-o FILE` is folded into flags["-o"]). */
@@ -140,6 +138,24 @@ struct Args
         return n;
     }
 
+    /** Flag value that must be one of `choices`; "" when absent. */
+    std::string
+    getChoice(const std::string &name,
+              std::initializer_list<const char *> choices) const
+    {
+        if (!has(name))
+            return {};
+        const std::string value = get(name);
+        std::string expected;
+        for (const char *c : choices) {
+            if (value == c)
+                return value;
+            expected += expected.empty() ? c : std::string("|") + c;
+        }
+        throw UsageError(name + " expects " + expected + ", got '" + value +
+                         "'");
+    }
+
     double
     getDouble(const std::string &name, double fallback) const
     {
@@ -191,13 +207,34 @@ parseArgs(int argc, char **argv, int first,
 }
 
 /** Forward a CLI flag into the env knob the subsystem reads lazily
- *  (kernel dispatch, FM layout, and the k-mer table are all resolved
- *  on first use, so setting the variable up front is equivalent). */
+ *  (kernel dispatch is resolved once per process, on first use, so
+ *  setting the variable up front is equivalent). */
 void
 exportKnob(const Args &args, const std::string &flag, const char *env)
 {
     if (args.has(flag))
         setenv(env, args.get(flag).c_str(), 1);
+}
+
+/** FM-index options: --fm-layout and --kmer, each falling back to its
+ *  environment knob (FmdIndexOptions::fromEnv) when absent. */
+FmdIndexOptions
+indexOptions(const Args &args)
+{
+    FmdIndexOptions options = FmdIndexOptions::fromEnv();
+    const std::string layout =
+        args.getChoice("--fm-layout", {"naive", "packed"});
+    if (!layout.empty())
+        options.layout =
+            layout == "naive" ? FmLayout::Naive : FmLayout::Packed;
+    if (args.has("--kmer")) {
+        const long k = args.getCount("--kmer", 0, 0);
+        if (k > 12)
+            throw UsageError("--kmer must be at most 12, got " +
+                             std::to_string(k));
+        options.kmer_k = static_cast<int>(k);
+    }
+    return options;
 }
 
 /** First whitespace-delimited token of a FASTA name: the @SQ SN: key
@@ -299,13 +336,12 @@ cmdIndex(int argc, char **argv)
         throw UsageError("index expects exactly one reference FASTA");
     if (!args.has("-o"))
         throw UsageError("index requires -o <ref.sdx>");
-    exportKnob(args, "--kmer", "SEEDEX_SEED_KMER");
-    exportKnob(args, "--fm-layout", "SEEDEX_FM_LAYOUT");
+    const FmdIndexOptions options = indexOptions(args);
 
     Reference ref = loadFasta(args.positional[0]);
     Stopwatch watch;
     watch.start();
-    const FmdIndex index(ref.seq);
+    const FmdIndex index(ref.seq, options);
     watch.stop();
     saveSdx(args.get("-o"), ref.sdx_contigs, ref.seq, index);
     std::cerr << strprintf(
@@ -326,12 +362,11 @@ cmdAlign(int argc, char **argv)
 {
     const Args args = parseArgs(
         argc, argv, 2,
-        {"--engine", "--band", "--band-policy", "--band-ladder",
-         "--threads", "--seeding-threads", "--fpga-threads", "--batch",
-         "--queue-cap", "--queue-shards", "--kernel", "--fm-layout",
-         "--kmer", "--metrics-out", "--trace-out", "--ledger-out",
-         "--ledger-sample", "--interleaved", "--insert-mean",
-         "--insert-sd", "--no-rescue"},
+        {"--engine", "--band", "--threads", "--seeding-threads",
+         "--fpga-threads", "--batch", "--queue-cap", "--queue-shards",
+         "--kernel", "--fm-layout", "--kmer", "--metrics-out",
+         "--trace-out", "--ledger-out", "--ledger-sample",
+         "--interleaved", "--insert-mean", "--insert-sd", "--no-rescue"},
         {"-o", "-1", "-2"});
 
     // Paired-end input shape: -1/-2 (two files, no reads operand) or
@@ -354,10 +389,6 @@ cmdAlign(int argc, char **argv)
          args.has("--no-rescue")))
         throw UsageError("--insert-mean/--insert-sd/--no-rescue require "
                          "paired input (-1/-2 or --interleaved)");
-    exportKnob(args, "--kernel", "SEEDEX_KERNEL");
-    exportKnob(args, "--fm-layout", "SEEDEX_FM_LAYOUT");
-    exportKnob(args, "--kmer", "SEEDEX_SEED_KMER");
-
     const std::string reads_path =
         args.has("-1") ? std::string() : args.positional[1];
 
@@ -377,36 +408,23 @@ cmdAlign(int argc, char **argv)
     // a usage error (exit 2) even when the inputs are also unreadable.
     PipelineConfig pconfig;
     pconfig.engine = parseEngine(args.get("--engine", "seedex"));
-    // Band knobs follow the CLI-wide precedence contract: an explicit
+    // The band follows the CLI-wide precedence contract: an explicit
     // flag beats the SEEDEX_* environment variable, which beats the
     // built-in default (see the README flag table).
     if (args.has("--band")) {
         pconfig.band =
-            static_cast<int>(args.getLong("--band", pconfig.band));
+            static_cast<int>(args.getCount("--band", pconfig.band, 1));
     } else if (const char *v = std::getenv("SEEDEX_BAND")) {
         char *end = nullptr;
         const long n = std::strtol(v, &end, 10);
         if (end != v && *end == '\0' && n > 0)
             pconfig.band = static_cast<int>(n);
     }
-    const std::string policy_name =
-        args.getOrEnv("--band-policy", "SEEDEX_BAND_POLICY");
-    if (!policy_name.empty()) {
-        try {
-            pconfig.band_policy.kind = parseBandPolicyKind(policy_name);
-        } catch (const std::invalid_argument &e) {
-            throw UsageError(e.what());
-        }
-    }
-    const std::string ladder_spec =
-        args.getOrEnv("--band-ladder", "SEEDEX_BAND_LADDER");
-    if (!ladder_spec.empty()) {
-        try {
-            pconfig.band_policy.ladder = parseBandLadder(ladder_spec);
-        } catch (const std::invalid_argument &e) {
-            throw UsageError(e.what());
-        }
-    }
+    // The dispatcher itself falls back silently on a name it does not
+    // know, so the flag is checked here.
+    args.getChoice("--kernel", {"scalar", "sse", "avx2", "auto"});
+    exportKnob(args, "--kernel", "SEEDEX_KERNEL");
+    const FmdIndexOptions index_options = indexOptions(args);
 
     // Threading shape: env knobs first (ThreadedConfig::applyEnv), then
     // flags override. --threads picks the paper's 3:1 split; the
@@ -467,8 +485,7 @@ cmdAlign(int argc, char **argv)
     {
         obs::TraceSpan span("index.load", "fmindex");
         load_watch.start();
-        ref = loadReference(args.positional[0],
-                            FmdIndexOptions::fromEnv());
+        ref = loadReference(args.positional[0], index_options);
         load_watch.stop();
     }
     pconfig.contigs = ref.contigs;
@@ -647,15 +664,11 @@ cmdAlign(int argc, char **argv)
             w.kv("threaded", threaded);
         });
         report.section("band_policy", [&](obs::JsonWriter &w) {
-            w.kv("kind", bandPolicyKindName(pconfig.band_policy.kind));
             w.kv("base_band", static_cast<int64_t>(pconfig.band));
-            w.kv("min_band",
-                 static_cast<int64_t>(pconfig.band_policy.min_band));
-            const obs_detail::BandPolicyCounters bp = bandPolicyCounters();
-            w.kv("predicted", bp.predicted);
-            w.kv("escalations", bp.escalations);
-            w.kv("ladder_hits", bp.ladder_hits);
-            w.kv("rerun_cells_saved", bp.rerun_cells_saved);
+            w.kv("rerun_cells_saved",
+                 obs::MetricsRegistry::global()
+                     .counter("seedex.band.rerun_cells_saved")
+                     .value());
         });
         if (threaded) {
             report.section("threaded", [&](obs::JsonWriter &w) {

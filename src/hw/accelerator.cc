@@ -45,8 +45,7 @@ deviceMetrics()
 } // namespace
 
 BatchResult
-SeedExAccelerator::processBatch(const std::vector<ExtensionJob> &jobs,
-                                BandPolicy *policy) const
+SeedExAccelerator::processBatch(const std::vector<ExtensionJob> &jobs) const
 {
     obs::TraceSpan span("device.batch", "device");
     BatchResult batch;
@@ -58,40 +57,26 @@ SeedExAccelerator::processBatch(const std::vector<ExtensionJob> &jobs,
     const SeedExConfig &cfg = filter_.config();
     SystolicBswCore bsw(cfg.band, cfg.scoring);
 
-    // Functional path: the band policy runs the speculation ladder
-    // (SeedExFilter checks at each rung, full-band host rerun as the
-    // final fallback). With no caller-owned policy this is the fixed
-    // one-shot speculation at the filter's band capped at BWA's
-    // per-flank estimate — the pre-policy device behavior, bit for bit.
-    // The policy is host-side scheduling: the device timing model below
-    // is unchanged (the hardware band is fixed; unused PEs are simply
-    // disabled).
-    BandPolicy fallback_policy(BandPolicyConfig::fixed(cfg.band));
-    BandPolicy &pol = policy != nullptr ? *policy : fallback_policy;
-
     for (size_t idx = 0; idx < jobs.size(); ++idx) {
         const ExtensionJob &job = jobs[idx];
-        const int est = estimateFullBand(
-            static_cast<int>(job.query.size()), cfg.scoring,
-            cfg.end_bonus);
-        const LadderOutcome lo = pol.extend(filter_, job.query, job.target,
-                                            job.h0, job.hint,
-                                            &batch.stats);
-        batch.verdicts.push_back(lo.verdict);
-        batch.edit_runs.push_back(lo.ran_edit_machine);
-        batch.band_predicted.push_back(lo.band_predicted);
-        batch.ladder_rungs.push_back(
-            static_cast<uint8_t>(std::min(lo.rungs_run, 255)));
+        // Functional path: the filter's speculation at its band capped
+        // at BWA's per-flank estimate, with the full-band host rerun on
+        // rejection. The device timing model below is unchanged (the
+        // hardware band is fixed; unused PEs are simply disabled).
+        const Speculation sp =
+            filter_.speculate(job.query, job.target, job.h0, &batch.stats);
+        batch.verdicts.push_back(sp.outcome.verdict);
+        batch.edit_runs.push_back(sp.outcome.ran_edit_machine);
 
         // Timing + exception path: the systolic model of the same core.
-        // When the ladder's last rung ran at the device band (always, for
-        // the fixed policy once the estimate reaches the band) its narrow
-        // result IS the core's kernel output, so only the model runs;
-        // other rungs (adaptive policy, short flanks) need the kernel at
-        // the device band first.
+        // When the speculation ran at the device band (always, once the
+        // flank's estimate reaches it) its narrow result IS the core's
+        // kernel output, so only the model runs; short flanks speculated
+        // narrower need the kernel at the device band first.
         BswCoreStats stats;
-        if (lo.narrow_band == bsw.band() && cfg.zdrop <= 0)
-            bsw.model(job.query, job.target, job.h0, lo.narrow, &stats);
+        if (sp.band == bsw.band() && cfg.zdrop <= 0)
+            bsw.model(job.query, job.target, job.h0, sp.outcome.narrow,
+                      &stats);
         else
             bsw.run(job.query, job.target, job.h0, &stats);
         // Arbiter: jobs stream to the least-loaded core (the state
@@ -101,32 +86,34 @@ SeedExAccelerator::processBatch(const std::vector<ExtensionJob> &jobs,
         *target_core += stats.cycles;
         batch.busy_cycles += stats.cycles;
 
-        if (lo.ran_edit_machine)
+        if (sp.outcome.ran_edit_machine)
             batch.edit_cycles += edit_machine_.cycles(
                 static_cast<int>(job.target.size()));
 
-        bool rerun = !lo.accepted;
+        bool rerun = !sp.accepted();
         if (stats.early_term_exception) {
             rerun = true;
             ++batch.reruns_exception;
-        } else if (!lo.accepted) {
+        } else if (!sp.accepted()) {
             ++batch.reruns_checks;
         }
         batch.rerun[idx] = rerun;
-        if (rerun && lo.accepted) {
+        if (rerun && sp.accepted()) {
             // Speculative early-termination exception on an accepted
             // extension: the device result cannot be trusted, so the
             // host recomputes at the conservatively estimated full band.
             ExtendConfig full;
             full.scoring = cfg.scoring;
-            full.band = est;
+            full.band = estimateFullBand(
+                static_cast<int>(job.query.size()), cfg.scoring,
+                cfg.end_bonus);
             full.zdrop = cfg.zdrop;
             batch.results.push_back(
                 kswExtend(job.query, job.target, job.h0, full));
         } else {
-            // Accepted rung result, or the ladder's own full-band
-            // fallback (already guaranteed-optimal).
-            batch.results.push_back(lo.result);
+            // Accepted result, or the speculation's own full-band rerun
+            // (already guaranteed-optimal).
+            batch.results.push_back(sp.result);
         }
     }
     batch.device_cycles = core_busy.empty()

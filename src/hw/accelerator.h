@@ -45,11 +45,6 @@ struct BatchResult
      *  the caller maps job -> read). */
     std::vector<Verdict> verdicts;
     std::vector<bool> edit_runs;
-    /** Per-job band-policy provenance, parallel to `results`: the
-     *  predicted first-rung band (-1 = no prediction / fixed policy)
-     *  and how many filtered ladder rungs ran (>= 1). */
-    std::vector<int32_t> band_predicted;
-    std::vector<uint8_t> ladder_rungs;
     uint64_t reruns_checks = 0;     ///< optimality checks failed
     uint64_t reruns_exception = 0;  ///< speculative early-term exception
     /** Modeled device occupancy: cycles of the busiest BSW core. */
@@ -73,7 +68,7 @@ struct BatchResult
  * arbiter / state manager), each core a hierarchy of narrow-band BSW
  * systolic machines plus an edit machine, with check logic deciding
  * accept/rerun. Functional results are bit-identical to
- * SeedExFilter::runWithRerun; the model adds device timing and the
+ * SeedExFilter::speculate; the model adds device timing and the
  * speculative early-termination exception path.
  */
 class SeedExAccelerator
@@ -87,23 +82,16 @@ class SeedExAccelerator
     /**
      * Push one batch through the device; reruns execute on the host.
      *
-     * The functional SeedEx ladder runs once per job; the timing model
-     * reuses its narrow-band result (SystolicBswCore::model) when the
-     * last rung ran at the device band and charges the edit machine its
-     * closed-form EditMachine::cycles, so no DP is computed twice.
-     * The call touches no shared mutable state (per-batch model state
-     * is local, instruments are atomic), so any number of threads may
-     * push batches concurrently; each batch's modeled cycles depend
+     * The functional SeedEx speculation runs once per job; the timing
+     * model reuses its narrow-band result (SystolicBswCore::model) when
+     * the speculation ran at the device band and charges the edit
+     * machine its closed-form EditMachine::cycles, so no DP is computed
+     * twice. The call touches no shared mutable state (per-batch model
+     * state is local, instruments are atomic), so any number of threads
+     * may push batches concurrently; each batch's modeled cycles depend
      * only on its jobs.
-     *
-     * @param policy Optional per-worker band policy driving the
-     *   speculation ladder (nullptr = the fixed one-shot policy at the
-     *   filter's configured band, the paper's workflow). The policy is
-     *   host-side scheduling state: it decides which bands to try, never
-     *   what is accepted, so results stay guaranteed-optimal either way.
      */
-    BatchResult processBatch(const std::vector<ExtensionJob> &jobs,
-                             BandPolicy *policy = nullptr) const;
+    BatchResult processBatch(const std::vector<ExtensionJob> &jobs) const;
 
     const AcceleratorOrganization &organization() const { return org_; }
     const SeedExFilter &filter() const { return filter_; }

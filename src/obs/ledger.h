@@ -60,13 +60,6 @@ struct ReadRecord
     int32_t chain_chosen = -1;
     /** SeedEx/banded band prediction (half-width); -1 = full band. */
     int32_t band = -1;
-    /** Widest per-extension band the adaptive policy predicted for this
-     *  read; -1 when no prediction was made (fixed policy / other
-     *  engines). */
-    int32_t band_predicted = -1;
-    /** Filtered ladder rungs executed across the read's extensions
-     *  (== extensions + escalations; 0 for non-SeedEx engines). */
-    uint32_t ladder_rungs = 0;
     /** Unguaranteed-path provenance: z-drop terminations and band-clip
      *  events (extension hit the capped band edge) for the banded
      *  engine, so Fig. 13-style divergence is attributable. */
@@ -131,7 +124,6 @@ struct LedgerSummary
     std::array<uint64_t, kLedgerVerdicts> verdicts{};
     uint64_t edit_machine_runs = 0;
     uint64_t reruns = 0;
-    uint64_t ladder_rungs = 0;
     uint64_t zdrops = 0;
     uint64_t band_clips = 0;
     uint64_t global_fills = 0;

@@ -42,6 +42,18 @@ verdictCounters()
     return counters;
 }
 
+/** Modeled DP cells accepted speculations saved against running the
+ *  estimated full band directly: a band of half-width w sweeps 2w+1
+ *  cells per query row (the kernel's work, align.kernel.cells; the edit
+ *  machine's fixed-cost pass is not modeled). */
+obs::Counter &
+rerunCellsSaved()
+{
+    static obs::Counter &counter = obs::MetricsRegistry::global().counter(
+        "seedex.band.rerun_cells_saved");
+    return counter;
+}
+
 } // namespace
 
 void
@@ -97,6 +109,13 @@ FilterOutcome
 SeedExFilter::run(const Sequence &query, const Sequence &target,
                   int h0) const
 {
+    return runAt(query, target, h0, config_.band);
+}
+
+FilterOutcome
+SeedExFilter::runAt(const Sequence &query, const Sequence &target, int h0,
+                    int band) const
+{
     FilterOutcome out;
     const int qlen = static_cast<int>(query.size());
 
@@ -106,12 +125,12 @@ SeedExFilter::run(const Sequence &query, const Sequence &target,
     BandEdgeTrace &trace = DpWorkspace::tls().edge_trace;
     ExtendConfig cfg;
     cfg.scoring = config_.scoring;
-    cfg.band = config_.band;
+    cfg.band = band;
     cfg.zdrop = config_.zdrop;
     cfg.edge_trace = &trace;
     out.narrow = kswExtend(query, target, h0, cfg);
 
-    out.thresholds = computeThresholds(qlen, config_.band, h0,
+    out.thresholds = computeThresholds(qlen, band, h0,
                                        config_.scoring, config_.kind);
     const int score = out.narrow.score;
 
@@ -128,7 +147,7 @@ SeedExFilter::run(const Sequence &query, const Sequence &target,
         return eScoreBound(trace, qlen, config_.scoring.match);
     };
     auto computeEdit = [&] {
-        return editCheck(query, target, config_.band, h0, config_.scoring);
+        return editCheck(query, target, band, h0, config_.scoring);
     };
 
     Verdict verdict;
@@ -195,23 +214,36 @@ SeedExFilter::run(const Sequence &query, const Sequence &target,
     return out;
 }
 
-ExtendResult
-SeedExFilter::runWithRerun(const Sequence &query, const Sequence &target,
-                           int h0, FilterStats *stats) const
+Speculation
+SeedExFilter::speculate(const Sequence &query, const Sequence &target,
+                        int h0, FilterStats *stats) const
 {
-    FilterOutcome outcome = run(query, target, h0);
+    obs::Counter &cells_saved = rerunCellsSaved();
+    const int qlen = static_cast<int>(query.size());
+    const int est =
+        estimateFullBand(qlen, config_.scoring, config_.end_bonus);
+    Speculation s;
+    // BWA caps the band at the estimate, beyond which wider bands
+    // change nothing.
+    s.band = std::min(config_.band, est);
+    s.outcome = runAt(query, target, h0, s.band);
     if (stats)
-        stats->add(outcome);
-    if (outcome.isAccepted())
-        return outcome.narrow;
+        stats->add(s.outcome);
+    if (s.accepted()) {
+        s.result = s.outcome.narrow;
+        if (s.band < est)
+            cells_saved.inc(static_cast<uint64_t>(qlen) * 2 *
+                            static_cast<uint64_t>(est - s.band));
+        return s;
+    }
 
     // Host rerun with BWA-MEM's conservatively estimated full band.
     ExtendConfig cfg;
     cfg.scoring = config_.scoring;
-    cfg.band = estimateFullBand(static_cast<int>(query.size()),
-                                config_.scoring, config_.end_bonus);
+    cfg.band = est;
     cfg.zdrop = config_.zdrop;
-    return kswExtend(query, target, h0, cfg);
+    s.result = kswExtend(query, target, h0, cfg);
+    return s;
 }
 
 } // namespace seedex

@@ -124,13 +124,30 @@ struct FilterStats
     double thresholdPassRate() const;
 };
 
+/** One extension through the whole Fig. 6 workflow. */
+struct Speculation
+{
+    /** The guaranteed full-band-optimal result: the narrow result when
+     *  the checks accept it, else the host rerun at the estimated full
+     *  band. */
+    ExtendResult result;
+    /** The narrow-band speculation and its verdict (the one outcome
+     *  FilterStats saw). */
+    FilterOutcome outcome;
+    /** Band the speculation ran at: the configured band capped at
+     *  BWA's per-extension estimate. */
+    int band = 0;
+
+    bool accepted() const { return outcome.isAccepted(); }
+};
+
 /**
  * The SeedEx speculation-and-test filter (§III, Fig. 6).
  *
- * run() speculatively executes the narrow-band kernel and applies the
- * optimality checks; the caller reruns rejected extensions with the full
- * band (runWithRerun() does both and is guaranteed to return the
- * full-band-optimal result).
+ * run() speculatively executes the narrow-band kernel at the configured
+ * band and applies the optimality checks; speculate() is the whole
+ * workflow every engine uses, and is guaranteed to return the
+ * full-band-optimal result.
  */
 class SeedExFilter
 {
@@ -139,20 +156,28 @@ class SeedExFilter
 
     const SeedExConfig &config() const { return config_; }
 
-    /** Speculate on the narrow band and test optimality. */
+    /** Speculate on the configured band and test optimality. */
     FilterOutcome run(const Sequence &query, const Sequence &target,
                       int h0) const;
 
     /**
-     * Full workflow: speculate, test, and rerun on failure with the
-     * full band estimated by BWA-MEM's formula (host path in Fig. 6).
+     * Full workflow: speculate at min(configured band, BWA's estimate),
+     * test, and on rejection rerun at the estimated full band (host
+     * path in Fig. 6). Acceptance at any band up to the estimate proves
+     * full-band bit-equality (narrow <= estimated <= unbanded), so the
+     * cap changes only the DP work spent. Accepted speculations below
+     * the estimate add the modeled cells they saved to
+     * `seedex.band.rerun_cells_saved`.
      *
-     * @param stats Optional counters to accumulate into.
+     * @param stats Optional counters; receive exactly one outcome.
      */
-    ExtendResult runWithRerun(const Sequence &query, const Sequence &target,
-                              int h0, FilterStats *stats = nullptr) const;
+    Speculation speculate(const Sequence &query, const Sequence &target,
+                          int h0, FilterStats *stats = nullptr) const;
 
   private:
+    FilterOutcome runAt(const Sequence &query, const Sequence &target,
+                        int h0, int band) const;
+
     SeedExConfig config_;
 };
 

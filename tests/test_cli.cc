@@ -526,6 +526,19 @@ TEST(CliErrors, UsageErrorsExitTwo)
           "--queue-shards=-1"})
         EXPECT_EQ(cli({"seedex", "align", "a", "b", "--threads=4", bad}), 2)
             << bad;
+    // So are the band and the seeding and kernel choices, on either
+    // path, and the index options of `seedex index`.
+    for (const char *threads : {"--threads=1", "--threads=4"})
+        for (const char *bad :
+             {"--band=0", "--band=-1", "--kmer=abc", "--kmer=-5",
+              "--kmer=99", "--fm-layout=bogus", "--kernel=bogus"})
+            EXPECT_EQ(cli({"seedex", "align", "a", "b", threads, bad}), 2)
+                << threads << " " << bad;
+    for (const char *bad :
+         {"--kmer=abc", "--kmer=-5", "--kmer=99", "--fm-layout=bogus"})
+        EXPECT_EQ(cli({"seedex", "index", "ref.fa", "-o", "ref.sdx", bad}),
+                  2)
+            << bad;
     EXPECT_EQ(cli({"seedex", "--version"}), 0);
     EXPECT_EQ(cli({"seedex", "--help"}), 0);
 }
@@ -668,35 +681,6 @@ TEST_F(CliPrecedence, BandFlagBeatsEnv)
               "21");
 }
 
-TEST_F(CliPrecedence, BandPolicyFlagBeatsEnv)
-{
-    ScopedEnv env("SEEDEX_BAND_POLICY", "adaptive");
-    EXPECT_EQ(jsonValue(alignReport("pol_env", {}), "kind"), "adaptive");
-    EXPECT_EQ(jsonValue(alignReport("pol_flag", {"--band-policy=fixed"}),
-                        "kind"),
-              "fixed");
-}
-
-TEST_F(CliPrecedence, BadPolicyValuesAreUsageErrors)
-{
-    const Workload w = buildWorkload("badpol", 3);
-    const std::string out = tempPath("badpol.sam");
-    EXPECT_EQ(cli({"seedex", "align", w.fasta_path, w.fastq_path, "-o",
-                   out, "--band-policy=greedy"}),
-              2);
-    EXPECT_EQ(cli({"seedex", "align", w.fasta_path, w.fastq_path, "-o",
-                   out, "--band-ladder=19,9"}),
-              2);
-    EXPECT_EQ(cli({"seedex", "align", w.fasta_path, w.fastq_path, "-o",
-                   out, "--band-ladder=banana"}),
-              2);
-    // A well-formed adaptive run with an explicit ladder is accepted.
-    EXPECT_EQ(cli({"seedex", "align", w.fasta_path, w.fastq_path, "-o",
-                   out, "--band-policy=adaptive",
-                   "--band-ladder=11,23,41"}),
-              0);
-}
-
 // ---- --kmer with a prebuilt index --------------------------------------
 
 /** SAM text without its @PG line (which records the command line). */
@@ -713,7 +697,7 @@ samWithoutPg(const std::string &path)
 
 TEST(CliKmer, SdxHonoursKmerFlag)
 {
-    // The flag is exported to SEEDEX_SEED_KMER; restore it afterwards.
+    // The default run must not inherit a SEEDEX_SEED_KMER setting.
     ScopedEnv env("SEEDEX_SEED_KMER", "");
     const Workload w = buildWorkload("kmer", 200);
     const std::string sdx = tempPath("kmer.sdx");

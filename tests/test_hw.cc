@@ -14,7 +14,6 @@
 #include "hw/edit_machine.h"
 #include "hw/systolic.h"
 #include "hw/throughput_model.h"
-#include "seedex/band_policy.h"
 #include "util/rng.h"
 
 namespace seedex {
@@ -267,10 +266,6 @@ fuzzJob(Rng &rng, int w)
     job.target = Sequence(std::vector<Base>(
         src.begin(), src.begin() + static_cast<long>(tlen)));
     job.h0 = static_cast<int>(rng.range(1, 60));
-    job.hint.read_len = qlen + static_cast<int>(rng.pick(40));
-    job.hint.chain_weight = static_cast<int>(rng.pick(
-        static_cast<size_t>(job.hint.read_len) + 1));
-    job.hint.n_seeds = 1 + static_cast<int>(rng.pick(4));
     return job;
 }
 
@@ -332,45 +327,34 @@ TEST(EditMachine, CyclesClosedFormEqualsRun)
     }
 }
 
-TEST(LadderOutcome, NarrowBandIsLastRungRun)
+TEST(SpeculatedBand, CappedAtEstimateAndReplayable)
 {
     Rng rng(99);
     const SeedExFilter filter{SeedExConfig{}};
     const int w = filter.config().band;
-    for (const bool adaptive : {false, true}) {
-        BandPolicy policy(adaptive ? BandPolicyConfig::adaptive(w)
-                                   : BandPolicyConfig::fixed(w));
-        int escalated = 0;
-        for (int i = 0; i < 400; ++i) {
-            const ExtensionJob job = fuzzJob(rng, w);
-            const int est = estimateFullBand(
-                static_cast<int>(job.query.size()),
-                filter.config().scoring, filter.config().end_bonus);
-            const LadderOutcome lo =
-                policy.extend(filter, job.query, job.target, job.h0,
-                              job.hint, nullptr);
-            ASSERT_GE(lo.rungs_run, 1);
-            EXPECT_LE(lo.narrow_band, std::min(w, est));
-            if (!adaptive || lo.rungs_run == 1)
-                EXPECT_EQ(lo.narrow_band,
-                          adaptive ? std::min(lo.band_predicted, est)
-                                   : std::min(w, est))
-                    << i;
-            escalated += lo.rungs_run > 1;
-            // Replaying one filter rung at narrow_band reproduces the
-            // ladder's final verdict and narrow result.
-            SeedExConfig rung = filter.config();
-            rung.band = lo.narrow_band;
-            const FilterOutcome replay =
-                SeedExFilter(rung).run(job.query, job.target, job.h0);
-            EXPECT_EQ(replay.narrow, lo.narrow) << i;
-            EXPECT_EQ(replay.verdict, lo.verdict) << i;
-            if (lo.accepted)
-                EXPECT_EQ(lo.result, lo.narrow) << i;
+    int capped = 0;
+    for (int i = 0; i < 400; ++i) {
+        const ExtensionJob job = fuzzJob(rng, w);
+        const int est = estimateFullBand(
+            static_cast<int>(job.query.size()), filter.config().scoring,
+            filter.config().end_bonus);
+        const Speculation sp =
+            filter.speculate(job.query, job.target, job.h0, nullptr);
+        EXPECT_EQ(sp.band, std::min(w, est)) << i;
+        capped += sp.band < w;
+        // Replaying one filter run at the returned band reproduces the
+        // speculation's verdict and narrow result.
+        SeedExConfig at_band = filter.config();
+        at_band.band = sp.band;
+        const FilterOutcome replay =
+            SeedExFilter(at_band).run(job.query, job.target, job.h0);
+        EXPECT_EQ(replay.narrow, sp.outcome.narrow) << i;
+        EXPECT_EQ(replay.verdict, sp.outcome.verdict) << i;
+        if (sp.accepted()) {
+            EXPECT_EQ(sp.result, sp.outcome.narrow) << i;
         }
-        if (adaptive)
-            EXPECT_GT(escalated, 0) << "no adaptive job climbed the ladder";
     }
+    EXPECT_GT(capped, 0) << "no job's estimate fell below the band";
 }
 
 // -------------------------------------------------------------- AreaModel
@@ -607,10 +591,10 @@ TEST(Accelerator, DeviceCyclesBalancedAcrossCores)
 
 TEST(Accelerator, ModelReuseMatchesReplayedModel)
 {
-    // processBatch feeds the ladder's narrow result to the systolic model
-    // and charges the edit machine in closed form; replaying the model
-    // the long way (a second kernel run per job, a full edit-machine run)
-    // must give the same device counters, for either policy.
+    // processBatch feeds the speculation's narrow result to the systolic
+    // model and charges the edit machine in closed form; replaying the
+    // model the long way (a second kernel run per job, a full
+    // edit-machine run) must give the same device counters.
     Rng rng(103);
     const SeedExConfig cfg;
     const SeedExAccelerator device({}, cfg);
@@ -619,46 +603,36 @@ TEST(Accelerator, ModelReuseMatchesReplayedModel)
     std::vector<ExtensionJob> jobs;
     for (int i = 0; i < 300; ++i)
         jobs.push_back(fuzzJob(rng, cfg.band));
-    for (const bool adaptive : {false, true}) {
-        const BandPolicyConfig pcfg = adaptive
-            ? BandPolicyConfig::adaptive(cfg.band)
-            : BandPolicyConfig::fixed(cfg.band);
-        BandPolicy policy(pcfg), replay_policy(pcfg);
-        const BatchResult batch = device.processBatch(jobs, &policy);
+    const BatchResult batch = device.processBatch(jobs);
 
-        std::vector<uint64_t> core_busy(
-            static_cast<size_t>(device.organization().totalBswCores()), 0);
-        uint64_t busy = 0, edit_cycles = 0, exceptions = 0, checks = 0;
-        for (const ExtensionJob &job : jobs) {
-            const LadderOutcome lo =
-                replay_policy.extend(device.filter(), job.query,
-                                     job.target, job.h0, job.hint, nullptr);
-            BswCoreStats stats;
-            bsw.run(job.query, job.target, job.h0, &stats);
-            *std::min_element(core_busy.begin(), core_busy.end()) +=
-                stats.cycles;
-            busy += stats.cycles;
-            if (lo.ran_edit_machine) {
-                EditMachineStats estats;
-                edit.run(job.query, job.target, job.h0, cfg.scoring,
-                         &estats);
-                edit_cycles += estats.cycles;
-            }
-            if (stats.early_term_exception)
-                ++exceptions;
-            else if (!lo.accepted)
-                ++checks;
+    std::vector<uint64_t> core_busy(
+        static_cast<size_t>(device.organization().totalBswCores()), 0);
+    uint64_t busy = 0, edit_cycles = 0, exceptions = 0, checks = 0;
+    for (const ExtensionJob &job : jobs) {
+        const Speculation sp = device.filter().speculate(
+            job.query, job.target, job.h0, nullptr);
+        BswCoreStats stats;
+        bsw.run(job.query, job.target, job.h0, &stats);
+        *std::min_element(core_busy.begin(), core_busy.end()) +=
+            stats.cycles;
+        busy += stats.cycles;
+        if (sp.outcome.ran_edit_machine) {
+            EditMachineStats estats;
+            edit.run(job.query, job.target, job.h0, cfg.scoring, &estats);
+            edit_cycles += estats.cycles;
         }
-        EXPECT_EQ(batch.busy_cycles, busy) << "adaptive=" << adaptive;
-        EXPECT_EQ(batch.device_cycles,
-                  *std::max_element(core_busy.begin(), core_busy.end()))
-            << "adaptive=" << adaptive;
-        EXPECT_EQ(batch.edit_cycles, edit_cycles) << "adaptive=" << adaptive;
-        EXPECT_GT(edit_cycles, 0u);
-        EXPECT_EQ(batch.reruns_exception, exceptions)
-            << "adaptive=" << adaptive;
-        EXPECT_EQ(batch.reruns_checks, checks) << "adaptive=" << adaptive;
+        if (stats.early_term_exception)
+            ++exceptions;
+        else if (!sp.accepted())
+            ++checks;
     }
+    EXPECT_EQ(batch.busy_cycles, busy);
+    EXPECT_EQ(batch.device_cycles,
+              *std::max_element(core_busy.begin(), core_busy.end()));
+    EXPECT_EQ(batch.edit_cycles, edit_cycles);
+    EXPECT_GT(edit_cycles, 0u);
+    EXPECT_EQ(batch.reruns_exception, exceptions);
+    EXPECT_EQ(batch.reruns_checks, checks);
 }
 
 // ---------------------------------------------------------------- PeArray

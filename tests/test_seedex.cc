@@ -331,8 +331,8 @@ TEST_P(OptimalityProperty, RerunWorkflowAlwaysOptimalScore)
     const SeedExFilter filter(cfg);
     FilterStats stats;
     for (const auto &job : makeJobs(p.seed + 200, 40)) {
-        const ExtendResult final_res = filter.runWithRerun(
-            job.query, job.target, job.h0, &stats);
+        const ExtendResult final_res =
+            filter.speculate(job.query, job.target, job.h0, &stats).result;
         EXPECT_EQ(final_res.score, job.truth.score);
         EXPECT_EQ(final_res.qle, job.truth.qle);
         EXPECT_EQ(final_res.tle, job.truth.tle);
@@ -421,7 +421,7 @@ TEST(Filter, OutputInvariantAcrossBands)
             SeedExConfig cfg;
             cfg.band = band;
             const ExtendResult r =
-                SeedExFilter(cfg).runWithRerun(q, t, 30);
+                SeedExFilter(cfg).speculate(q, t, 30).result;
             if (!have_first) {
                 first = r;
                 have_first = true;

@@ -11,7 +11,7 @@
  * 8-producer/8-consumer stress run over >= 5k reads asserting
  * bit-identical, in-input-order output vs the single-threaded pipeline,
  * and the help path (backlogged seeding threads running the consumer
- * stage) under every feed, pairing and band-policy mode.
+ * stage) under every feed and pairing mode.
  */
 #include <gtest/gtest.h>
 
@@ -410,32 +410,26 @@ class ThreadedHelp : public ::testing::Test
         ref_ = generateReference(params, rng);
     }
 
-    /** Schedule-independent under any band policy: the job set, each
-     *  batch's composition, and per-job timing/exception do not depend
-     *  on predictor state. */
+    /** Schedule-independent instruments: the job set, each batch's
+     *  composition, and every job's verdict and timing depend only on
+     *  the input. */
     static std::vector<std::string>
     invariantCounters()
     {
-        return {"threaded.extensions", "filter.verdict.total",
-                "device.cycles.critical", "device.cycles.busy",
-                "device.rerun.exception"};
-    }
-
-    /** Verdict-derived instruments: schedule-independent for the fixed
-     *  policy only (an adaptive ladder's rungs follow per-thread
-     *  predictor state, which depends on batch interleaving). */
-    static std::vector<std::string>
-    verdictCounters()
-    {
-        return {"threaded.reruns",
-                "device.rerun.checks",
-                "device.cycles.edit",
+        return {"threaded.extensions",
+                "threaded.reruns",
+                "filter.verdict.total",
                 "filter.verdict.pass_s2",
                 "filter.verdict.pass_checks",
                 "filter.verdict.fail_s1",
                 "filter.verdict.fail_e_score",
                 "filter.verdict.fail_edit_check",
-                "filter.verdict.fail_gscore_guard"};
+                "filter.verdict.fail_gscore_guard",
+                "device.cycles.critical",
+                "device.cycles.busy",
+                "device.cycles.edit",
+                "device.rerun.exception",
+                "device.rerun.checks"};
     }
 
     struct Run
@@ -457,9 +451,7 @@ class ThreadedHelp : public ::testing::Test
         config.fpga_threads = 1;
         config.queue_capacity = backlog ? 1 : 8;
         config.queue_shards = 0;
-        std::vector<std::string> names = invariantCounters();
-        for (const std::string &n : verdictCounters())
-            names.push_back(n);
+        const std::vector<std::string> names = invariantCounters();
         std::map<std::string, uint64_t> before;
         for (const std::string &n : names)
             before[n] = obs::MetricsRegistry::global().counter(n).value();
@@ -485,7 +477,7 @@ class ThreadedHelp : public ::testing::Test
     void
     checkWall(const std::vector<std::pair<std::string, Sequence>> &reads,
               const ThreadedConfig &config,
-              const std::vector<std::string> &expect, bool fixed_policy)
+              const std::vector<std::string> &expect)
     {
         const Run serial = run(reads, config, /*backlog=*/false);
         const Run helped = run(reads, config, /*backlog=*/true);
@@ -502,11 +494,6 @@ class ThreadedHelp : public ::testing::Test
         for (const std::string &n : invariantCounters())
             EXPECT_EQ(helped.counters.at(n), serial.counters.at(n)) << n;
         EXPECT_GT(helped.counters.at("threaded.extensions"), 0u);
-        if (fixed_policy) {
-            for (const std::string &n : verdictCounters())
-                EXPECT_EQ(helped.counters.at(n), serial.counters.at(n))
-                    << n;
-        }
     }
 
     std::vector<std::pair<std::string, Sequence>>
@@ -538,16 +525,7 @@ class ThreadedHelp : public ::testing::Test
 TEST_F(ThreadedHelp, SourceFeedHelpsWithoutChangingBytesOrCounters)
 {
     const auto reads = singleReads(800, 425);
-    checkWall(reads, ThreadedConfig{}, alignerOracle(reads),
-              /*fixed_policy=*/true);
-}
-
-TEST_F(ThreadedHelp, AdaptivePolicyHelpsWithoutChangingBytes)
-{
-    const auto reads = singleReads(800, 427);
-    ThreadedConfig config;
-    config.pipeline.band_policy.kind = BandPolicyKind::Adaptive;
-    checkWall(reads, config, alignerOracle(reads), /*fixed_policy=*/false);
+    checkWall(reads, ThreadedConfig{}, alignerOracle(reads));
 }
 
 TEST_F(ThreadedHelp, PairedModeHelpsWithoutChangingBytesOrCounters)
@@ -579,7 +557,7 @@ TEST_F(ThreadedHelp, PairedModeHelpsWithoutChangingBytesOrCounters)
     ThreadedConfig config;
     config.paired = true;
     config.insert = oconfig.insert;
-    checkWall(reads, config, expect, /*fixed_policy=*/true);
+    checkWall(reads, config, expect);
 }
 
 // ---------------------------------------------------------- Environment

@@ -8,11 +8,7 @@
 # the BENCH_seed.json sweep; then runs the thread-scaling bench and
 # validates the threaded.* instruments (including the wakeup-audit
 # invariant wakeups <= publishes + claims), the run report's `threading`
-# section, and the BENCH_threads.json sweep; then runs the band-policy
-# bench and validates the seedex.band.* instruments, their
-# reconciliation with the filter verdict counters, the run report's
-# `band_policy` section, and the BENCH_band.json sweep (including the
-# bit-identity self-gate and the cells-saved headline); finally runs the
+# section, and the BENCH_threads.json sweep; finally runs the
 # CLI paired-end path (simulate --paired with shredded rescue-bait
 # mates, threaded align -1/-2) and validates the `paired` report
 # section, the run section's load_seconds, the seedex.paired.*
@@ -39,15 +35,12 @@ SEED_METRICS="$OUT_DIR/seed_metrics.json"
 SEED_SWEEP="$OUT_DIR/BENCH_seed.json"
 THREADS_METRICS="$OUT_DIR/threads_metrics.json"
 THREADS_SWEEP="$OUT_DIR/BENCH_threads.json"
-BAND_BENCH="$BUILD_DIR/bench/bench_band"
-BAND_METRICS="$OUT_DIR/band_metrics.json"
-BAND_SWEEP="$OUT_DIR/BENCH_band.json"
 SEEDEX_CLI="$BUILD_DIR/src/apps/seedex"
 PAIRED_METRICS="$OUT_DIR/paired_metrics.json"
 PAIRED_LEDGER="$OUT_DIR/paired_ledger.jsonl"
 
 for bin in "$BENCH" "$KERNEL_BENCH" "$SEED_BENCH" "$THREADS_BENCH" \
-           "$BAND_BENCH" "$SEEDEX_CLI"; do
+           "$SEEDEX_CLI"; do
     if [[ ! -x "$bin" ]]; then
         echo "check_metrics: $bin not built (run: cmake -B $BUILD_DIR -S . && cmake --build $BUILD_DIR -j)" >&2
         exit 1
@@ -124,15 +117,10 @@ indexes = [r["read"] for r in records]
 assert len(set(indexes)) == len(indexes), "duplicate read indexes"
 for r in records:
     for field in ("read", "name", "seeds", "chains", "chain", "band",
-                  "band_predicted", "band_used", "kernel_calls",
-                  "extensions", "verdicts", "reruns", "ladder_rungs",
-                  "zdrops", "band_clips", "score", "mapped", "kernel"):
+                  "band_used", "kernel_calls", "extensions", "verdicts",
+                  "reruns", "zdrops", "band_clips", "score", "mapped",
+                  "kernel"):
         assert field in r, f"ledger record missing {field!r}"
-# Ladder accounting under the default fixed policy: exactly one filtered
-# rung per extension and no predictions.
-assert sum(r["ladder_rungs"] for r in records) == \
-    sum(r["extensions"] for r in records)
-assert all(r["band_predicted"] == -1 for r in records)
 for key in ledger_keys:
     tallied = sum(r["verdicts"][key] for r in records)
     assert tallied == flt[key], (key, tallied, flt[key])
@@ -397,88 +385,6 @@ print(f"ok: queue publishes={queue['publishes']} "
       f"reorder retired={reorder['retired']}; "
       f"{len(cells)} sweep cells, "
       f"modeled 8t speedup={sweep['modeled_speedup_8t']:.2f}x")
-EOF
-
-echo "== running $BAND_BENCH --quick --metrics-out=$BAND_METRICS"
-"$BAND_BENCH" --quick "--out=$BAND_SWEEP" \
-    "--metrics-out=$BAND_METRICS" > /dev/null
-
-[[ -s "$BAND_METRICS" ]] || { echo "FAIL: band metrics missing/empty" >&2; exit 1; }
-[[ -s "$BAND_SWEEP" ]] || { echo "FAIL: band sweep missing/empty" >&2; exit 1; }
-
-echo "== band-policy instrument checks (python json)"
-python3 - "$BAND_METRICS" "$BAND_SWEEP" <<'EOF'
-import json, sys
-
-with open(sys.argv[1]) as f:
-    report = json.load(f)
-
-assert report["schema"] == "seedex.run_report/v1", report["schema"]
-assert report["bench"] == "bench_band"
-
-# --- The `band_policy` section: configuration + ladder telemetry.
-bp = report["band_policy"]
-assert bp["kind"] in ("fixed", "adaptive"), bp["kind"]
-assert bp["base_band"] >= bp["min_band"] >= 1, bp
-assert bp["ewma_shift"] >= 0 and bp["headroom"] >= 0
-assert isinstance(bp["ladder"], list)
-for field in ("predicted", "escalations", "ladder_hits",
-              "rerun_cells_saved"):
-    assert bp[field] >= 0, field
-
-counters = report["metrics"]["counters"]
-for name in ("seedex.band.predicted", "seedex.band.escalations",
-             "seedex.band.ladder_hits", "seedex.band.rerun_cells_saved"):
-    assert name in counters, f"missing counter {name}"
-predicted = counters["seedex.band.predicted"]
-escalations = counters["seedex.band.escalations"]
-hits = counters["seedex.band.ladder_hits"]
-assert predicted > 0, "adaptive cells never predicted a band"
-assert escalations > 0, "the sweep never escalated (workload too easy?)"
-assert counters["seedex.band.rerun_cells_saved"] > 0
-
-# --- Reconciliation with the filter verdict funnel. The sweep runs the
-# same deterministic workload once per policy, so the adaptive runs
-# account for exactly half of all filtered extensions...
-total = counters["filter.verdict.total"]
-assert total == 2 * predicted, (total, predicted)
-# ...and every accepted extension — fixed or adaptive — was a ladder hit
-# (exactly one verdict per extension reaches the funnel; acceptance at
-# any rung is a hit).
-passes = (counters["filter.verdict.pass_s2"] +
-          counters["filter.verdict.pass_checks"])
-assert hits == passes, (hits, passes)
-
-# --- Sweep document: bit-identity self-gate and the savings headline.
-with open(sys.argv[2]) as f:
-    sweep = json.load(f)
-assert sweep["schema"] == "seedex.bench_sweep/v1", sweep.get("schema")
-assert sweep["bench"] == "bench_band"
-cells = sweep["cells"]
-assert cells, "empty band sweep"
-by_key = {}
-for cell in cells:
-    assert cell["policy"] in ("fixed", "adaptive"), cell
-    assert cell["identical_to_fullband"] is True, cell
-    assert cell["cells_per_read"] > 0
-    by_key[(cell["error_pct"], cell["read_len"], cell["policy"])] = cell
-assert sweep["all_identical"] is True
-# The tentpole claim, gated: fewer DP cells at >= 2% error, and no
-# regression at the clean 0.5% operating point.
-assert sweep["cells_ratio_2pct"] > 1.0, sweep["cells_ratio_2pct"]
-assert sweep["cells_ratio_low_error"] >= 1.0, \
-    sweep["cells_ratio_low_error"]
-fixed_2 = by_key[(2.0, 101, "fixed")]
-adaptive_2 = by_key[(2.0, 101, "adaptive")]
-assert adaptive_2["cells_per_read"] < fixed_2["cells_per_read"]
-assert adaptive_2["escalations"] > 0
-assert adaptive_2["cells_saved_modeled"] > 0
-
-print(f"ok: band predicted={predicted} escalations={escalations} "
-      f"ladder_hits={hits} == filter passes={passes}; "
-      f"{len(cells)} sweep cells, "
-      f"cells ratio {sweep['cells_ratio_2pct']:.2f}x @2% / "
-      f"{sweep['cells_ratio_low_error']:.2f}x @0.5%")
 EOF
 
 echo "== running $SEEDEX_CLI paired-end pipeline (4 threads)"
