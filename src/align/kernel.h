@@ -17,12 +17,13 @@ namespace seedex {
  * Each tier is a separately compiled translation unit (kernel_sse.cc,
  * kernel_avx2.cc) built with the matching -m flags; the dispatcher picks
  * the widest tier the host CPU supports at first use, overridable with
- * `SEEDEX_KERNEL=scalar|sse|avx2` for debugging. Every tier is
- * bit-exact with the scalar reference on all ExtendResult fields AND on
- * the band-edge E trace the SeedEx optimality checks consume — the
- * speculation-and-test guarantee (PAPER.md §3) is defined against exact
- * DP values, so a vector kernel that is merely "close" would corrupt
- * the accept/rerun decision.
+ * `SEEDEX_KERNEL=scalar|sse|avx2` (or `--kernel`). The same tier runs
+ * the banded extension, the banded-global fill and the device model's
+ * speculation sweep. Every tier is bit-exact with the scalar reference
+ * on all ExtendResult fields AND on the band-edge E trace the SeedEx
+ * optimality checks consume — the speculation-and-test guarantee
+ * (PAPER.md §3) is defined against exact DP values, so a vector kernel
+ * that is merely "close" would corrupt the accept/rerun decision.
  */
 enum class KernelIsa : int
 {
@@ -58,6 +59,27 @@ ExtendResult bandedExtend(const Sequence &query, const Sequence &target,
  *  (`align.kernel.*`). This is what kswExtend forwards to. */
 ExtendResult bandedExtend(const Sequence &query, const Sequence &target,
                           int h0, const ExtendConfig &config);
+
+/**
+ * Speculative row-termination check of the systolic BSW array (§IV-A;
+ * the exception flag of SystolicBswCore::model) on a specific tier.
+ * Sweeps the whole, untrimmed band of half-width `band` row by row and
+ * returns true at the first row whose live cells (H > 0) the array's
+ * two-dead-cells terminator would have cut short: two consecutive dead
+ * cells after the row's first live cell past the progressive-init
+ * island, followed by another live cell. Vector tiers escape to the
+ * scalar int32 sweep above the int16 guard and for band rows wider
+ * than they take, so the answer is identical on every tier. Scratch
+ * memory comes from the calling thread's DpWorkspace.
+ */
+bool speculationException(const Sequence &query, const Sequence &target,
+                          int h0, const Scoring &scoring, int band,
+                          KernelIsa isa);
+
+/** speculationException on the dispatched tier (no `align.kernel.*`
+ *  instruments: the sweep models the device, it is not host DP). */
+bool speculationException(const Sequence &query, const Sequence &target,
+                          int h0, const Scoring &scoring, int band);
 
 /** Backpointer codes of the Gotoh grids (shared by the banded fill
  *  tiers here and the full grid / tracebacks in align/dp.cc). */
@@ -112,6 +134,18 @@ bool extendSse(const Sequence &query, const Sequence &target, int h0,
 bool extendAvx2(const Sequence &query, const Sequence &target, int h0,
                 const ExtendConfig &config, DpWorkspace &ws,
                 ExtendResult &out);
+
+/** Scalar speculation sweep: the reference tier. The vector tiers
+ *  return false when they do not take the job (int16 guard, row width)
+ *  and leave `exception` untouched. */
+bool speculationScalar(const Sequence &query, const Sequence &target,
+                       int h0, const Scoring &s, int w, DpWorkspace &ws);
+bool speculationSse(const Sequence &query, const Sequence &target, int h0,
+                    const Scoring &scoring, int band, DpWorkspace &ws,
+                    bool &exception);
+bool speculationAvx2(const Sequence &query, const Sequence &target, int h0,
+                     const Scoring &scoring, int band, DpWorkspace &ws,
+                     bool &exception);
 
 GotohFill gotohFillScalar(const Sequence &query, const Sequence &target,
                           const Scoring &scoring, int band,

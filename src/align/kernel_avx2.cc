@@ -46,6 +46,14 @@ struct Avx2Traits
         return _mm256_blendv_epi8(b, a, mask);
     }
     static int movemask(vec v) { return _mm256_movemask_epi8(v); }
+    /** One bit per lane of a lane mask (all-ones/all-zeros lanes). */
+    static uint32_t
+    laneMask(vec mask)
+    {
+        return static_cast<uint32_t>(_mm_movemask_epi8(
+            _mm_packs_epi16(_mm256_castsi256_si128(mask),
+                            _mm256_extracti128_si256(mask, 1))));
+    }
     /**
      * Lane k <- lane k-N, zeros (the biased minimum) shifted in. AVX2
      * byte shifts do not cross the 128-bit boundary, so the low half is
@@ -111,6 +119,15 @@ extendAvx2(const Sequence &query, const Sequence &target, int h0,
            const ExtendConfig &config, DpWorkspace &ws, ExtendResult &out)
 {
     return extendSimd<Avx2Traits>(query, target, h0, config, ws, out);
+}
+
+bool
+speculationAvx2(const Sequence &query, const Sequence &target, int h0,
+                const Scoring &scoring, int band, DpWorkspace &ws,
+                bool &exception)
+{
+    return speculationSimd<Avx2Traits>(query, target, h0, scoring, band,
+                                       ws, exception);
 }
 
 bool

@@ -87,6 +87,59 @@ decayU16(int64_t k, int64_t ge)
     return static_cast<uint16_t>(std::min<int64_t>(d, 65535));
 }
 
+/**
+ * The F-channel max-plus prefix scan of one block of lanes (see the
+ * file comment), shared by every row loop of the vector tiers. Runs in
+ * the biased-unsigned domain; inputs and outputs are plain int16.
+ */
+template <class TR>
+class InsertionScan
+{
+    using vec = typename TR::vec;
+    static constexpr int V = TR::kLanes;
+
+  public:
+    explicit InsertionScan(int64_t ge_ins)
+        : ge1_(TR::set1u(decayU16(1, ge_ins))),
+          ge2_(TR::set1u(decayU16(2, ge_ins))),
+          ge4_(TR::set1u(decayU16(4, ge_ins))),
+          ge8_(TR::set1u(decayU16(8, ge_ins))), // AVX2 only
+          bias_(TR::set1(static_cast<int16_t>(0x8000))),
+          decay_block_(decayU16(V, ge_ins))
+    {
+        alignas(64) uint16_t decay[V];
+        for (int k = 0; k < V; ++k)
+            decay[k] = decayU16(k, ge_ins);
+        decay_ = TR::loadu(decay);
+    }
+
+    /** F of each lane of a block whose F-scan input is `t`. `carry`
+     *  holds the biased F entering the block and is advanced to the F
+     *  entering the next one. */
+    vec
+    operator()(vec t, uint32_t &carry) const
+    {
+        vec p = TR::xor_(t, bias_);
+        p = TR::maxu(p, TR::subsu(TR::template shiftLanesUp<1>(p), ge1_));
+        p = TR::maxu(p, TR::subsu(TR::template shiftLanesUp<2>(p), ge2_));
+        p = TR::maxu(p, TR::subsu(TR::template shiftLanesUp<4>(p), ge4_));
+        if constexpr (V == 16)
+            p = TR::maxu(p,
+                         TR::subsu(TR::template shiftLanesUp<8>(p), ge8_));
+        const vec f = TR::maxu(
+            TR::template shiftLanesUp<1>(p),
+            TR::subsu(TR::set1u(static_cast<uint16_t>(carry)), decay_));
+        const uint32_t decayed =
+            carry > decay_block_ ? carry - decay_block_ : 0;
+        carry = std::max<uint32_t>(TR::lastLaneU(p), decayed);
+        return TR::xor_(f, bias_);
+    }
+
+  private:
+    vec decay_, ge1_, ge2_, ge4_, ge8_, bias_;
+    uint32_t decay_block_;
+};
+
 } // namespace detail
 
 /**
@@ -139,7 +192,6 @@ extendSimd(const Sequence &query, const Sequence &target, int h0,
         H[j] = static_cast<int16_t>(H[j - 1] - s.gap_extend_ins);
 
     const vec vzero = TR::zero();
-    const vec vbias = TR::set1(static_cast<int16_t>(0x8000));
     const vec vmatch = TR::set1(detail::clampPenalty16(s.match));
     const vec vmism = TR::set1(
         static_cast<int16_t>(-std::min(s.mismatch, 32768)));
@@ -147,18 +199,7 @@ extendSimd(const Sequence &query, const Sequence &target, int h0,
     const vec voe_ins = TR::set1(detail::clampPenalty16(oe_ins));
     const vec vge_del = TR::set1(detail::clampPenalty16(s.gap_extend_del));
     const vec vidx = TR::lanesIndex();
-
-    // Biased-domain F-scan constants.
-    const int64_t ge_ins = s.gap_extend_ins;
-    alignas(64) uint16_t decay_arr[V];
-    for (int k = 0; k < V; ++k)
-        decay_arr[k] = detail::decayU16(k, ge_ins);
-    const vec vdecay = TR::loadu(decay_arr);
-    const vec vge1 = TR::set1u(detail::decayU16(1, ge_ins));
-    const vec vge2 = TR::set1u(detail::decayU16(2, ge_ins));
-    const vec vge4 = TR::set1u(detail::decayU16(4, ge_ins));
-    const vec vge8 = TR::set1u(detail::decayU16(8, ge_ins)); // AVX2 only
-    const uint16_t decay_block = detail::decayU16(V, ge_ins);
+    const detail::InsertionScan<TR> fscan(s.gap_extend_ins);
 
     int max = h0, max_i = -1, max_j = -1, max_off = 0;
     int gscore = -1, max_ie = -1;
@@ -224,31 +265,11 @@ extendSimd(const Sequence &query, const Sequence &target, int h0,
         // so the boundary store is safe now.
         H[beg - 1] = static_cast<int16_t>(h1_0);
 
-        // Pass 2: F prefix scan (biased domain), H = max(G, F), row max.
+        // Pass 2: F prefix scan, H = max(G, F), row max.
         uint32_t carry_b = 0x8000u; // F[beg] = 0, biased
         vec vmax = vzero;
         for (int j0 = beg; j0 < end; j0 += V) {
-            vec P = TR::xor_(TR::loadu(T + j0), vbias);
-            P = TR::maxu(P, TR::subsu(TR::template shiftLanesUp<1>(P),
-                                      vge1));
-            P = TR::maxu(P, TR::subsu(TR::template shiftLanesUp<2>(P),
-                                      vge2));
-            P = TR::maxu(P, TR::subsu(TR::template shiftLanesUp<4>(P),
-                                      vge4));
-            if constexpr (V == 16)
-                P = TR::maxu(P,
-                             TR::subsu(TR::template shiftLanesUp<8>(P),
-                                       vge8));
-            const vec Fb = TR::maxu(
-                TR::template shiftLanesUp<1>(P),
-                TR::subsu(TR::set1u(static_cast<uint16_t>(carry_b)),
-                          vdecay));
-            const uint32_t p_last = TR::lastLaneU(P);
-            const uint32_t c_dec =
-                carry_b > decay_block ? carry_b - decay_block : 0;
-            carry_b = std::max(p_last, c_dec);
-
-            const vec F = TR::xor_(Fb, vbias);
+            const vec F = fscan(TR::loadu(T + j0), carry_b);
             const vec Hnew = TR::max(TR::loadu(G + j0), F);
             const int nvalid = end - j0;
             if (nvalid >= V) {
@@ -348,6 +369,161 @@ extendSimd(const Sequence &query, const Sequence &target, int h0,
     return true;
 }
 
+/** Widest band row the vector speculation sweep takes: one bit per
+ *  column of a 128-bit row mask (2w+1 <= 128, i.e. w <= 63, or any band
+ *  on queries of at most 128 bases). */
+constexpr int kSpeculationRowBits = 128;
+
+/**
+ * Vector speculative-termination sweep of the systolic BSW array.
+ * Bit-exact with kern::speculationScalar; returns false (without
+ * touching `exception`) when the score range fails the int16 guard or a
+ * band row can be wider than kSpeculationRowBits.
+ *
+ * The DP is extendSimd's two passes over the whole, untrimmed band row
+ * [max(0, i-w), min(qlen, i+w+1)), with the scalar sweep's one quirk
+ * kept: it never writes the row's last H into the skewed slot eh[end],
+ * so when `end` grows, the new column's diagonal is still the row -1
+ * insertion value. Here that slot is H[end-1], which pass 2 therefore
+ * leaves untouched.
+ *
+ * Each row's live cells (H > 0; E >= 0 and H >= E, so this is the
+ * scalar's `h != 0 || e != 0`) become one bit per column, and the
+ * termination rule runs on the mask: the row arms at its first live
+ * cell past `init_reach`, and the flag fires iff two consecutive dead
+ * cells after that cell are followed by another live cell.
+ */
+template <class TR>
+bool
+speculationSimd(const Sequence &query, const Sequence &target, int h0,
+                const Scoring &s, int band, DpWorkspace &ws,
+                bool &exception)
+{
+    using vec = typename TR::vec;
+    using RowBits = unsigned __int128;
+    constexpr int V = TR::kLanes;
+
+    const int qlen = static_cast<int>(query.size());
+    const int tlen = static_cast<int>(target.size());
+    const long w = band;
+    if (!extendFitsInt16(h0, query.size(), s) ||
+        std::min<long>(2 * w + 1, qlen) > kSpeculationRowBits)
+        return false;
+
+    const int oe_del = s.gap_open_del + s.gap_extend_del;
+    const int oe_ins = s.gap_open_ins + s.gap_extend_ins;
+
+    // Five int16 rows carved from the sweep's slot, laid out as in
+    // extendSimd (front padding for index -1, tail padding for full
+    // vector loads and stores).
+    const size_t stride = static_cast<size_t>(qlen) + 2 + 2 * V;
+    int16_t *rows = ws.ensure<int16_t>(ws.systolic, 5 * stride);
+    int16_t *H = rows + 1;
+    int16_t *G = rows + stride + 1;     // max(M, Eold)
+    int16_t *E = rows + 2 * stride + 1;
+    int16_t *T = rows + 3 * stride + 1; // F-scan input
+    int16_t *Q = rows + 4 * stride + 1; // query codes
+
+    for (int j = 0; j < qlen; ++j) {
+        const int code = static_cast<int>(query[j]);
+        Q[j] = code < kNumBases ? static_cast<int16_t>(code) : int16_t{-1};
+    }
+    std::fill(H - 1, H + qlen + V, int16_t{0});
+    std::fill(E - 1, E + qlen + V, int16_t{0});
+    H[-1] = static_cast<int16_t>(h0);
+    if (qlen >= 1)
+        H[0] = static_cast<int16_t>(h0 > oe_ins ? h0 - oe_ins : 0);
+    for (int j = 1; j < qlen && H[j - 1] > s.gap_extend_ins; ++j)
+        H[j] = static_cast<int16_t>(H[j - 1] - s.gap_extend_ins);
+
+    const vec vzero = TR::zero();
+    const vec vmatch = TR::set1(detail::clampPenalty16(s.match));
+    const vec vmism = TR::set1(
+        static_cast<int16_t>(-std::min(s.mismatch, 32768)));
+    const vec voe_del = TR::set1(detail::clampPenalty16(oe_del));
+    const vec voe_ins = TR::set1(detail::clampPenalty16(oe_ins));
+    const vec vge_del = TR::set1(detail::clampPenalty16(s.gap_extend_del));
+    const vec vidx = TR::lanesIndex();
+    const detail::InsertionScan<TR> fscan(s.gap_extend_ins);
+
+    for (int i = 0; i < tlen; ++i) {
+        const int beg = static_cast<int>(std::max<long>(0, i - w));
+        const int end = static_cast<int>(std::min<long>(qlen, i + w + 1));
+        if (beg >= end)
+            break;
+        int h1_0 = 0, init_reach = 0;
+        if (beg == 0) {
+            const int decayed =
+                h0 - (s.gap_open_del + s.gap_extend_del * (i + 1));
+            h1_0 = std::max(decayed, 0);
+            init_reach = std::max(0, decayed - oe_ins + 4);
+        }
+
+        const int tcode = static_cast<int>(target[i]);
+        const bool tvalid = tcode < kNumBases;
+        const vec vt = TR::set1(static_cast<int16_t>(tcode));
+
+        // Pass 1: as extendSimd (G, T staged; E(i+1, .) stored, lanes
+        // past `end` kept at their never-written zeros).
+        for (int j0 = beg; j0 < end; j0 += V) {
+            const vec Hd = TR::loadu(H + j0 - 1);
+            vec S = vmism;
+            if (tvalid)
+                S = TR::blend(TR::cmpeq(TR::loadu(Q + j0), vt), vmatch,
+                              vmism);
+            const vec M =
+                TR::andnot(TR::cmpeq(Hd, vzero), TR::adds(Hd, S));
+            const vec Eold = TR::loadu(E + j0);
+            TR::storeu(G + j0, TR::max(M, Eold));
+            TR::storeu(T + j0, TR::max(TR::subs(M, voe_ins), vzero));
+            const vec Enew =
+                TR::max(TR::subs(Eold, vge_del),
+                        TR::max(TR::subs(M, voe_del), vzero));
+            const vec in_row = TR::cmpgt(
+                TR::set1(static_cast<int16_t>(end - j0)), vidx);
+            TR::storeu(E + j0, TR::blend(in_row, Enew, Eold));
+        }
+        H[beg - 1] = static_cast<int16_t>(h1_0);
+
+        // Pass 2: F prefix scan and H as extendSimd; H is stored only
+        // below column end-1 (the stale slot), and each block's live
+        // lanes are appended to the row mask.
+        RowBits live = 0;
+        uint32_t carry_b = 0x8000u;
+        for (int j0 = beg; j0 < end; j0 += V) {
+            const vec Hnew = TR::max(TR::loadu(G + j0),
+                                     fscan(TR::loadu(T + j0), carry_b));
+            const vec store = TR::cmpgt(
+                TR::set1(static_cast<int16_t>(end - 1 - j0)), vidx);
+            TR::storeu(H + j0, TR::blend(store, Hnew, TR::loadu(H + j0)));
+            uint32_t bits = TR::laneMask(TR::cmpgt(Hnew, vzero));
+            if (end - j0 < V)
+                bits &= (1u << (end - j0)) - 1;
+            live |= static_cast<RowBits>(bits) << (j0 - beg);
+        }
+        if (live == 0)
+            break;
+
+        // Bit k is column beg + k; unsigned negation -x sets every bit
+        // at or above x's lowest set bit.
+        const int skip = init_reach + 1 - beg; // first column that arms
+        const RowBits armable = skip <= 0 ? live
+            : skip < kSpeculationRowBits ? live & (~RowBits{0} << skip)
+                                         : RowBits{0};
+        const RowBits armed = armable & -armable;
+        const RowBits dead = ~live;
+        // Bit k: columns k and k+1 dead, k past the arming cell.
+        const RowBits pairs = dead & (dead >> 1) & -(armed << 1);
+        const RowBits cut = pairs & -pairs;
+        if ((live & -(cut << 1)) != 0) {
+            exception = true;
+            return true;
+        }
+    }
+    exception = false;
+    return true;
+}
+
 /**
  * Vector banded-global (Gotoh) fill. Identical score and identical
  * backpointers on every traceback-reachable cell; returns false when the
@@ -411,7 +587,6 @@ gotohFillSimd(const Sequence &query, const Sequence &target,
 
     const vec vone = TR::set1(1);
     const vec vtwo = TR::set1(2);
-    const vec vbias = TR::set1(static_cast<int16_t>(0x8000));
     const vec vmatch = TR::set1(static_cast<int16_t>(scoring.match));
     const vec vmism = TR::set1(static_cast<int16_t>(-scoring.mismatch));
     const vec voe_del = TR::set1(static_cast<int16_t>(oe_del));
@@ -421,16 +596,8 @@ gotohFillSimd(const Sequence &query, const Sequence &target,
     const vec vge_ins =
         TR::set1(static_cast<int16_t>(scoring.gap_extend_ins));
 
-    const int64_t ge_ins = scoring.gap_extend_ins;
-    alignas(64) uint16_t decay_arr[V];
-    for (int k = 0; k < V; ++k)
-        decay_arr[k] = detail::decayU16(k, ge_ins);
-    const vec vdecay = TR::loadu(decay_arr);
-    const vec vge1 = TR::set1u(detail::decayU16(1, ge_ins));
-    const vec vge2 = TR::set1u(detail::decayU16(2, ge_ins));
-    const vec vge4 = TR::set1u(detail::decayU16(4, ge_ins));
-    const vec vge8 = TR::set1u(detail::decayU16(8, ge_ins));
-    const uint16_t decay_block = detail::decayU16(V, ge_ins);
+    const int ge_ins = scoring.gap_extend_ins;
+    const detail::InsertionScan<TR> fscan(ge_ins);
 
     // Row 0 (mirrors the scalar fill exactly).
     h_prev[0] = 0;
@@ -486,34 +653,13 @@ gotohFillSimd(const Sequence &query, const Sequence &target,
 
         // Pass 2: F prefix scan, H, bh/bf flags.
         const int hl = h_cur[jstart - 1], fl = f_cur[jstart - 1];
-        const int c0 = std::max(
-            std::max(hl - oe_ins, INT16_MIN),
-            std::max(fl - static_cast<int>(ge_ins), INT16_MIN));
+        const int c0 = std::max(std::max(hl - oe_ins, INT16_MIN),
+                                std::max(fl - ge_ins, INT16_MIN));
         uint32_t carry_b =
             static_cast<uint16_t>(static_cast<int16_t>(c0)) ^ 0x8000u;
         for (int j0 = jstart; j0 <= hi; j0 += V) {
-            vec P = TR::xor_(TR::subs(TR::loadu(MEst + j0), voe_ins),
-                             vbias);
-            P = TR::maxu(P, TR::subsu(TR::template shiftLanesUp<1>(P),
-                                      vge1));
-            P = TR::maxu(P, TR::subsu(TR::template shiftLanesUp<2>(P),
-                                      vge2));
-            P = TR::maxu(P, TR::subsu(TR::template shiftLanesUp<4>(P),
-                                      vge4));
-            if constexpr (V == 16)
-                P = TR::maxu(P,
-                             TR::subsu(TR::template shiftLanesUp<8>(P),
-                                       vge8));
-            const vec Fb = TR::maxu(
-                TR::template shiftLanesUp<1>(P),
-                TR::subsu(TR::set1u(static_cast<uint16_t>(carry_b)),
-                          vdecay));
-            const uint32_t p_last = TR::lastLaneU(P);
-            const uint32_t c_dec =
-                carry_b > decay_block ? carry_b - decay_block : 0;
-            carry_b = std::max(p_last, c_dec);
-
-            const vec F = TR::xor_(Fb, vbias);
+            const vec F =
+                fscan(TR::subs(TR::loadu(MEst + j0), voe_ins), carry_b);
             TR::storeu(f_cur + j0, F);
             const vec M = TR::loadu(Mst + j0);
             const vec ME = TR::loadu(MEst + j0);

@@ -46,6 +46,13 @@ struct SseTraits
         return _mm_blendv_epi8(b, a, mask);
     }
     static int movemask(vec v) { return _mm_movemask_epi8(v); }
+    /** One bit per lane of a lane mask (all-ones/all-zeros lanes). */
+    static uint32_t
+    laneMask(vec mask)
+    {
+        return static_cast<uint32_t>(
+            _mm_movemask_epi8(_mm_packs_epi16(mask, _mm_setzero_si128())));
+    }
     /** Lane k <- lane k-N, zero (biased minimum) shifted in. */
     template <int N>
     static vec
@@ -97,6 +104,15 @@ extendSse(const Sequence &query, const Sequence &target, int h0,
           const ExtendConfig &config, DpWorkspace &ws, ExtendResult &out)
 {
     return extendSimd<SseTraits>(query, target, h0, config, ws, out);
+}
+
+bool
+speculationSse(const Sequence &query, const Sequence &target, int h0,
+               const Scoring &scoring, int band, DpWorkspace &ws,
+               bool &exception)
+{
+    return speculationSimd<SseTraits>(query, target, h0, scoring, band, ws,
+                                      exception);
 }
 
 bool

@@ -103,7 +103,9 @@ class DpWorkspace
     Buf check_rows;
     /** Edit-machine delta model (hw/edit_machine.cc): two value rows. */
     Buf edit_machine;
-    /** Systolic speculation model (hw/systolic.cc): one H/E row. */
+    /** Speculation sweep of the systolic model (kern::speculation*):
+     *  the scalar tier's skewed H/E row or the vector tiers' int16
+     *  rows. */
     Buf systolic;
 
   private:

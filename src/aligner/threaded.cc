@@ -590,7 +590,8 @@ alignThreadedSource(const Sequence &reference, const ReadSource &source,
 std::vector<SamRecord>
 alignThreaded(const Sequence &reference,
               const std::vector<std::pair<std::string, Sequence>> &reads,
-              const ThreadedConfig &config, ThreadedReport *report)
+              const ThreadedConfig &config, ThreadedReport *report,
+              const FmdIndex *index)
 {
     if (config.paired && reads.size() % 2 != 0)
         throw std::invalid_argument(
@@ -614,7 +615,7 @@ alignThreaded(const Sequence &reference,
         [&](size_t read_idx, SamRecord &&rec) {
             records[read_idx] = std::move(rec);
         },
-        report);
+        report, index);
     return records;
 }
 

@@ -184,13 +184,15 @@ alignThreadedSource(const Sequence &reference, const ReadSource &source,
 /**
  * Convenience wrapper that pulls `reads` through alignThreadedSource
  * and collects the full record vector (input order). Paired mode needs
- * an even read count (std::invalid_argument otherwise).
+ * an even read count (std::invalid_argument otherwise). `index` is
+ * passed through (null: the pipeline builds its own).
  */
 std::vector<SamRecord>
 alignThreaded(const Sequence &reference,
               const std::vector<std::pair<std::string, Sequence>> &reads,
               const ThreadedConfig &config,
-              ThreadedReport *report = nullptr);
+              ThreadedReport *report = nullptr,
+              const FmdIndex *index = nullptr);
 
 } // namespace seedex
 

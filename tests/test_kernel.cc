@@ -462,6 +462,105 @@ TEST(KernelFuzz, GotohSentinelGuardEscapes)
 }
 
 // ---------------------------------------------------------------------
+// Speculation sweep of the device model: every tier vs the scalar one
+
+/** True when `isa`'s own vector sweep takes the job instead of
+ *  escaping to the scalar reference. */
+bool
+vectorSweepTakes(KernelIsa isa, const Sequence &q, const Sequence &t,
+                 int h0, const Scoring &s, int w)
+{
+    bool exception = false;
+    DpWorkspace &ws = DpWorkspace::tls();
+    return isa == KernelIsa::Avx2
+        ? kern::speculationAvx2(q, t, h0, s, w, ws, exception)
+        : kern::speculationSse(q, t, h0, s, w, ws, exception);
+}
+
+TEST(KernelFuzz, SpeculationTiersMatchScalar)
+{
+    // Right-flank-shaped jobs: a query read off the target with SNPs,
+    // short indels and N bases; a long insertion in every fourth query
+    // (it splits a row's live cells, which is what raises the flag);
+    // unrelated pairs now and then; every eighth target shorter than
+    // w + 2. w = 80 has rows of up to 161 columns, wider than the
+    // vector tiers take once qlen > 128.
+    const std::vector<KernelIsa> &isas = availableKernelIsas();
+    for (const int w : {5, 17, 41, 63, 80}) {
+        int exceptions = 0, stale_edge = 0, escapes = 0;
+        for (uint64_t n = 0; n < 4000; ++n) {
+            Rng rng(0x5EC0000ULL * static_cast<uint64_t>(w) + n);
+            const int qlen = 1 + static_cast<int>(rng.below(250));
+            const bool with_n = rng.below(6) == 0;
+            const int tlen = rng.below(8) == 0
+                ? 1 + static_cast<int>(rng.below(w + 1))
+                : qlen + static_cast<int>(rng.below(60));
+            const Sequence t = randomSeq(rng, tlen, with_n);
+            Sequence q = rng.below(10) == 0
+                ? randomSeq(rng, qlen, with_n)
+                : mutated(rng, t, qlen, with_n);
+            if (rng.below(4) == 0) {
+                const size_t at = rng.below(q.size());
+                Sequence ins = q.slice(0, at);
+                ins.append(randomSeq(
+                    rng, 5 + static_cast<int>(rng.below(36)), false));
+                ins.append(q.slice(at, q.size() - at));
+                q = ins.slice(0, std::min<size_t>(ins.size(), 250));
+            }
+            const int h0 = 1 + static_cast<int>(rng.below(200));
+            const Scoring s =
+                rng.below(4) == 0 ? pickScoring(rng) : Scoring::bwaDefault();
+
+            const bool ref =
+                speculationException(q, t, h0, s, w, KernelIsa::Scalar);
+            for (KernelIsa isa : isas) {
+                if (isa == KernelIsa::Scalar)
+                    continue;
+                ASSERT_EQ(ref, speculationException(q, t, h0, s, w, isa))
+                    << kernelIsaName(isa) << " w=" << w << " n=" << n
+                    << " qlen=" << q.size() << " tlen=" << tlen
+                    << " h0=" << h0;
+                escapes += !vectorSweepTakes(isa, q, t, h0, s, w);
+            }
+            exceptions += ref;
+            // Row 1's new column w+1 reads its diagonal from a slot no
+            // row has written: the row -1 insertion value
+            // h0 - oe_ins - w*ge_ins (h0 >= w + 8 under BWA scoring).
+            stale_edge += static_cast<int>(q.size()) > w + 1 &&
+                tlen >= 2 &&
+                h0 - s.gap_open_ins - s.gap_extend_ins * (w + 1) > 0;
+        }
+        EXPECT_GT(exceptions, 0) << "w=" << w;
+        EXPECT_GT(stale_edge, 0) << "w=" << w;
+        if (isas.size() > 1) {
+            if (w <= 63)
+                EXPECT_EQ(escapes, 0) << "w=" << w;
+            else
+                EXPECT_GT(escapes, 0) << "w=" << w;
+        }
+    }
+
+    // Above the int16 guard (h0 + qlen*match > 30000) the vector tiers
+    // escape to the scalar sweep.
+    Rng rng(0x16u);
+    const Sequence t = randomSeq(rng, 160, false);
+    const Sequence q = mutated(rng, t, 100, false);
+    const Scoring s = Scoring::bwaDefault();
+    const bool ref =
+        speculationException(q, t, 30000, s, 41, KernelIsa::Scalar);
+    for (KernelIsa isa : isas) {
+        EXPECT_EQ(ref, speculationException(q, t, 30000, s, 41, isa))
+            << kernelIsaName(isa);
+        if (isa != KernelIsa::Scalar) {
+            EXPECT_FALSE(vectorSweepTakes(isa, q, t, 30000, s, 41));
+            EXPECT_TRUE(vectorSweepTakes(isa, q, t, 29900, s, 41));
+        }
+    }
+    if (isas.size() == 1)
+        GTEST_SKIP() << "no vector tier compiled/supported on this host";
+}
+
+// ---------------------------------------------------------------------
 // Dispatch plumbing
 
 TEST(KernelDispatch, AvailableTiersAreOrderedAndNamed)

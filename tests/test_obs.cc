@@ -373,7 +373,8 @@ TEST(PerfCounters, ScopeEitherCountsOrFallsBackCleanly)
     StageProfile &stage = PerfRegistry::global().stage("test.perf.live");
     {
         PerfScope scope(stage);
-        volatile int sink = 0;
+        // Unsigned: the sum of 0..99,999 overflows int.
+        volatile unsigned sink = 0;
         for (int i = 0; i < 100000; ++i)
             sink = sink + i;
         (void)sink;
