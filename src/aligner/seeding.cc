@@ -13,7 +13,6 @@ namespace {
 struct SeedMetrics
 {
     obs::Counter &occ_calls;
-    obs::Counter &kmer_hits;
     obs::Counter &text_steps;
     obs::Gauge &batch_size;
     obs::LatencyHistogram &batch_seconds;
@@ -23,7 +22,6 @@ struct SeedMetrics
     {
         static SeedMetrics m{
             obs::MetricsRegistry::global().counter("seed.occ_calls"),
-            obs::MetricsRegistry::global().counter("seed.kmer_hits"),
             obs::MetricsRegistry::global().counter("seed.text_steps"),
             obs::MetricsRegistry::global().gauge("seed.batch_size"),
             obs::MetricsRegistry::global().histogram("seed.batch.seconds"),
@@ -47,7 +45,6 @@ class CounterFlush
         const FmdThreadCounters &now = FmdIndex::threadCounters();
         SeedMetrics &m = SeedMetrics::get();
         m.occ_calls.inc(now.occ_calls - before_.occ_calls);
-        m.kmer_hits.inc(now.kmer_hits - before_.kmer_hits);
         m.text_steps.inc(now.text_steps - before_.text_steps);
     }
 

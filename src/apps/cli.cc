@@ -1,10 +1,12 @@
 #include "apps/cli.h"
 
+#include <cstdint>
 #include <cstdlib>
 #include <exception>
 #include <fstream>
 #include <initializer_list>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -64,13 +66,10 @@ const char kUsage[] =
     "  --queue-cap=N       ring capacity per shard (SEEDEX_QUEUE_CAP)\n"
     "  --queue-shards=N    ring shards (SEEDEX_QUEUE_SHARDS)\n"
     "  --kernel=NAME       scalar | sse | avx2 | auto (SEEDEX_KERNEL)\n"
-    "  --fm-layout=NAME    naive | packed (SEEDEX_FM_LAYOUT)\n"
-    "  --kmer=K            seed k-mer table size, 0-12, 0 = off\n"
-    "                      (SEEDEX_SEED_KMER)\n"
     "  --metrics-out=FILE  machine-readable run report (SEEDEX_METRICS_OUT)\n"
     "  --trace-out=FILE    Chrome trace (SEEDEX_TRACE)\n"
     "  --ledger-out=FILE   per-read provenance JSONL (SEEDEX_LEDGER_OUT)\n"
-    "  --ledger-sample=N   ledger sampling stride (SEEDEX_LEDGER_SAMPLE)\n"
+    "  --ledger-sample=N   ledger sampling stride, 1 = every read\n"
     "\n"
     "simulate options:\n"
     "  --length=N          reference length in bases        [1048576]\n"
@@ -78,11 +77,7 @@ const char kUsage[] =
     "  --read-length=N     read length in bases             [101]\n"
     "  --seed=N            random seed                      [20200613]\n"
     "  --paired            write FR mate files <prefix>_1.fq/_2.fq\n"
-    "  --insert-mean=F / --insert-sd=F  fragment model      [400 / 50]\n"
-    "\n"
-    "index options:\n"
-    "  --kmer=K            seed k-mer table size, 0-12, 0 = off\n"
-    "  --fm-layout=NAME    naive | packed occ layout stored in the index\n";
+    "  --insert-mean=F / --insert-sd=F  fragment model      [400 / 50]\n";
 
 /** Parsed command line: positional operands plus --name[=value] flags
  *  (`-o FILE` is folded into flags["-o"]). */
@@ -126,14 +121,19 @@ struct Args
         return n;
     }
 
-    /** getLong for a count that must be at least `min`. */
+    /** getLong for a count that must lie in [min, max]. */
     long
-    getCount(const std::string &name, long fallback, long min) const
+    getCount(const std::string &name, long fallback, long min,
+             long max = std::numeric_limits<long>::max()) const
     {
         const long n = getLong(name, fallback);
         if (n < min)
             throw UsageError(name + " must be at least " +
                              std::to_string(min) + ", got " +
+                             std::to_string(n));
+        if (n > max)
+            throw UsageError(name + " must be at most " +
+                             std::to_string(max) + ", got " +
                              std::to_string(n));
         return n;
     }
@@ -216,27 +216,6 @@ exportKnob(const Args &args, const std::string &flag, const char *env)
         setenv(env, args.get(flag).c_str(), 1);
 }
 
-/** FM-index options: --fm-layout and --kmer, each falling back to its
- *  environment knob (FmdIndexOptions::fromEnv) when absent. */
-FmdIndexOptions
-indexOptions(const Args &args)
-{
-    FmdIndexOptions options = FmdIndexOptions::fromEnv();
-    const std::string layout =
-        args.getChoice("--fm-layout", {"naive", "packed"});
-    if (!layout.empty())
-        options.layout =
-            layout == "naive" ? FmLayout::Naive : FmLayout::Packed;
-    if (args.has("--kmer")) {
-        const long k = args.getCount("--kmer", 0, 0);
-        if (k > 12)
-            throw UsageError("--kmer must be at most 12, got " +
-                             std::to_string(k));
-        options.kmer_k = static_cast<int>(k);
-    }
-    return options;
-}
-
 /** First whitespace-delimited token of a FASTA name: the @SQ SN: key
  *  (SN values must be whitespace-free per the SAM spec). */
 std::string
@@ -280,13 +259,12 @@ loadFasta(const std::string &path)
 }
 
 /** Load either a `.sdx` container or a plain FASTA reference, with its
- *  index: a container's stored index (its layout kept, the k-mer table
- *  rebuilt per `options.kmer_k`), or one built from the FASTA. */
+ *  index: a container's stored index, or one built from the FASTA. */
 Reference
-loadReference(const std::string &path, const FmdIndexOptions &options)
+loadReference(const std::string &path)
 {
     if (isSdxFile(path)) {
-        SdxData data = loadSdx(path, options.kmer_k);
+        SdxData data = loadSdx(path);
         Reference ref;
         for (const SdxContig &c : data.contigs) {
             ref.contigs.add(c.name, c.length);
@@ -297,7 +275,7 @@ loadReference(const std::string &path, const FmdIndexOptions &options)
         return ref;
     }
     Reference ref = loadFasta(path);
-    ref.index = std::make_unique<FmdIndex>(ref.seq, options);
+    ref.index = std::make_unique<FmdIndex>(ref.seq);
     return ref;
 }
 
@@ -331,17 +309,16 @@ joinArgv(int argc, char **argv)
 int
 cmdIndex(int argc, char **argv)
 {
-    const Args args = parseArgs(argc, argv, 2, {"--kmer", "--fm-layout"});
+    const Args args = parseArgs(argc, argv, 2, {});
     if (args.positional.size() != 1)
         throw UsageError("index expects exactly one reference FASTA");
     if (!args.has("-o"))
         throw UsageError("index requires -o <ref.sdx>");
-    const FmdIndexOptions options = indexOptions(args);
 
     Reference ref = loadFasta(args.positional[0]);
     Stopwatch watch;
     watch.start();
-    const FmdIndex index(ref.seq, options);
+    const FmdIndex index(ref.seq);
     watch.stop();
     saveSdx(args.get("-o"), ref.sdx_contigs, ref.seq, index);
     std::cerr << strprintf(
@@ -364,7 +341,7 @@ cmdAlign(int argc, char **argv)
         argc, argv, 2,
         {"--engine", "--band", "--threads", "--seeding-threads",
          "--fpga-threads", "--batch", "--queue-cap", "--queue-shards",
-         "--kernel", "--fm-layout", "--kmer", "--metrics-out",
+         "--kernel", "--metrics-out",
          "--trace-out", "--ledger-out", "--ledger-sample",
          "--interleaved", "--insert-mean", "--insert-sd", "--no-rescue"},
         {"-o", "-1", "-2"});
@@ -424,7 +401,9 @@ cmdAlign(int argc, char **argv)
     // know, so the flag is checked here.
     args.getChoice("--kernel", {"scalar", "sse", "avx2", "auto"});
     exportKnob(args, "--kernel", "SEEDEX_KERNEL");
-    const FmdIndexOptions index_options = indexOptions(args);
+    // Checked even without --ledger-out; the stride is a uint32_t.
+    const long ledger_sample =
+        args.getCount("--ledger-sample", 1, 1, UINT32_MAX);
 
     // Threading shape: env knobs first (ThreadedConfig::applyEnv), then
     // flags override. --threads picks the paper's 3:1 split; the
@@ -472,20 +451,18 @@ cmdAlign(int argc, char **argv)
     if (!trace_out.empty())
         obs::TraceSession::global().enable();
     if (!ledger_out.empty()) {
-        const long sample = std::max(
-            1L, args.getLong("--ledger-sample", 1));
         obs::Ledger::global().clear();
-        obs::Ledger::global().enable(static_cast<uint32_t>(sample));
+        obs::Ledger::global().enable(static_cast<uint32_t>(ledger_sample));
     }
 
-    // Set-up the run waits for before its first read: `.sdx` read,
-    // verify and k-mer build, or FASTA parse and index build.
+    // Set-up the run waits for before its first read: `.sdx` read and
+    // verify, or FASTA parse and index build.
     Stopwatch load_watch;
     Reference ref;
     {
         obs::TraceSpan span("index.load", "fmindex");
         load_watch.start();
-        ref = loadReference(args.positional[0], index_options);
+        ref = loadReference(args.positional[0]);
         load_watch.stop();
     }
     pconfig.contigs = ref.contigs;
@@ -726,25 +703,30 @@ cmdSimulate(int argc, char **argv)
     if (!paired && (args.has("--insert-mean") || args.has("--insert-sd")))
         throw UsageError("--insert-mean/--insert-sd require --paired");
 
-    Rng rng(static_cast<uint64_t>(args.getLong("--seed", 20200613)));
+    // Every count is checked before any file is opened.
     ReferenceParams ref_params;
     ref_params.length =
-        static_cast<size_t>(args.getLong("--length", 1 << 20));
-    const Sequence reference = generateReference(ref_params, rng);
-
+        static_cast<size_t>(args.getCount("--length", 1 << 20, 1));
     ReadSimParams sim_params = ReadSimParams::illumina();
-    sim_params.read_length = static_cast<size_t>(
-        args.getLong("--read-length",
-                     static_cast<long>(sim_params.read_length)));
+    sim_params.read_length = static_cast<size_t>(args.getCount(
+        "--read-length", static_cast<long>(sim_params.read_length), 1));
+    if (ref_params.length < sim_params.read_length)
+        throw UsageError(strprintf("--length (%zu) must be at least "
+                                   "--read-length (%zu)",
+                                   ref_params.length,
+                                   sim_params.read_length));
+    const size_t n_reads =
+        static_cast<size_t>(args.getCount("--reads", 10000, 1));
     sim_params.insert_mean =
         args.getDouble("--insert-mean", sim_params.insert_mean);
     sim_params.insert_sd =
         args.getDouble("--insert-sd", sim_params.insert_sd);
     if (sim_params.insert_mean <= 0 || sim_params.insert_sd <= 0)
         throw UsageError("--insert-mean/--insert-sd must be positive");
+
+    Rng rng(static_cast<uint64_t>(args.getLong("--seed", 20200613)));
+    const Sequence reference = generateReference(ref_params, rng);
     ReadSimulator simulator(reference, sim_params);
-    const size_t n_reads =
-        static_cast<size_t>(args.getLong("--reads", 10000));
 
     writeFastaFile(prefix + ".fa", {{"sim", reference}});
     std::string qual;

@@ -3,13 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <cstdlib>
-#include <cstring>
 #include <istream>
 #include <iterator>
 #include <ostream>
 #include <stdexcept>
-#include <string>
 
 #include "fmindex/suffix_array.h"
 
@@ -26,6 +23,9 @@ compShifted(uint8_t c)
 
 constexpr uint64_t kIndexMagic = 0x53454544455846ULL; // "SEEDEXF"
 constexpr uint32_t kIndexVersion = 1;
+/** The stream's layout byte: the packed BWT. Indexes written with any
+ *  other value (0: a byte-per-symbol BWT) must be rebuilt. */
+constexpr uint8_t kPackedLayout = 1;
 
 template <typename T>
 bool
@@ -87,24 +87,6 @@ locateScratch()
 
 } // namespace
 
-FmdIndexOptions
-FmdIndexOptions::fromEnv()
-{
-    FmdIndexOptions opts;
-    if (const char *layout = std::getenv("SEEDEX_FM_LAYOUT")) {
-        if (std::string(layout) == "naive")
-            opts.layout = FmLayout::Naive;
-    }
-    if (const char *kmer = std::getenv("SEEDEX_SEED_KMER")) {
-        const std::string v(kmer);
-        if (v == "0" || v == "off")
-            opts.kmer_k = 0;
-        else if (!v.empty())
-            opts.kmer_k = std::clamp(std::atoi(kmer), 1, 12);
-    }
-    return opts;
-}
-
 FmdThreadCounters &
 FmdIndex::threadCounters()
 {
@@ -112,7 +94,7 @@ FmdIndex::threadCounters()
     return counters;
 }
 
-FmdIndex::FmdIndex(const Sequence &reference, const FmdIndexOptions &options)
+FmdIndex::FmdIndex(const Sequence &reference)
 {
     ref_len_ = reference.size();
     if (ref_len_ == 0)
@@ -136,7 +118,7 @@ FmdIndex::FmdIndex(const Sequence &reference, const FmdIndexOptions &options)
     // suffix array is sampled by *text position*: every rank whose
     // suffix starts at a multiple of kSaStep is marked, which bounds
     // any LF walk from an unmarked rank to < kSaStep steps.
-    bwt_.resize(text_len_);
+    std::vector<uint8_t> bwt(text_len_);
     sa_mark_.assign((text_len_ + 63) / 64, 0);
     sa_samples_.clear();
     auto record = [&](uint64_t rank, uint64_t pos) {
@@ -145,12 +127,12 @@ FmdIndex::FmdIndex(const Sequence &reference, const FmdIndexOptions &options)
             sa_samples_.push_back(static_cast<int32_t>(pos));
         }
     };
-    bwt_[0] = text[2 * L - 1];
+    bwt[0] = text[2 * L - 1];
     record(0, 2 * L); // the sentinel position
     for (uint64_t r = 0; r < 2 * L; ++r) {
         const uint64_t pos = static_cast<uint64_t>(sa[r]);
         const uint64_t rank = r + 1;
-        bwt_[rank] = pos == 0 ? 0 : text[pos - 1];
+        bwt[rank] = pos == 0 ? 0 : text[pos - 1];
         if (pos == 0)
             primary_ = rank;
         record(rank, pos);
@@ -158,24 +140,19 @@ FmdIndex::FmdIndex(const Sequence &reference, const FmdIndexOptions &options)
 
     // C array: counts_[c] = number of symbols < c.
     uint64_t hist[5] = {};
-    for (uint8_t c : bwt_)
+    for (uint8_t c : bwt)
         ++hist[c];
     counts_[0] = 0;
     for (int c = 1; c <= 5; ++c)
         counts_[c] = counts_[c - 1] + hist[c - 1];
 
-    layout_ = options.layout;
-    if (layout_ == FmLayout::Packed) {
-        packed_ = PackedBwt(bwt_);
-        bwt_.clear();
-        bwt_.shrink_to_fit();
-    }
+    bwt_ = PackedBwt(bwt);
     // Construction records one sample per mark, so this cannot fail.
-    deriveStructures(options.kmer_k);
+    deriveRankDirectory();
 }
 
 bool
-FmdIndex::deriveStructures(int kmer_k)
+FmdIndex::deriveRankDirectory()
 {
     sa_mark_rank_.resize(sa_mark_.size());
     uint64_t marked = 0;
@@ -183,28 +160,7 @@ FmdIndex::deriveStructures(int kmer_k)
         sa_mark_rank_[w] = static_cast<uint32_t>(marked);
         marked += static_cast<uint64_t>(std::popcount(sa_mark_[w]));
     }
-    if (marked != sa_samples_.size())
-        return false;
-
-    if (layout_ == FmLayout::Naive) {
-        // Occ checkpoints of the naive layout (derived, never stored).
-        const uint64_t blocks = text_len_ / kOccStep + 1;
-        occ_checkpoints_.assign(blocks * 5, 0);
-        uint64_t running[5] = {};
-        for (uint64_t i = 0; i < text_len_; ++i) {
-            if (i % kOccStep == 0) {
-                for (int c = 0; c < 5; ++c)
-                    occ_checkpoints_[(i / kOccStep) * 5 + c] = running[c];
-            }
-            ++running[bwt_[i]];
-        }
-    }
-
-    const int k = kmer_k < 0 ? KmerTable::defaultK(ref_len_)
-                             : std::min(kmer_k, 12);
-    if (k > 0)
-        kmer_table_ = std::make_unique<KmerTable>(*this, k);
-    return true;
+    return marked == sa_samples_.size();
 }
 
 bool
@@ -222,48 +178,14 @@ FmdIndex::saSampleSlot(uint64_t rank) const
            static_cast<uint64_t>(std::popcount(below));
 }
 
-uint8_t
-FmdIndex::bwtSymbol(uint64_t rank) const
-{
-    return layout_ == FmLayout::Packed ? packed_.symbolAt(rank)
-                                       : bwt_[rank];
-}
-
 uint64_t
-FmdIndex::occ(uint8_t c, uint64_t i) const
+FmdIndex::lf(uint64_t j) const
 {
-    if (layout_ == FmLayout::Packed)
-        return packed_.rank(c, i);
-    const uint64_t block = i / kOccStep;
-    uint64_t n = occ_checkpoints_[block * 5 + c];
-    for (uint64_t j = block * kOccStep; j < i; ++j)
-        n += bwt_[j] == c;
-    return n;
-}
-
-void
-FmdIndex::occAll(uint64_t i, uint64_t out[5]) const
-{
-    if (layout_ == FmLayout::Packed) {
-        packed_.rankAll(i, out);
-        return;
-    }
-    const uint64_t block = i / kOccStep;
-    for (int c = 0; c < 5; ++c)
-        out[c] = occ_checkpoints_[block * 5 + c];
-    for (uint64_t j = block * kOccStep; j < i; ++j)
-        ++out[bwt_[j]];
-}
-
-void
-FmdIndex::prefetchOcc(uint64_t i) const
-{
-    if (layout_ == FmLayout::Packed) {
-        packed_.prefetch(i);
-    } else {
-        __builtin_prefetch(&occ_checkpoints_[(i / kOccStep) * 5], 0, 3);
-        __builtin_prefetch(&bwt_[i - i % kOccStep], 0, 3);
-    }
+    // c == 0 only at the primary row (suffix position 0), which is
+    // always marked; no locate walk passes through it.
+    const uint8_t c = bwt_.symbolAt(j);
+    ++threadCounters().occ_calls;
+    return counts_[c] + bwt_.rank(c, j);
 }
 
 void
@@ -291,12 +213,7 @@ FmdIndex::rankPair(uint64_t lo, uint64_t s, uint64_t tk[5],
                    uint64_t tl[5]) const
 {
     threadCounters().occ_calls += 2;
-    if (layout_ == FmLayout::Packed) {
-        packed_.rankAllPair(lo, lo + s, tk, tl);
-    } else {
-        occAll(lo, tk);
-        occAll(lo + s, tl);
-    }
+    bwt_.rankAllPair(lo, lo + s, tk, tl);
 }
 
 FmdInterval
@@ -338,40 +255,13 @@ FmdIndex::extend(const FmdInterval &in, Base c, bool back) const
 }
 
 void
-FmdIndex::extendAll(const FmdInterval &in, bool back,
-                    FmdInterval out[kNumBases]) const
-{
-    if (in.empty()) {
-        for (Base c = 0; c < kNumBases; ++c)
-            out[c] = {};
-        return;
-    }
-    // A forward extension by c is the backward extension of the
-    // reverse-complement view by complement(c), as in extend().
-    const FmdInterval view =
-        back ? in : FmdInterval{in.l, in.k, in.s, in.info};
-    uint64_t tk[5], tl[5];
-    rankPair(view.k, view.s, tk, tl);
-    for (Base c = 0; c < kNumBases; ++c) {
-        if (back) {
-            out[c] = childFromRanks(view, tk, tl,
-                                    static_cast<uint8_t>(c + 1));
-        } else {
-            const FmdInterval o = childFromRanks(
-                view, tk, tl, static_cast<uint8_t>(complement(c) + 1));
-            out[c] = {o.l, o.k, o.s, in.info};
-        }
-    }
-}
-
-void
 FmdIndex::prefetchExtend(const FmdInterval &in, bool back) const
 {
     // A backward extension ranks [k, k+s); a forward one ranks the same
     // span on the reverse-complement side, [l, l+s).
     const uint64_t lo = back ? in.k : in.l;
-    prefetchOcc(lo);
-    prefetchOcc(lo + in.s);
+    bwt_.prefetch(lo);
+    bwt_.prefetch(lo + in.s);
 }
 
 void
@@ -408,13 +298,8 @@ FmdIndex::suffixToText(uint64_t rank) const
     // hoped for.
     uint64_t steps = 0;
     uint64_t j = rank;
-    FmdThreadCounters &tc = threadCounters();
     while (!saMarked(j)) {
-        const uint8_t c = bwtSymbol(j);
-        // c == 0 only at the primary row (suffix position 0), which is
-        // always marked; the walk cannot pass through it.
-        j = counts_[c] + occ(c, j);
-        ++tc.occ_calls;
+        j = lf(j);
         ++steps;
         assert(steps < kSaStep && "locate walk exceeded kSaStep");
     }
@@ -446,10 +331,9 @@ FmdIndex::locateInto(const FmdInterval &interval, size_t max_hits,
         sc.steps[r] = 0;
         sc.done[r] = 0;
         prefetchSaMark(sc.j[r]);
-        prefetchOcc(sc.j[r]);
+        bwt_.prefetch(sc.j[r]);
     }
     uint64_t remaining = n;
-    FmdThreadCounters &tc = threadCounters();
     while (remaining > 0) {
         for (uint64_t r = 0; r < n; ++r) {
             if (sc.done[r])
@@ -463,13 +347,11 @@ FmdIndex::locateInto(const FmdInterval &interval, size_t max_hits,
                 --remaining;
                 continue;
             }
-            const uint8_t c = bwtSymbol(j);
-            const uint64_t next = counts_[c] + occ(c, j);
-            ++tc.occ_calls;
+            const uint64_t next = lf(j);
             ++sc.steps[r];
             assert(sc.steps[r] < kSaStep && "locate walk exceeded kSaStep");
             sc.j[r] = next;
-            prefetchOcc(next);
+            bwt_.prefetch(next);
             prefetchSaMark(next);
         }
     }
@@ -504,37 +386,23 @@ FmdIndex::match(const Sequence &pattern) const
 size_t
 FmdIndex::storageBytes() const
 {
-    size_t bytes = text_.storageBytes() + bwt_.size() +
-        packed_.storageBytes() +
-        occ_checkpoints_.size() * sizeof(uint64_t) +
+    return text_.storageBytes() + bwt_.storageBytes() +
         sa_mark_.size() * sizeof(uint64_t) +
         sa_mark_rank_.size() * sizeof(uint32_t) +
         sa_samples_.size() * sizeof(int32_t);
-    if (kmer_table_)
-        bytes += kmer_table_->storageBytes();
-    return bytes;
 }
 
 bool
 FmdIndex::save(std::ostream &os) const
 {
     bool ok = writePod(os, kIndexMagic) && writePod(os, kIndexVersion) &&
-        writePod(os, static_cast<uint8_t>(layout_)) &&
-        writePod(os, ref_len_) && writePod(os, text_len_) &&
-        writePod(os, primary_);
+        writePod(os, kPackedLayout) && writePod(os, ref_len_) &&
+        writePod(os, text_len_) && writePod(os, primary_);
     for (uint64_t c : counts_)
         ok = ok && writePod(os, c);
-    ok = ok && writeVec(os, sa_mark_) && writeVec(os, sa_samples_);
-    if (!ok)
-        return false;
-    if (layout_ == FmLayout::Packed) {
-        ok = writeVec(os, packed_.blocks_) &&
-            writeVec(os, packed_.exceptions_) &&
-            writePod(os, packed_.size_);
-    } else {
-        ok = writeVec(os, bwt_);
-    }
-    return ok;
+    return ok && writeVec(os, sa_mark_) && writeVec(os, sa_samples_) &&
+        writeVec(os, bwt_.blocks_) && writeVec(os, bwt_.exceptions_) &&
+        writePod(os, bwt_.size_);
 }
 
 std::optional<FmdIndex::Stored>
@@ -546,64 +414,50 @@ FmdIndex::read(std::istream &is, uint64_t ref_len)
     std::unique_ptr<FmdIndex> idx(new FmdIndex());
     bool ok = readPod(is, magic) && magic == kIndexMagic &&
         readPod(is, version) && version == kIndexVersion &&
-        readPod(is, layout) && layout <= 1 &&
+        readPod(is, layout) && layout == kPackedLayout &&
         readPod(is, idx->ref_len_) && readPod(is, idx->text_len_) &&
         readPod(is, idx->primary_);
     const uint64_t T = 2 * ref_len + 1;
     if (!ok || idx->ref_len_ != ref_len || idx->text_len_ != T ||
         idx->primary_ >= T)
         return std::nullopt;
-    idx->layout_ = static_cast<FmLayout>(layout);
     for (uint64_t &c : idx->counts_)
         ok = ok && readPod(is, c);
     // counts_ is a cumulative histogram of the T BWT symbols.
     ok = ok && idx->counts_[0] == 0 && idx->counts_[5] == T &&
         std::is_sorted(std::begin(idx->counts_), std::end(idx->counts_));
     // Every array's count must be the one T implies (see save()).
+    PackedBwt &p = idx->bwt_;
     ok = ok && readVec(is, idx->sa_mark_, (T + 63) / 64) &&
-        readVec(is, idx->sa_samples_, (T - 1) / kSaStep + 1);
-    if (!ok)
+        readVec(is, idx->sa_samples_, (T - 1) / kSaStep + 1) &&
+        readVec(is, p.blocks_, T / PackedBwt::kBlockSymbols + 1) &&
+        readVec(is, p.exceptions_, 1) && readPod(is, p.size_);
+    // The one exception is the sentinel, at the primary row.
+    if (!ok || p.size_ != T || p.exceptions_[0] != idx->primary_)
         return std::nullopt;
-    if (idx->layout_ == FmLayout::Packed) {
-        PackedBwt &p = idx->packed_;
-        ok = readVec(is, p.blocks_, T / PackedBwt::kBlockSymbols + 1) &&
-            readVec(is, p.exceptions_, 1) && readPod(is, p.size_);
-        // The one exception is the sentinel, at the primary row.
-        if (!ok || p.size_ != T || p.exceptions_[0] != idx->primary_)
-            return std::nullopt;
-        p.first_exception_ = p.exceptions_[0];
-    } else {
-        if (!readVec(is, idx->bwt_, T))
-            return std::nullopt;
-        // Symbols are 0..4: the occ checkpoint build counts by symbol.
-        bool bad_symbol = false;
-        for (uint8_t sym : idx->bwt_)
-            bad_symbol |= sym > 4;
-        if (bad_symbol)
-            return std::nullopt;
-    }
+    p.first_exception_ = p.exceptions_[0];
     return Stored(std::move(idx));
 }
 
 std::unique_ptr<FmdIndex>
-FmdIndex::build(Stored stored, const Sequence &reference, int kmer_k)
+FmdIndex::build(Stored stored, const Sequence &reference)
 {
     std::unique_ptr<FmdIndex> idx = std::move(stored.index_);
     if (!idx || reference.size() != idx->ref_len_)
         return nullptr;
     idx->text_ = PackedSequence::pack(reference);
-    if (!idx->deriveStructures(kmer_k))
+    if (!idx->deriveRankDirectory())
         return nullptr;
     return idx;
 }
 
 std::unique_ptr<FmdIndex>
-FmdIndex::load(std::istream &is, const Sequence &reference, int kmer_k)
+FmdIndex::load(std::istream &is, const Sequence &reference)
 {
     std::optional<Stored> stored = read(is, reference.size());
     if (!stored)
         return nullptr;
-    return build(std::move(*stored), reference, kmer_k);
+    return build(std::move(*stored), reference);
 }
 
 } // namespace seedex

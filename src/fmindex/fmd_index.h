@@ -7,7 +7,6 @@
 #include <optional>
 #include <vector>
 
-#include "fmindex/kmer_table.h"
 #include "fmindex/packed_bwt.h"
 #include "genome/sequence.h"
 
@@ -43,29 +42,6 @@ struct FmdHit
     bool operator==(const FmdHit &) const = default;
 };
 
-/** BWT storage layout of an FmdIndex. */
-enum class FmLayout : uint8_t
-{
-    /** One byte per symbol + separate occ checkpoint array (the
-     *  original layout; kept as the differential-test oracle). */
-    Naive = 0,
-    /** 2-bit symbols interleaved with per-cache-line checkpoints; occ
-     *  is a handful of popcounts on one 64-byte block (default). */
-    Packed = 1,
-};
-
-/** Construction knobs (resolved from the environment by default). */
-struct FmdIndexOptions
-{
-    FmLayout layout = FmLayout::Packed;
-    /** k of the k-mer interval table: -1 = auto from genome size,
-     *  0 = disabled, else clamped to [1, 12]. */
-    int kmer_k = -1;
-
-    /** SEEDEX_FM_LAYOUT=naive|packed, SEEDEX_SEED_KMER=<k>|0. */
-    static FmdIndexOptions fromEnv();
-};
-
 /**
  * One backward/forward extension request for FmdIndex::extendBatch.
  * The extension is computed in place — `in` holds the source interval
@@ -90,8 +66,6 @@ struct FmdThreadCounters
 {
     /** occ/rank queries issued (2 per extension step, 1 per LF step). */
     uint64_t occ_calls = 0;
-    /** Forward-extension steps answered by the k-mer table. */
-    uint64_t kmer_hits = 0;
     /** Extension steps of a unique match answered by comparing the
      *  query against the index text (forward and backward). */
     uint64_t text_steps = 0;
@@ -105,10 +79,11 @@ struct FmdThreadCounters
  * Alphabet: $ < A < C < G < T (codes shift by one internally); N bases
  * must be resolved before construction (PackedSequence semantics).
  *
- * Two BWT layouts sit behind the same API (FmLayout); both produce
- * bit-identical intervals and hits. The suffix array is sampled by text
- * position (every kSaStep-th position marks its rank), which bounds
- * every locate walk to < kSaStep LF steps.
+ * The BWT is stored as a PackedBwt: 2-bit symbols interleaved with
+ * per-cache-line occ checkpoints, so every rank query reads one 64-byte
+ * block. The suffix array is sampled by text position (every
+ * kSaStep-th position marks its rank), which bounds every locate walk
+ * to < kSaStep LF steps.
  *
  * The index also owns its text T = ref . revcomp(ref) . $ (N collapsed
  * to A, length 2L+1) as a 2-bit pack of the forward strand, L/4 bytes:
@@ -120,11 +95,7 @@ class FmdIndex
 {
   public:
     /** Build from a reference (codes 0..3; N collapses to A). */
-    explicit FmdIndex(const Sequence &reference)
-        : FmdIndex(reference, FmdIndexOptions::fromEnv())
-    {}
-
-    FmdIndex(const Sequence &reference, const FmdIndexOptions &options);
+    explicit FmdIndex(const Sequence &reference);
 
     FmdIndex(const FmdIndex &) = delete;
     FmdIndex &operator=(const FmdIndex &) = delete;
@@ -147,11 +118,6 @@ class FmdIndex
         return kBaseN;
     }
 
-    FmLayout layout() const { return layout_; }
-
-    /** The k-mer interval table, or nullptr when disabled. */
-    const KmerTable *kmerTable() const { return kmer_table_.get(); }
-
     /** Interval of the empty pattern extended by base c (the seed of any
      *  search). */
     FmdInterval init(Base c) const;
@@ -163,14 +129,6 @@ class FmdIndex
      *             reverse-complement interval).
      */
     FmdInterval extend(const FmdInterval &in, Base c, bool back) const;
-
-    /**
-     * All four extensions of `in` from one rank pair: out[c] equals
-     * extend(in, c, back) for every base c. Walking a node's children
-     * this way costs one rank pair instead of four.
-     */
-    void extendAll(const FmdInterval &in, bool back,
-                   FmdInterval out[kNumBases]) const;
 
     /** Hint the cache that `in` is about to be extended in direction
      *  `back` (the two occ blocks its rank pair reads). */
@@ -222,8 +180,8 @@ class FmdIndex
     size_t storageBytes() const;
 
     // ---- Serialization.
-    /** Write the index (without the text and the k-mer table, which are
-     *  rebuilt at load) to a binary stream; returns false on I/O
+    /** Write the index (without the text, which is repacked from the
+     *  reference at load) to a binary stream; returns false on I/O
      *  failure. */
     bool save(std::ostream &os) const;
 
@@ -249,27 +207,27 @@ class FmdIndex
      * implies, and is checked before anything is allocated, so no
      * payload value sizes an allocation beyond what T allows. Nothing
      * read here indexes memory. Returns nullopt on a malformed or short
-     * stream.
+     * stream, including one whose layout byte is not 1, the packed
+     * layout (0 marks an index with a byte-per-symbol BWT, which must be
+     * rebuilt).
      */
     static std::optional<Stored> read(std::istream &is, uint64_t ref_len);
 
     /**
-     * Build step of load(): derive the structures that index memory with
-     * stored values (the suffix-array rank directory, the naive layout's
-     * occ checkpoints, the k-mer table per `kmer_k`) and pack the text
-     * from `reference`. A caller that checksums the stream runs this
-     * only after the checksum matched. Returns nullptr when `reference`
-     * has the wrong length or the arrays are inconsistent.
+     * Build step of load(): derive the one structure that indexes memory
+     * with stored values (the suffix-array rank directory) and pack the
+     * text from `reference`. A caller that checksums the stream runs
+     * this only after the checksum matched. Returns nullptr when
+     * `reference` has the wrong length or the arrays are inconsistent.
      */
-    static std::unique_ptr<FmdIndex>
-    build(Stored stored, const Sequence &reference, int kmer_k = -1);
+    static std::unique_ptr<FmdIndex> build(Stored stored,
+                                           const Sequence &reference);
 
     /** Load an index previously written by save() over `reference`:
-     *  read() then build(). The saved layout is preserved. Returns
-     *  nullptr on a malformed stream or a reference of the wrong
-     *  length. */
-    static std::unique_ptr<FmdIndex>
-    load(std::istream &is, const Sequence &reference, int kmer_k = -1);
+     *  read() then build(). Returns nullptr on a malformed stream or a
+     *  reference of the wrong length. */
+    static std::unique_ptr<FmdIndex> load(std::istream &is,
+                                          const Sequence &reference);
 
     /** This thread's query counters (see FmdThreadCounters). */
     static FmdThreadCounters &threadCounters();
@@ -281,11 +239,6 @@ class FmdIndex
   private:
     FmdIndex() = default; // for read()
 
-    uint64_t occ(uint8_t c, uint64_t i) const;
-    void occAll(uint64_t i, uint64_t out[5]) const;
-    uint8_t bwtSymbol(uint64_t rank) const;
-    /** Prefetch the occ block(s) covering position i. */
-    void prefetchOcc(uint64_t i) const;
     /** Prefetch the suffix-array mark word of rank j. */
     void prefetchSaMark(uint64_t j) const;
     bool saMarked(uint64_t rank) const;
@@ -297,29 +250,25 @@ class FmdIndex
     /** occ of all symbols at both ends of [lo, lo + s). */
     void rankPair(uint64_t lo, uint64_t s, uint64_t tk[5],
                   uint64_t tl[5]) const;
-    /** Derive everything not stored: the SA rank directory, the naive
-     *  occ checkpoints and the k-mer table. Returns false when sa_mark_
-     *  marks a different number of ranks than sa_samples_ holds. */
-    bool deriveStructures(int kmer_k);
+    /** One LF step from BWT row j (counted as one occ call). */
+    uint64_t lf(uint64_t j) const;
+    /** Derive the SA rank directory from sa_mark_ (it is not stored).
+     *  Returns false when sa_mark_ marks a different number of ranks
+     *  than sa_samples_ holds. */
+    bool deriveRankDirectory();
 
     uint64_t ref_len_ = 0;
     uint64_t text_len_ = 0; ///< 2 * ref_len_ + 1 (with sentinel)
     PackedSequence text_; ///< forward strand of the text, N -> A
-    FmLayout layout_ = FmLayout::Packed;
-    std::vector<uint8_t> bwt_; ///< naive layout: symbols in 0..4 ($=0)
-    PackedBwt packed_;         ///< packed layout
+    PackedBwt bwt_; ///< the BWT, its one exception ($) at primary_
     uint64_t primary_ = 0; ///< BWT row whose suffix is the whole text
     uint64_t counts_[6] = {}; ///< C array (cumulative symbol counts)
-    /** Naive layout: occ checkpoints every kOccStep symbols, 5 each. */
-    static constexpr uint64_t kOccStep = 64;
-    std::vector<uint64_t> occ_checkpoints_;
     /** Position-sampled suffix array: ranks whose text position is a
      *  multiple of kSaStep are marked; samples are stored in rank
      *  order and found via a word-level rank directory. */
     std::vector<uint64_t> sa_mark_;
     std::vector<uint32_t> sa_mark_rank_;
     std::vector<int32_t> sa_samples_;
-    std::unique_ptr<KmerTable> kmer_table_;
 };
 
 } // namespace seedex

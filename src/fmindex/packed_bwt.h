@@ -51,6 +51,47 @@ wordMask(uint64_t off, int w)
     return ((uint64_t{1} << (2 * rem)) - 1) & kLaneLowBits;
 }
 
+/** Lanes of codes 1..3 among the first `off` of a block's 128 (the
+ *  portable path: one popcount per word and code, hardware POPCNT when
+ *  the library is built with it). Code 0's count is the remainder. */
+inline void
+portableCounts(const uint64_t *data, uint64_t off, uint64_t hits[3])
+{
+    uint64_t hit1 = 0, hit2 = 0, hit3 = 0;
+    for (int w = 0; w < 4; ++w) {
+        const uint64_t word = data[w];
+        const uint64_t mask = wordMask(off, w);
+        // One XOR per code classifies every lane; a matching lane is 00.
+        const uint64_t x1 = word ^ codePattern(1);
+        const uint64_t x2 = word ^ codePattern(2);
+        const uint64_t x3 = word ^ codePattern(3);
+        hit1 += static_cast<uint64_t>(
+            std::popcount(~(x1 | (x1 >> 1)) & mask));
+        hit2 += static_cast<uint64_t>(
+            std::popcount(~(x2 | (x2 >> 1)) & mask));
+        hit3 += static_cast<uint64_t>(
+            std::popcount(~(x3 | (x3 >> 1)) & mask));
+    }
+    hits[0] = hit1;
+    hits[1] = hit2;
+    hits[2] = hit3;
+}
+
+/** Lanes of one code among the first `off` of a block's 128 (portable
+ *  path). */
+inline uint64_t
+portableCount(const uint64_t *data, uint64_t off, uint8_t code)
+{
+    const uint64_t pattern = codePattern(code);
+    uint64_t n = 0;
+    for (int w = 0; w < 4; ++w) {
+        const uint64_t x = data[w] ^ pattern; // matching lanes become 00
+        n += static_cast<uint64_t>(
+            std::popcount(~(x | (x >> 1)) & wordMask(off, w)));
+    }
+    return n;
+}
+
 #ifdef SEEDEX_RANK_SIMD
 
 /** wordMask for every (off, w) pair, laid out so one 32-byte aligned
@@ -193,11 +234,10 @@ inline const bool kHaveVpopcnt =
 /**
  * Cache-line-packed BWT with interleaved occ checkpoints.
  *
- * The naive FmdIndex layout answers every occ query by scanning up to
- * 64 one-byte symbols after reading a checkpoint from a *separate*
- * array — two dependent cache lines plus a 64-iteration scalar loop per
- * query. This layout interleaves both into one 64-byte block covering
- * 128 symbols:
+ * A byte-per-symbol BWT with a *separate* checkpoint array answers an
+ * occ query with two dependent cache lines plus a scan of up to a
+ * checkpoint interval's symbols. This layout, the only one FmdIndex
+ * has, interleaves both into one 64-byte block covering 128 symbols:
  *
  *     struct Block {            // one cache line
  *         uint64_t cp[4];       // occ(A..T) at the block start
@@ -250,19 +290,11 @@ class PackedBwt
         const uint64_t off = i % kBlockSymbols;
         uint64_t n = b.cp[code];
 #ifdef SEEDEX_RANK_SIMD
-        if (kHaveVpopcnt) {
+        if (kHaveVpopcnt)
             n += classifyCount(b.data, off, code);
-        } else
+        else
 #endif
-        {
-            const uint64_t pattern = codePattern(code);
-            for (int w = 0; w < 4; ++w) {
-                const uint64_t x =
-                    b.data[w] ^ pattern; // matching lanes become 00
-                n += static_cast<uint64_t>(
-                    std::popcount(~(x | (x >> 1)) & wordMask(off, w)));
-            }
-        }
+            n += portableCount(b.data, off, code);
         if (code == 0)
             n -= exceptionsBelow(i); // exceptions were stored as code 0
         return n;
@@ -275,42 +307,22 @@ class PackedBwt
         using namespace packed_detail;
         const Block &b = blocks_[i / kBlockSymbols];
         const uint64_t off = i % kBlockSymbols;
-        uint64_t hit1 = 0, hit2 = 0, hit3 = 0;
+        uint64_t hits[3];
 #ifdef SEEDEX_RANK_SIMD
-        if (kHaveVpopcnt) {
-            uint64_t hits[3];
+        if (kHaveVpopcnt)
             classifyCounts(b.data, off, hits);
-            hit1 = hits[0];
-            hit2 = hits[1];
-            hit3 = hits[2];
-        } else
+        else
 #endif
-        {
-            for (int w = 0; w < 4; ++w) {
-                const uint64_t word = b.data[w];
-                const uint64_t mask = wordMask(off, w);
-                // One XOR per code classifies every lane; a matching
-                // lane is 00.
-                const uint64_t x1 = word ^ codePattern(1);
-                const uint64_t x2 = word ^ codePattern(2);
-                const uint64_t x3 = word ^ codePattern(3);
-                hit1 += static_cast<uint64_t>(
-                    std::popcount(~(x1 | (x1 >> 1)) & mask));
-                hit2 += static_cast<uint64_t>(
-                    std::popcount(~(x2 | (x2 >> 1)) & mask));
-                hit3 += static_cast<uint64_t>(
-                    std::popcount(~(x3 | (x3 >> 1)) & mask));
-            }
-        }
+            portableCounts(b.data, off, hits);
         // The masks cover exactly `off` lanes, so code 0's count is the
         // remainder — no fourth popcount chain needed.
-        const uint64_t hit0 = off - hit1 - hit2 - hit3;
+        const uint64_t hit0 = off - hits[0] - hits[1] - hits[2];
         const uint64_t sentinels = exceptionsBelow(i);
         out[0] = sentinels;
         out[1] = b.cp[0] + hit0 - sentinels;
-        out[2] = b.cp[1] + hit1;
-        out[3] = b.cp[2] + hit2;
-        out[4] = b.cp[3] + hit3;
+        out[2] = b.cp[1] + hits[0];
+        out[3] = b.cp[2] + hits[1];
+        out[4] = b.cp[3] + hits[2];
     }
 
     /** rankAll at two positions, sharing the block read and symbol

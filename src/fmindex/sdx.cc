@@ -334,7 +334,7 @@ saveSdx(const std::string &path, const std::vector<SdxContig> &contigs,
 }
 
 SdxData
-loadSdx(const std::string &path, int kmer_k)
+loadSdx(const std::string &path)
 {
     const std::unique_ptr<std::FILE, FileCloser> file(
         std::fopen(path.c_str(), "rb"));
@@ -385,7 +385,7 @@ loadSdx(const std::string &path, int kmer_k)
     }
     verifyFooter();
 
-    data.index = FmdIndex::build(std::move(*stored), data.reference, kmer_k);
+    data.index = FmdIndex::build(std::move(*stored), data.reference);
     if (!data.index)
         failCorrupt(path, kMalformedFm);
     return data;

@@ -74,15 +74,15 @@ void saveSdx(const std::string &path, const std::vector<SdxContig> &contigs,
  * is read once, straight from the file into its final array, and every
  * byte goes through the CRC as it arrives. Each stored array's size is
  * checked against the reference length before it is allocated, and
- * nothing that indexes memory with payload values (the k-mer table per
- * `kmer_k`, the naive layout's occ checkpoints) is built until the
- * footer has matched (FmdIndex::read, then the footer, then
- * FmdIndex::build). The index text is packed from the decoded
- * reference. On a structural failure the rest of the payload is still
- * checksummed first, so a corrupt file reports its checksum mismatch.
+ * nothing that indexes memory with payload values (the suffix-array
+ * rank directory) is built until the footer has matched
+ * (FmdIndex::read, then the footer, then FmdIndex::build). The index
+ * text is packed from the decoded reference. On a structural failure
+ * the rest of the payload is still checksummed first, so a corrupt file
+ * reports its checksum mismatch.
  * Throws SdxError on any failure.
  */
-SdxData loadSdx(const std::string &path, int kmer_k = -1);
+SdxData loadSdx(const std::string &path);
 
 /** Cheap sniff: does `path` start with the `.sdx` magic? (Lets the CLI
  *  accept either a prebuilt index or a plain FASTA reference.) */

@@ -7,30 +7,6 @@ namespace seedex {
 namespace {
 
 /**
- * One forward-sweep step of the k-mer fast path: while the growing
- * prefix still fits the table, the next interval is a single lookup
- * instead of two occ queries. Returns true and fills `ok` when the
- * table answered; the caller falls back to extend() otherwise.
- *
- * `code` accumulates query[x..i] two bits per base; `plen` = i - x + 1.
- */
-inline bool
-kmerLookup(const KmerTable *kt, uint32_t &code, int plen, Base next,
-           FmdInterval &ok)
-{
-    if (kt == nullptr || plen > kt->k())
-        return false;
-    code |= static_cast<uint32_t>(next) << (2 * (plen - 1));
-    const KmerTable::Entry &e = kt->lookup(code, plen);
-    ok.k = e.k;
-    ok.l = e.l;
-    ok.s = e.s;
-    ok.info = 0;
-    ++FmdIndex::threadCounters().kmer_hits;
-    return true;
-}
-
-/**
  * Move a unique interval onto the text: resolve where its single
  * occurrence starts (< kSaStep LF steps) and drop k and l, which
  * nothing keeps current from here on. Only s (= 1) and info stay.
@@ -134,12 +110,10 @@ smem1(const FmdIndex &index, const Sequence &query, int x,
 
     curr.clear();
     prev.clear();
-    const KmerTable *kt = index.kmerTable();
     // With min_intv == 1 a unique match is kept until it dies, so it
     // leaves the BWT for the text; tpos is where it starts.
     const bool text = min_intv == 1;
     uint64_t tpos = kNoTextPos;
-    uint32_t code = query[x];
     FmdInterval ik = index.init(query[x]);
     ik.info = static_cast<uint64_t>(x) + 1;
 
@@ -158,9 +132,7 @@ smem1(const FmdIndex &index, const Sequence &query, int x,
             ik.info = static_cast<uint64_t>(i) + 1;
             continue;
         }
-        FmdInterval ok;
-        if (!kmerLookup(kt, code, i - x + 1, query[i], ok))
-            ok = index.extend(ik, query[i], false);
+        const FmdInterval ok = index.extend(ik, query[i], false);
         if (ok.s != ik.s) {
             curr.push_back(ik);
             if (ok.s < min_intv)
@@ -266,15 +238,14 @@ stepBackward(const FmdIndex &index, State &st, Base c, uint64_t min_intv,
  * Advance `st` until it either appends extension requests for this
  * round (req_count > 0) or runs out of work (Phase::Done). All
  * transitions that need no occ query — pivot management, ambiguous
- * bases, k-mer table steps, text steps of a unique match, dead backward
- * rounds — happen here, so a round never stalls on a read that has
+ * bases, text steps of a unique match, dead backward rounds — happen
+ * here, so a round never stalls on a read that has
  * cheap work to do.
  */
 void
 emitRequests(const FmdIndex &index, State &st, uint64_t min_intv,
              std::vector<FmdExtendRequest> &requests)
 {
-    const KmerTable *kt = index.kmerTable();
     const Sequence &q = *st.query;
     const bool text = min_intv == 1;
     st.req_count = 0;
@@ -294,7 +265,6 @@ emitRequests(const FmdIndex &index, State &st, uint64_t min_intv,
             st.pivot_start = st.out->size();
             st.curr.clear();
             st.prev.clear();
-            st.code = q[st.x];
             st.tpos = kNoTextPos;
             st.ik = index.init(q[st.x]);
             st.ik.info = static_cast<uint64_t>(st.x) + 1;
@@ -317,12 +287,6 @@ emitRequests(const FmdIndex &index, State &st, uint64_t min_intv,
                     st.curr.push_back(st.ik);
                     finishForward(index, st, min_intv);
                 }
-                continue;
-            }
-            FmdInterval ok;
-            if (kmerLookup(kt, st.code, st.i - st.x + 1, q[st.i], ok)) {
-                if (applyForwardStep(st, ok, min_intv))
-                    finishForward(index, st, min_intv);
                 continue;
             }
             st.req_first = requests.size();

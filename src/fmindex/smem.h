@@ -50,7 +50,6 @@ struct SmemWorkspace
         int x = 0;   ///< current pivot
         int i = 0;   ///< forward/backward loop position
         int ret = 0; ///< next pivot once this one finishes
-        uint32_t code = 0; ///< packed k-mer prefix of the forward sweep
         /** Text position of the pivot's unique match (ik during the
          *  forward sweep, prev[0] during the backward pass), or
          *  kNoTextPos while it is still on the BWT. */
@@ -75,9 +74,7 @@ struct SmemWorkspace
  * SMEM generation, the seeding algorithm of BWA-MEM (and the workload ERT
  * accelerates): for each query position, find all supermaximal exact
  * matches covering it via forward extension followed by a backward
- * shrink pass (Li 2012 / bwt_smem1). When the index carries a k-mer
- * interval table, the first k forward steps of every sweep are table
- * lookups instead of occ queries. With min_intv == 1, once the forward
+ * shrink pass (Li 2012 / bwt_smem1). With min_intv == 1, once the forward
  * sweep's match has a single occurrence it is located once and extends
  * by comparing the query against the index text (FmdIndex::textBase),
  * forward and then backward; the SMEM it ends as is `located()`.

@@ -21,7 +21,7 @@
 #include "genome/fastx_stream.h"
 #include "genome/read_sim.h"
 #include "genome/reference.h"
-#include "obs/metrics.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 
 namespace seedex {
@@ -264,12 +264,11 @@ sdxSections(const std::string &blob)
     const uint64_t ref_len = u64(at);
     s.reference = at + 8;
     s.fm = s.reference + (ref_len + 1) / 2;
-    const bool packed = blob[s.fm + 12] == 1; // after magic and version
     // magic, version, layout, ref_len, text_len, primary, counts_[6].
     s.fm_arrays = s.fm + 8 + 4 + 1 + 8 + 8 + 8 + 6 * 8;
     at = s.fm_arrays;
-    for (const size_t elem : packed ? std::vector<size_t>{8, 4, 64, 8}
-                                    : std::vector<size_t>{8, 4, 1}) {
+    // sa_mark words, SA samples, packed blocks, exceptions.
+    for (const size_t elem : {8, 4, 64, 8}) {
         s.array_counts.push_back(at);
         s.array_data.push_back(at + 8);
         at += 8 + u64(at) * elem;
@@ -512,6 +511,36 @@ TEST(CliErrors, CorruptSdxExitsNonZero)
     EXPECT_EQ(cli({"seedex", "align", sdx, w.fastq_path, "-o", out}), 1);
 }
 
+TEST(CliErrors, NaiveLayoutSdxExitsOne)
+{
+    // An index that claims the deleted byte-per-symbol layout (layout
+    // byte 0) under an intact checksum is refused with the rebuild
+    // diagnostic, not misread as packed.
+    const Workload w = buildWorkload("layout", 5);
+    const std::string sdx = tempPath("layout.sdx");
+    ASSERT_EQ(cli({"seedex", "index", w.fasta_path, "-o", sdx}), 0);
+    std::string blob = slurp(sdx);
+    const SdxSections sec = sdxSections(blob);
+    const size_t layout_at = sec.fm + 8 + 4; // after magic and version
+    ASSERT_EQ(blob[layout_at], 1);
+    blob[layout_at] = 0;
+    const uint32_t crc = crc32(blob.data(), sec.footer);
+    std::memcpy(blob.data() + sec.footer, &crc, sizeof(crc));
+    writeFile(sdx, blob);
+
+    std::ostringstream err;
+    std::streambuf *saved = std::cerr.rdbuf(err.rdbuf());
+    const int rc = cli({"seedex", "align", sdx, w.fastq_path, "-o",
+                        tempPath("layout.sam")});
+    std::cerr.rdbuf(saved);
+    EXPECT_EQ(rc, 1);
+    EXPECT_NE(err.str().find("rebuild with `seedex index`"),
+              std::string::npos)
+        << err.str();
+    EXPECT_EQ(err.str().find("checksum mismatch"), std::string::npos)
+        << err.str();
+}
+
 TEST(CliErrors, UsageErrorsExitTwo)
 {
     EXPECT_EQ(cli({"seedex"}), 2);
@@ -526,12 +555,15 @@ TEST(CliErrors, UsageErrorsExitTwo)
           "--queue-shards=-1"})
         EXPECT_EQ(cli({"seedex", "align", "a", "b", "--threads=4", bad}), 2)
             << bad;
-    // So are the band and the seeding and kernel choices, on either
-    // path, and the index options of `seedex index`.
+    // So are the band, the kernel choice and the ledger stride, on
+    // either path. The removed index options (--kmer, --fm-layout) are
+    // unknown options on both commands.
     for (const char *threads : {"--threads=1", "--threads=4"})
         for (const char *bad :
              {"--band=0", "--band=-1", "--kmer=abc", "--kmer=-5",
-              "--kmer=99", "--fm-layout=bogus", "--kernel=bogus"})
+              "--kmer=99", "--fm-layout=bogus", "--kernel=bogus",
+              "--ledger-sample=0", "--ledger-sample=-3",
+              "--ledger-sample=4294967296"})
             EXPECT_EQ(cli({"seedex", "align", "a", "b", threads, bad}), 2)
                 << threads << " " << bad;
     for (const char *bad :
@@ -539,6 +571,16 @@ TEST(CliErrors, UsageErrorsExitTwo)
         EXPECT_EQ(cli({"seedex", "index", "ref.fa", "-o", "ref.sdx", bad}),
                   2)
             << bad;
+    // Simulation counts are checked before any file is written.
+    const std::string prefix = tempPath("badsim");
+    tempPaths().push_back(prefix + ".fa");
+    for (const char *bad :
+         {"--reads=-1", "--reads=0", "--length=-5", "--length=0",
+          "--read-length=-1", "--read-length=0", "--length=50"}) {
+        EXPECT_EQ(cli({"seedex", "simulate", "-o", prefix, bad}), 2)
+            << bad;
+        EXPECT_FALSE(std::ifstream(prefix + ".fa").good()) << bad;
+    }
     EXPECT_EQ(cli({"seedex", "--version"}), 0);
     EXPECT_EQ(cli({"seedex", "--help"}), 0);
 }
@@ -679,57 +721,6 @@ TEST_F(CliPrecedence, BandFlagBeatsEnv)
     EXPECT_EQ(jsonValue(alignReport("band_flag", {"--band=21"}),
                         "base_band"),
               "21");
-}
-
-// ---- --kmer with a prebuilt index --------------------------------------
-
-/** SAM text without its @PG line (which records the command line). */
-std::string
-samWithoutPg(const std::string &path)
-{
-    std::istringstream in(slurp(path));
-    std::string out, line;
-    while (std::getline(in, line))
-        if (line.rfind("@PG\t", 0) != 0)
-            out += line + '\n';
-    return out;
-}
-
-TEST(CliKmer, SdxHonoursKmerFlag)
-{
-    // The default run must not inherit a SEEDEX_SEED_KMER setting.
-    ScopedEnv env("SEEDEX_SEED_KMER", "");
-    const Workload w = buildWorkload("kmer", 200);
-    const std::string sdx = tempPath("kmer.sdx");
-    ASSERT_EQ(cli({"seedex", "index", w.fasta_path, "-o", sdx}), 0);
-
-    struct Run
-    {
-        std::string sam;
-        uint64_t kmer_hits = 0;
-    };
-    const auto align = [&](const std::string &tag,
-                           std::initializer_list<std::string> extra) {
-        const std::string out = tempPath("kmer_" + tag + ".sam");
-        const std::string metrics = tempPath("kmer_" + tag + ".json");
-        std::vector<std::string> args = {"seedex", "align", sdx,
-                                         w.fastq_path, "-o", out,
-                                         "--metrics-out=" + metrics};
-        args.insert(args.end(), extra.begin(), extra.end());
-        std::vector<char *> argv;
-        for (std::string &a : args)
-            argv.push_back(a.data());
-        obs::MetricsRegistry::global().reset();
-        EXPECT_EQ(runCli(static_cast<int>(argv.size()), argv.data()), 0);
-        return Run{samWithoutPg(out),
-                   std::stoull(jsonValue(slurp(metrics),
-                                         "seed.kmer_hits"))};
-    };
-    const Run with_table = align("default", {});
-    const Run without = align("off", {"--kmer=0"});
-    EXPECT_GT(with_table.kmer_hits, 0u);
-    EXPECT_EQ(without.kmer_hits, 0u);
-    EXPECT_EQ(without.sam, with_table.sam);
 }
 
 TEST(CliReport, LoadTimedInReportAndTrace)

@@ -100,9 +100,9 @@ SPECS = {
                     Metric("reads_per_s", True, "time", TIME_NOISE),
                     Metric("mbases_per_s", True, "time", TIME_NOISE),
                     # Deterministic algorithmic work: more occ calls per
-                    # read means the k-mer table / batching regressed.
+                    # read means the SMEM search does more rank queries.
                     Metric("occ_calls_per_read", False, "ratio"),
-                    Metric("speedup_vs_naive", True, "ratio"),
+                    Metric("speedup_vs_scalar", True, "ratio"),
                 ],
             ),
         ],
@@ -299,21 +299,30 @@ def self_test():
     regs, _ = compare_docs(baseline, wobble, 0.10, True, out=sink)
     assert not regs, "--ratios-only compared a time metric"
 
-    # Seeding spec: occ_calls_per_read is lower-is-better.
+    # Seeding spec: occ_calls_per_read is lower-is-better, and a batch
+    # driver that falls behind the scalar one trips the ratio gate.
     seed_base = {
         "schema": SCHEMA,
         "bench": "bench_seed",
         "cells": [
-            {"genome_bp": 1048576, "config": "packed+kmer/batch",
-             "batch": 16, "reads_per_s": 50000.0, "mbases_per_s": 5.0,
-             "occ_calls_per_read": 120.0, "speedup_vs_naive": 3.5},
+            {"genome_bp": 1048576, "config": "scalar", "batch": 1,
+             "reads_per_s": 40000.0, "mbases_per_s": 4.0,
+             "occ_calls_per_read": 120.0, "speedup_vs_scalar": 1.0},
+            {"genome_bp": 1048576, "config": "batch", "batch": 16,
+             "reads_per_s": 50000.0, "mbases_per_s": 5.0,
+             "occ_calls_per_read": 120.0, "speedup_vs_scalar": 1.25},
         ],
-        "headline_speedup": 3.5,
+        "headline_speedup": 1.25,
     }
     seed_reg = json.loads(json.dumps(seed_base))
-    seed_reg["cells"][0]["occ_calls_per_read"] = 120.0 * 1.15
+    seed_reg["cells"][1]["occ_calls_per_read"] = 120.0 * 1.15
     regs, _ = compare_docs(seed_base, seed_reg, 0.10, True, out=sink)
     assert regs, "15% occ_calls_per_read growth not detected"
+    seed_slow = json.loads(json.dumps(seed_base))
+    seed_slow["cells"][1]["speedup_vs_scalar"] = 1.25 * 0.85
+    seed_slow["headline_speedup"] = 1.25 * 0.85
+    regs, _ = compare_docs(seed_base, seed_slow, 0.10, True, out=sink)
+    assert len(regs) == 2, f"15% batch speedup loss not gated: {regs}"
 
     # Threading spec: a collapse of the modeled 8-thread speedup must
     # trip the ratios-only CI gate; wall-clock wobble must not.
