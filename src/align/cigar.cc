@@ -3,18 +3,28 @@
 #include <cctype>
 #include <stdexcept>
 
-#include "util/table.h"
+#include "util/decimal.h"
 
 namespace seedex {
+
+void
+Cigar::appendTo(std::string &out) const
+{
+    if (ops_.empty()) {
+        out += '*';
+        return;
+    }
+    for (const auto &op : ops_) {
+        appendDecimal(out, op.len);
+        out += op.op;
+    }
+}
 
 std::string
 Cigar::toString() const
 {
-    if (ops_.empty())
-        return "*";
     std::string out;
-    for (const auto &op : ops_)
-        out += strprintf("%d%c", op.len, op.op);
+    appendTo(out);
     return out;
 }
 

@@ -47,8 +47,12 @@ class Cigar
     const std::vector<CigarOp> &ops() const { return ops_; }
     bool empty() const { return ops_.empty(); }
 
-    /** Render in SAM notation, e.g. "5S96M". */
+    /** Render in SAM notation, e.g. "5S96M" ("*" when empty). */
     std::string toString() const;
+
+    /** Append the toString() text to `out` (the SAM renderer writes the
+     *  CIGAR column in place this way). */
+    void appendTo(std::string &out) const;
 
     /** Parse from SAM notation; throws std::runtime_error on bad input. */
     static Cigar fromString(const std::string &text);

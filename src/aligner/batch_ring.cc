@@ -44,6 +44,14 @@ ringMetrics()
  *  notification driven). */
 constexpr std::chrono::microseconds kShardNap{500};
 
+using Clock = std::chrono::steady_clock;
+
+double
+seconds(Clock::duration d)
+{
+    return std::chrono::duration<double>(d).count();
+}
+
 } // namespace
 
 // ------------------------------------------------------------- BatchPool
@@ -295,18 +303,23 @@ ReorderBuffer::ReorderBuffer(size_t window, BatchSink sink)
 void
 ReorderBuffer::reserve(uint64_t seq)
 {
+    const Clock::time_point begin = Clock::now();
     std::unique_lock<std::mutex> lock(mutex_);
     space_.wait(lock, [&] { return seq < next_ + slots_.size(); });
+    wait_seconds_ += seconds(Clock::now() - begin);
 }
 
 void
 ReorderBuffer::complete(uint64_t seq, size_t base,
                         std::vector<SamRecord> &&recs)
 {
+    const Clock::time_point begin = Clock::now();
     std::unique_lock<std::mutex> lock(mutex_);
     // reserve() already admitted seq; this wait is a pure safety net
     // against misuse (it cannot fire when producers reserve first).
     space_.wait(lock, [&] { return seq < next_ + slots_.size(); });
+    const Clock::time_point admitted = Clock::now();
+    wait_seconds_ += seconds(admitted - begin);
     Slot &slot = slots_[seq % slots_.size()];
     slot.full = true;
     slot.base = base;
@@ -326,8 +339,10 @@ ReorderBuffer::complete(uint64_t seq, size_t base,
         advanced = true;
     }
     ringMetrics().reorder_pending.set(static_cast<int64_t>(pending_));
-    if (advanced)
+    if (advanced) {
+        sink_seconds_ += seconds(Clock::now() - admitted);
         space_.notify_all();
+    }
 }
 
 uint64_t
@@ -342,6 +357,20 @@ ReorderBuffer::maxPending() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return max_pending_;
+}
+
+double
+ReorderBuffer::sinkSeconds() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return sink_seconds_;
+}
+
+double
+ReorderBuffer::windowWaitSeconds() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return wait_seconds_;
 }
 
 } // namespace seedex

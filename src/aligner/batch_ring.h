@@ -203,7 +203,9 @@ class BatchRing
  * Sequence-stamped reorder window: consumers complete batches in any
  * order; the sink fires in strictly increasing sequence order, as soon
  * as the head of the window fills. The sink runs under the buffer lock
- * (that is what serializes it), so it should only move records out.
+ * (that is what serializes it), so its whole cost is serial: every
+ * reserve() and complete() waits while it runs. sinkSeconds() and
+ * windowWaitSeconds() measure both sides.
  *
  * Back-pressure lives on the PRODUCER side: a producer must reserve(seq)
  * before building/publishing batch seq, which blocks while seq is
@@ -236,6 +238,15 @@ class ReorderBuffer
     uint64_t retired() const;
     int64_t maxPending() const;
 
+    /** Seconds spent retiring batches into the sink. The sink runs
+     *  under the buffer lock, so this is the pipeline's serial section:
+     *  no other thread can reserve or complete meanwhile. */
+    double sinkSeconds() const;
+
+    /** Seconds threads spent in reserve() and complete() waiting for
+     *  the buffer lock or for window space, summed over threads. */
+    double windowWaitSeconds() const;
+
   private:
     struct Slot
     {
@@ -251,6 +262,8 @@ class ReorderBuffer
     size_t pending_ = 0;
     int64_t max_pending_ = 0;
     uint64_t retired_ = 0;
+    double sink_seconds_ = 0;
+    double wait_seconds_ = 0;
     BatchSink sink_;
 };
 

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "align/dp.h"
+#include "util/decimal.h"
 #include "util/table.h"
 
 namespace seedex {
@@ -89,18 +90,38 @@ SamRecord::render() const
     // (mate-position convention) still renders its 1-based POS.
     const bool unmapped = (flag & kSamFlagUnmapped) != 0;
     const bool placed = rname != "*";
-    const std::string cigar_text =
-        unmapped ? std::string("*") : cigar.toString();
-    return strprintf("%s\t%d\t%s\t%llu\t%d\t%s\t%s\t%llu\t%lld\t%s"
-                     "\t*\tAS:i:%d\tXS:i:%d",
-                     qname.c_str(), flag, rname.c_str(),
-                     static_cast<unsigned long long>(placed ? pos + 1 : 0),
-                     unmapped ? 0 : mapq, cigar_text.c_str(),
-                     rnext.c_str(),
-                     static_cast<unsigned long long>(
-                         rnext == "*" ? 0 : pnext + 1),
-                     static_cast<long long>(unmapped ? 0 : tlen),
-                     seq.c_str(), score, sub_score);
+    // One buffer, sized up front: the text columns plus room for seven
+    // numbers, a short CIGAR and the fixed tags.
+    std::string line;
+    line.reserve(qname.size() + rname.size() + rnext.size() + seq.size() +
+                 128);
+    line += qname;
+    line += '\t';
+    appendDecimal(line, flag);
+    line += '\t';
+    line += rname;
+    line += '\t';
+    appendDecimal(line, placed ? pos + 1 : 0);
+    line += '\t';
+    appendDecimal(line, unmapped ? 0 : mapq);
+    line += '\t';
+    if (unmapped)
+        line += '*';
+    else
+        cigar.appendTo(line);
+    line += '\t';
+    line += rnext;
+    line += '\t';
+    appendDecimal(line, rnext == "*" ? 0 : pnext + 1);
+    line += '\t';
+    appendDecimal(line, unmapped ? 0 : tlen);
+    line += '\t';
+    line += seq;
+    line += "\t*\tAS:i:";
+    appendDecimal(line, score);
+    line += "\tXS:i:";
+    appendDecimal(line, sub_score);
+    return line;
 }
 
 int

@@ -579,6 +579,8 @@ alignThreadedSource(const Sequence &reference, const ReadSource &source,
         report->pool.misses = pool.misses();
         report->reorder.retired = reorder.retired();
         report->reorder.max_pending = reorder.maxPending();
+        report->reorder.sink_seconds = reorder.sinkSeconds();
+        report->reorder.window_wait_seconds = reorder.windowWaitSeconds();
         report->paired.pairs = pair_count;
         report->paired.proper = pair_proper;
         report->paired.rescues = pair_rescues;

@@ -134,6 +134,12 @@ struct ThreadedReport
     {
         uint64_t retired = 0;
         int64_t max_pending = 0;
+        /** Wall seconds inside the sink, which runs under the window
+         *  lock: the pipeline's serial section. */
+        double sink_seconds = 0;
+        /** Wall seconds threads waited in reserve()/complete() for the
+         *  window lock or for window space, summed over threads. */
+        double window_wait_seconds = 0;
     } reorder;
 
     /** Pair accounting (paired mode only; zeros otherwise). */

@@ -216,15 +216,6 @@ exportKnob(const Args &args, const std::string &flag, const char *env)
         setenv(env, args.get(flag).c_str(), 1);
 }
 
-/** First whitespace-delimited token of a FASTA name: the @SQ SN: key
- *  (SN values must be whitespace-free per the SAM spec). */
-std::string
-contigToken(const std::string &name)
-{
-    const size_t ws = name.find_first_of(" \t");
-    return ws == std::string::npos ? name : name.substr(0, ws);
-}
-
 /** The reference as the aligner consumes it: one concatenated sequence
  *  plus the contig dictionary for SAM emission. */
 struct Reference
@@ -244,7 +235,7 @@ loadFasta(const std::string &path)
     FastaRecord rec;
     std::vector<Base> all;
     while (reader.next(rec)) {
-        const std::string token = contigToken(rec.name);
+        const std::string token(firstWord(rec.name));
         // FastaReader rejects duplicate full names; tokenized SN keys
         // can still collide ("chr1 a" vs "chr1 b"), which add() rejects.
         ref.contigs.add(token, rec.seq.size());
@@ -517,7 +508,11 @@ cmdAlign(int argc, char **argv)
                     n += 2;
                 }
             } else {
+                // QNAME is the header's first word; a description or
+                // tab-separated tags after it would break the record.
+                // Unlike pair names, a /1 or /2 suffix stays.
                 while (n < max && reader->next(fq)) {
+                    fq.name.resize(firstWord(fq.name).size());
                     pulled[n].first = std::move(fq.name);
                     pulled[n].second = std::move(fq.seq);
                     ++n;
@@ -660,6 +655,9 @@ cmdAlign(int argc, char **argv)
                 w.kv("consumer_cpu_seconds", treport.consumer_cpu_seconds);
                 w.kv("device_emulation_cpu_seconds",
                      treport.device_emulation_cpu_seconds);
+                w.kv("sink_seconds", treport.reorder.sink_seconds);
+                w.kv("window_wait_seconds",
+                     treport.reorder.window_wait_seconds);
             });
         }
         if (paired) {

@@ -241,9 +241,7 @@ PairedReadSource::PairedReadSource(std::istream &in, std::string origin)
 std::string
 PairedReadSource::canonicalName(const std::string &header)
 {
-    const size_t ws = header.find_first_of(" \t");
-    std::string name =
-        ws == std::string::npos ? header : header.substr(0, ws);
+    std::string name(firstWord(header));
     if (name.size() > 2 && name[name.size() - 2] == '/' &&
         (name.back() == '1' || name.back() == '2'))
         name.resize(name.size() - 2);

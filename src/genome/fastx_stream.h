@@ -6,11 +6,25 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 
 #include "genome/fasta.h"
 
 namespace seedex {
+
+/**
+ * First whitespace-delimited word of a FASTA/FASTQ header: everything
+ * before the first space or tab (the whole header when there is none).
+ * SAM names are this word, because the spec allows them no whitespace:
+ * a contig's @SQ SN, a single-end read's QNAME, and a pair's QNAME
+ * before its mate suffix is stripped.
+ */
+inline std::string_view
+firstWord(std::string_view header)
+{
+    return header.substr(0, header.find_first_of(" \t"));
+}
 
 /**
  * Chunked line scanner: the shared substrate of the streaming FASTA and
@@ -143,8 +157,8 @@ class FastqReader
 /** One read pair pulled from a PairedReadSource. */
 struct PairedRecord
 {
-    /** Canonical pair name: the first whitespace token of the FASTQ
-     *  header with any trailing `/1` or `/2` mate suffix stripped —
+    /** Canonical pair name: the first word of the FASTQ header (see
+     *  firstWord) with any trailing `/1` or `/2` mate suffix stripped —
      *  both mates must agree, and this is the QNAME both SAM records
      *  carry (the SAM pairing convention). */
     std::string name;
@@ -189,8 +203,8 @@ class PairedReadSource
 
     bool interleaved() const { return r2_ == nullptr; }
 
-    /** Canonical pair name of one FASTQ header: first whitespace token,
-     *  minus a trailing "/1" or "/2" mate suffix. */
+    /** Canonical pair name of one FASTQ header: its first word, minus
+     *  a trailing "/1" or "/2" mate suffix. */
     static std::string canonicalName(const std::string &header);
 
   private:

@@ -9,6 +9,7 @@
 #include "genome/read_sim.h"
 #include "genome/reference.h"
 #include "util/rng.h"
+#include "util/table.h"
 
 namespace seedex {
 namespace {
@@ -431,6 +432,121 @@ TEST_F(AlignerFixture, SamRenderShape)
     EXPECT_NE(line.find("q0\t0\tref\t778\t"), std::string::npos);
     EXPECT_NE(line.find("101M"), std::string::npos);
     EXPECT_NE(line.find("AS:i:"), std::string::npos);
+}
+
+// ---------------------------------------------------- SAM render oracle
+
+/** The CIGAR text as the renderer once formatted it, op by op with
+ *  strprintf: the oracle Cigar::toString() must match byte for byte. */
+std::string
+printfCigar(const Cigar &cigar)
+{
+    if (cigar.empty())
+        return "*";
+    std::string out;
+    for (const CigarOp &op : cigar.ops())
+        out += strprintf("%d%c", op.len, op.op);
+    return out;
+}
+
+/** The SAM line as the renderer once formatted it, one strprintf call:
+ *  the oracle SamRecord::render() must match byte for byte. */
+std::string
+printfRender(const SamRecord &r)
+{
+    const bool unmapped = (r.flag & kSamFlagUnmapped) != 0;
+    const bool placed = r.rname != "*";
+    const std::string cigar_text =
+        unmapped ? std::string("*") : printfCigar(r.cigar);
+    return strprintf("%s\t%d\t%s\t%llu\t%d\t%s\t%s\t%llu\t%lld\t%s"
+                     "\t*\tAS:i:%d\tXS:i:%d",
+                     r.qname.c_str(), r.flag, r.rname.c_str(),
+                     static_cast<unsigned long long>(placed ? r.pos + 1
+                                                            : 0),
+                     unmapped ? 0 : r.mapq, cigar_text.c_str(),
+                     r.rnext.c_str(),
+                     static_cast<unsigned long long>(
+                         r.rnext == "*" ? 0 : r.pnext + 1),
+                     static_cast<long long>(unmapped ? 0 : r.tlen),
+                     r.seq.c_str(), r.score, r.sub_score);
+}
+
+/** A coordinate: 0, small, or anywhere up to 2^40. */
+uint64_t
+randomCoordinate(Rng &rng)
+{
+    switch (rng.below(4)) {
+      case 0: return 0;
+      case 1: return rng.below(1000);
+      case 2: return rng.below(1ULL << 40);
+      default: return 1ULL << 40;
+    }
+}
+
+/** A record with every field drawn independently, so flag 0x4 meets
+ *  placed and unplaced records, non-empty CIGARs and non-zero TLENs,
+ *  and RNEXT '*' meets non-zero PNEXTs. */
+SamRecord
+randomSamRecord(Rng &rng)
+{
+    static const std::vector<std::string> kContigs = {"chr1", "chrUn_x"};
+    SamRecord r;
+    // QNAME: 1-254 characters of the SAM alphabet [!-?A-~].
+    const size_t qlen = 1 + rng.below(254);
+    for (size_t i = 0; i < qlen; ++i) {
+        const int k = static_cast<int>(rng.below(93));
+        r.qname += static_cast<char>(k < 31 ? '!' + k : 'A' + (k - 31));
+    }
+    r.flag = static_cast<int>(rng.below(256)); // every pair/strand bit
+    r.rname = rng.coin(0.3) ? "*" : kContigs[rng.below(2)];
+    r.pos = randomCoordinate(rng);
+    r.mapq = static_cast<int>(rng.below(61));
+    if (!rng.coin(0.15)) {
+        static const char kOps[] = {'S', 'M', 'I', 'D'};
+        static const uint32_t kMaxLen[] = {9, 999, 1000000};
+        std::vector<CigarOp> ops(1 + rng.below(6));
+        for (CigarOp &op : ops)
+            op = {kOps[rng.below(4)],
+                  static_cast<int>(1 + rng.below(kMaxLen[rng.below(3)]))};
+        r.cigar = Cigar(std::move(ops));
+    }
+    switch (rng.below(3)) {
+      case 0: r.rnext = "*"; break;
+      case 1: r.rnext = "="; break;
+      default: r.rnext = kContigs[rng.below(2)]; break;
+    }
+    r.pnext = randomCoordinate(rng);
+    r.tlen = static_cast<int64_t>(randomCoordinate(rng)) *
+        (rng.coin(0.5) ? -1 : 1);
+    const size_t slen = rng.below(302);
+    for (size_t i = 0; i < slen; ++i)
+        r.seq += "ACGTN"[rng.below(5)];
+    r.score = static_cast<int>(rng.range(-200, 400));
+    r.sub_score = static_cast<int>(rng.range(-200, 400));
+    return r;
+}
+
+TEST(SamRender, MatchesPrintfOracleOnRandomRecords)
+{
+    Rng rng(2020);
+    int unmapped_placed = 0, unmapped_unplaced = 0, star_rnext = 0;
+    int negative_tlen = 0, empty_cigar = 0;
+    for (int i = 0; i < 20000; ++i) {
+        const SamRecord r = randomSamRecord(rng);
+        ASSERT_EQ(r.cigar.toString(), printfCigar(r.cigar)) << "record " << i;
+        ASSERT_EQ(r.render(), printfRender(r)) << "record " << i;
+        unmapped_placed += !r.mapped() && r.rname != "*";
+        unmapped_unplaced += !r.mapped() && r.rname == "*";
+        star_rnext += r.rnext == "*" && r.pnext != 0;
+        negative_tlen += r.tlen < 0;
+        empty_cigar += r.cigar.empty();
+    }
+    // The draw reached every rule the renderer applies.
+    EXPECT_GT(unmapped_placed, 0);
+    EXPECT_GT(unmapped_unplaced, 0);
+    EXPECT_GT(star_rnext, 0);
+    EXPECT_GT(negative_tlen, 0);
+    EXPECT_GT(empty_cigar, 0);
 }
 
 TEST_F(AlignerFixture, UnmappableReadReportedUnmapped)

@@ -761,6 +761,56 @@ TEST(SamSpec, UnmappedRecordFields)
     EXPECT_EQ(f[8], "0");  // TLEN
 }
 
+// ---- single-end QNAME ---------------------------------------------------
+
+TEST(SamSpec, SingleEndQnameIsFirstHeaderWord)
+{
+    const Workload w = buildWorkload("qname", 300);
+    const std::string sdx = tempPath("qname.sdx");
+    ASSERT_EQ(cli({"seedex", "index", w.fasta_path, "-o", sdx}), 0);
+    // Illumina-style descriptions, `samtools fastq -T` tags after a tab,
+    // and a /1 suffix, which single-end input keeps (as BWA does).
+    const char *const kTails[] = {" extra description 1:N:0",
+                                  "\tRG:Z:x\tBC:Z:ACGT", " 2:N:0", ""};
+    const std::string fastq = tempPath("qname.fq");
+    std::vector<std::string> want;
+    {
+        std::ofstream fq(fastq);
+        for (size_t i = 0; i < w.reads.size(); ++i) {
+            const auto &[name, seq] = w.reads[i];
+            const std::string word = i % 4 == 2 ? name + "/1" : name;
+            fq << '@' << word << kTails[i % 4] << '\n'
+               << seq.toString() << "\n+\n"
+               << std::string(seq.size(), 'I') << '\n';
+            want.push_back(word);
+        }
+    }
+    std::string bodies[2];
+    for (int t = 0; t < 2; ++t) {
+        const std::string threads = t == 0 ? "1" : "4";
+        const std::string out = tempPath("qname_t" + threads + ".sam");
+        ASSERT_EQ(cli({"seedex", "align", sdx, fastq, "-o", out,
+                       "--threads=" + threads}),
+                  0);
+        std::istringstream sam(slurp(out));
+        size_t n = 0;
+        for (std::string line; std::getline(sam, line);) {
+            if (line.rfind("@PG", 0) == 0)
+                continue;
+            bodies[t] += line + '\n';
+            if (line[0] == '@')
+                continue;
+            const std::vector<std::string> f = splitTabs(line);
+            EXPECT_GE(f.size(), 11u) << line;
+            ASSERT_LT(n, want.size());
+            EXPECT_EQ(f[0], want[n]) << "--threads=" << threads;
+            ++n;
+        }
+        EXPECT_EQ(n, want.size()) << "--threads=" << threads;
+    }
+    EXPECT_EQ(bodies[0], bodies[1]);
+}
+
 // ---- streaming readers --------------------------------------------------
 
 TEST(FastxStream, FastqCrlfAndBlankSeparators)

@@ -11,7 +11,8 @@
 # section, and the BENCH_threads.json sweep; finally runs the
 # CLI paired-end path (simulate --paired with shredded rescue-bait
 # mates, threaded align -1/-2) and validates the `paired` report
-# section, the run section's load_seconds, the seedex.paired.*
+# section, the run section's load_seconds, the threaded section's
+# sink and reorder-window wait seconds, the seedex.paired.*
 # instruments, the extension reconciliation identity
 # filter.verdict.total == aligner.extensions + threaded.extensions +
 # paired.rescue_extensions, and the ledger's pair fields.
@@ -465,6 +466,15 @@ assert 0 <= thr["helped_batches"] <= thr["batches"], thr
 assert thr["helped_batches"] == counters["threaded.helped_batches"], thr
 assert thr["consumer_cpu_seconds"] >= thr["device_emulation_cpu_seconds"]
 assert thr["producer_cpu_seconds"] > 0 and thr["consumer_cpu_seconds"] > 0
+# The reorder window's serial section: time in the sink (under the
+# window lock, so within one wall) and time threads waited on the
+# window (summed over threads).
+threads = thr["seeding_threads"] + thr["fpga_threads"]
+wall = run["wall_seconds"]
+for field in ("sink_seconds", "window_wait_seconds"):
+    assert field in thr, f"threaded section lacks {field}"
+assert 0 <= thr["sink_seconds"] <= wall, (thr, wall)
+assert 0 <= thr["window_wait_seconds"] <= threads * wall, (thr, wall)
 
 # --- Extension reconciliation: each verdict the filter issued came
 # from the single-threaded bootstrap chunk, a threaded consumer, or a

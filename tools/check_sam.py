@@ -6,7 +6,9 @@ end-to-end job):
 
   - header: @HD first line with a VN, at least one @SQ with SN/LN,
     and a @PG identifying the producing program
-  - every alignment line has the 11 mandatory columns
+  - every alignment line has the 11 mandatory columns, a QNAME matching
+    the spec's [!-?A-~]{1,254} (no whitespace, so a FASTQ description
+    cannot leak into it), and integer FLAG, POS, MAPQ, PNEXT and TLEN
   - mapped records: RNAME is a declared contig, 1 <= POS <= LN, the
     CIGAR's query-consuming length equals len(SEQ), and the record's
     reference span stays inside the contig
@@ -30,6 +32,8 @@ import re
 import sys
 
 CIGAR_RE = re.compile(r"^(\d+[MIDNSHP=X])+$")
+QNAME_RE = re.compile(r"[!-?A-~]{1,254}")
+INT_RE = re.compile(r"-?[0-9]+")
 QUERY_OPS = set("MIS=X")
 REF_OPS = set("MDN=X")
 
@@ -172,6 +176,15 @@ def main():
                 fail(f"{len(fields)} columns (need 11)", line_no)
             qname, flag, rname, pos, mapq, cigar = fields[:6]
             rnext, pnext, tlen, seq = fields[6:10]
+            if not QNAME_RE.fullmatch(qname):
+                fail(f"QNAME {qname!r} does not match [!-?A-~]{{1,254}}",
+                     line_no)
+            numbers = {"FLAG": flag, "POS": pos, "MAPQ": mapq,
+                       "PNEXT": pnext, "TLEN": tlen}
+            for column, text in numbers.items():
+                if not INT_RE.fullmatch(text):
+                    fail(f"{qname}: {column} {text!r} is not an integer",
+                         line_no)
             flag, pos, mapq, pnext, tlen = (int(flag), int(pos), int(mapq),
                                             int(pnext), int(tlen))
             n_records += 1
