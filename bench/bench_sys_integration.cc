@@ -46,6 +46,7 @@ main(int argc, char **argv)
     for (const auto &[s, f] : {std::pair<int, int>{1, 1}, {2, 1},
                                {3, 1}, {3, 2}}) {
         ThreadedConfig cfg;
+        cfg.pipeline.engine = EngineKind::Device;
         cfg.seeding_threads = s;
         cfg.fpga_threads = f;
         cfg.batch_size = 32;

@@ -65,7 +65,9 @@ runCell(const Sequence &reference, const FmdIndex &index,
         const std::vector<std::pair<std::string, Sequence>> &reads,
         const std::vector<SamRecord> &expected, int threads, size_t batch)
 {
+    // The device backend: modeled speedup needs the modeled occupancy.
     ThreadedConfig config;
+    config.pipeline.engine = EngineKind::Device;
     splitThreads(threads, &config.seeding_threads, &config.fpga_threads);
     config.batch_size = batch;
 

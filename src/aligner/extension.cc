@@ -69,10 +69,20 @@ SeedExEngine::extend(const ExtensionJob &job)
 }
 
 void
-submitToEngine(ExtensionEngine &engine, ExtensionBatch &batch)
+submitToEngine(ExtensionEngine &engine, ExtensionBatch &batch,
+               std::span<obs::ReadRecord *const> records)
 {
-    for (const ExtensionJob &job : batch.jobs)
-        batch.results.push_back(engine.extend(job));
+    if (records.empty()) {
+        for (const ExtensionJob &job : batch.jobs)
+            batch.results.push_back(engine.extend(job));
+        return;
+    }
+    for (size_t k = 0; k < batch.jobs.size(); ++k) {
+        const obs::ActiveRecord active(records[k]);
+        batch.results.push_back(engine.extend(batch.jobs[k]));
+        if (records[k] != nullptr)
+            ++records[k]->extensions;
+    }
 }
 
 void

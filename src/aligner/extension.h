@@ -10,6 +10,7 @@
 #include "aligner/chaining.h"
 #include "align/extend.h"
 #include "hw/throughput_model.h"
+#include "obs/ledger.h"
 #include "seedex/filter.h"
 
 namespace seedex {
@@ -154,8 +155,13 @@ struct ExtensionBatch
  *  `batch.results` (empty on entry). */
 using ExtensionSubmit = std::function<void(ExtensionBatch &batch)>;
 
-/** Submit step that runs each job through `engine`, in job order. */
-void submitToEngine(ExtensionEngine &engine, ExtensionBatch &batch);
+/** Submit step that runs each job through `engine`, in job order. With
+ *  `records` (parallel to the jobs, null entries allowed) each job runs
+ *  with its record as the thread's active ledger record, so the lower
+ *  layers attribute kernel calls, verdicts and reruns to the job's read,
+ *  and the record counts the extension. */
+void submitToEngine(ExtensionEngine &engine, ExtensionBatch &batch,
+                    std::span<obs::ReadRecord *const> records = {});
 
 /**
  * The extension driver: BWA-MEM's two-sided extension with h0

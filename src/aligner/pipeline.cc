@@ -58,6 +58,8 @@ alignerProfiles()
     return profiles;
 }
 
+} // namespace
+
 std::unique_ptr<ExtensionEngine>
 makeEngine(const PipelineConfig &config)
 {
@@ -70,7 +72,8 @@ makeEngine(const PipelineConfig &config)
                                               config.extension.scoring,
                                               config.extension.end_bonus,
                                               config.seedex.zdrop);
-      case EngineKind::SeedEx: {
+      case EngineKind::SeedEx:
+      case EngineKind::Device: {
         SeedExConfig sx = config.seedex;
         sx.band = config.band;
         sx.scoring = config.extension.scoring;
@@ -80,7 +83,11 @@ makeEngine(const PipelineConfig &config)
     return nullptr;
 }
 
-} // namespace
+int
+ledgerBand(const PipelineConfig &config)
+{
+    return config.engine == EngineKind::FullBand ? -1 : config.band;
+}
 
 SamRecord
 bestChainRecord(const std::string &name, const Sequence &read,
@@ -142,8 +149,7 @@ Aligner::alignSeeded(const std::string &name, const Sequence &read,
     obs::ReadScope ledger_scope(name);
     if (obs::ReadRecord *rec = ledger_scope.record()) {
         rec->seeds = static_cast<uint32_t>(seeds.size());
-        rec->band =
-            config_.engine == EngineKind::FullBand ? -1 : config_.band;
+        rec->band = ledgerBand(config_);
         rec->kernel = kernelIsaName(kernelDispatch());
     }
 

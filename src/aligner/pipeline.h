@@ -21,6 +21,12 @@ enum class EngineKind
     FullBand, ///< BWA-MEM/BWA-MEM2 software baseline
     Banded,   ///< fixed narrow band, NO guarantee (Fig. 13 baseline)
     SeedEx,   ///< speculative narrow band + checks + rerun (this paper)
+    /** SeedEx through the device timing model (Fig. 7/8): the threaded
+     *  consumer pushes each flank side through
+     *  SeedExAccelerator::processBatch, which adds modeled cycles, the
+     *  speculative-exception reruns and the device.* counters. Every
+     *  extension outside that step runs the SeedEx engine. */
+    Device,
 };
 
 /** End-to-end aligner configuration. */
@@ -58,6 +64,13 @@ struct PipelineStats
     /** SeedEx filter verdicts (only for EngineKind::SeedEx). */
     FilterStats filter;
 };
+
+/** The extension engine `config` selects (Device: the SeedEx engine). */
+std::unique_ptr<ExtensionEngine> makeEngine(const PipelineConfig &config);
+
+/** The band a read's ledger record reports: -1 (the full band) for the
+ *  full-band engine, else the configured band. */
+int ledgerBand(const PipelineConfig &config);
 
 /**
  * The SAM record of one read's best chain: the highest-scoring slot

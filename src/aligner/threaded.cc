@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <thread>
@@ -68,18 +69,27 @@ threadedProfiles()
 
 /**
  * Per-thread state of the consumer stage: scratch recycled across
- * batches and (paired mode) a SeedEx rescue engine with the device's
- * filter configuration, so rescue extensions carry the identical
- * full-band bit-equality acceptance proof. Every FPGA thread owns one,
- * and so does each seeding thread from the first batch it helps with.
+ * batches and the run's extension engine (makeEngine), which extends
+ * the slab's flanks outside the device backend and does mate rescue in
+ * paired mode. Every FPGA thread owns one, and so does each seeding
+ * thread from the first batch it helps with.
  */
 struct ConsumerCtx
 {
-    ConsumerCtx(const ThreadedConfig &config,
-                const SeedExConfig &filter_cfg)
+    explicit ConsumerCtx(const PipelineConfig &pipeline)
+        : engine(makeEngine(pipeline)),
+          seedex(dynamic_cast<const SeedExEngine *>(engine.get()))
+    {}
+
+    /** Full-band reruns the engine has run so far: the SeedEx engine's
+     *  rejected verdicts (the other engines never rerun). */
+    uint64_t
+    engineReruns() const
     {
-        if (config.paired)
-            rescue_engine = std::make_unique<SeedExEngine>(filter_cfg);
+        if (seedex == nullptr)
+            return 0;
+        const FilterStats &f = seedex->stats();
+        return f.total - f.pass_s2 - f.pass_checks;
     }
 
     /** The slab's chain table and, parallel to it, each slot's item. */
@@ -88,9 +98,12 @@ struct ConsumerCtx
     ExtensionBatch batch;
     std::vector<obs::ReadRecord> ledger_recs;
     std::vector<int> rec_of_item;
-    std::unique_ptr<SeedExEngine> rescue_engine;
-    /** CPU spent inside processBatch (device emulation). */
-    double device_cpu = 0;
+    /** Each submitted job's ledger record (null: not recorded). */
+    std::vector<obs::ReadRecord *> job_recs;
+    std::unique_ptr<ExtensionEngine> engine;
+    const SeedExEngine *seedex;
+    /** CPU spent inside the submit step. */
+    double submit_cpu = 0;
 };
 
 /** Positive integer environment knob; `fallback` when unset/garbage. */
@@ -140,16 +153,21 @@ alignThreadedSource(const Sequence &reference, const ReadSource &source,
         external_index = owned_index.get();
     }
     const FmdIndex &index = *external_index;
-    // The single FPGA: one accelerator instance shared, without a lock,
-    // by every thread that runs the consumer stage. §V-B's FPGA threads
-    // lock to drive the physical device's state; the model has none
-    // (processBatch is const, its per-batch state is local and its sums
-    // are atomic), and modeled occupancy — the sum of per-batch critical
-    // paths — does not depend on which thread runs a batch or when.
-    SeedExConfig filter_cfg = config.pipeline.seedex;
-    filter_cfg.band = config.pipeline.band;
-    filter_cfg.scoring = config.pipeline.extension.scoring;
-    const SeedExAccelerator device(config.organization, filter_cfg);
+    // The device backend (EngineKind::Device) models the single FPGA:
+    // one accelerator instance shared, without a lock, by every thread
+    // that runs the consumer stage. §V-B's FPGA threads lock to drive
+    // the physical device's state; the model has none (processBatch is
+    // const, its per-batch state is local and its sums are atomic), and
+    // modeled occupancy — the sum of per-batch critical paths — does not
+    // depend on which thread runs a batch or when. Every other engine
+    // extends on the consumer's own engine and never builds the model.
+    std::optional<SeedExAccelerator> device;
+    if (config.pipeline.engine == EngineKind::Device) {
+        SeedExConfig filter_cfg = config.pipeline.seedex;
+        filter_cfg.band = config.pipeline.band;
+        filter_cfg.scoring = config.pipeline.extension.scoring;
+        device.emplace(config.organization, filter_cfg);
+    }
 
     // Paired mode rounds the batch up to even so a pair never straddles
     // a slab boundary: with an even batch size and whole-pair pulls,
@@ -191,7 +209,7 @@ alignThreadedSource(const Sequence &reference, const ReadSource &source,
     std::atomic<uint64_t> pair_count{0}, pair_proper{0}, pair_rescues{0},
         pair_rescue_ext{0}, pair_rescue_passes{0};
     std::mutex cpu_mutex;
-    double producer_cpu = 0, consumer_cpu = 0, device_cpu = 0;
+    double producer_cpu = 0, consumer_cpu = 0, submit_cpu = 0;
 
     Stopwatch wall;
     wall.start();
@@ -240,14 +258,14 @@ alignThreadedSource(const Sequence &reference, const ReadSource &source,
     };
 
     // ---- The consumer stage (Fig. 12's FPGA-thread work): the shared
-    // extension driver pushes the slab's left flanks, then its right
-    // flanks, through the device model; then the best chain per read
-    // becomes SAM, pairs are finalized, and the records go to the
-    // reorder window. FPGA threads run it on every batch they pop; a
-    // seeding thread whose ring shard is full runs it on a batch it
-    // claims instead of blocking. It never waits on another thread: the
-    // batch was reserved before it was published, so reorder.complete()
-    // cannot block.
+    // extension driver submits the slab's left flanks, then its right
+    // flanks, to the run's engine (or the device model); then the best
+    // chain per read becomes SAM, pairs are finalized, and the records
+    // go to the reorder window. FPGA threads run it on every batch they
+    // pop; a seeding thread whose ring shard is full runs it on a batch
+    // it claims instead of blocking. It never waits on another thread:
+    // the batch was reserved before it was published, so
+    // reorder.complete() cannot block.
     const ExtensionParams &xp = config.pipeline.extension;
     const PairContext pair_ctx{reference, config.pipeline.contigs, xp,
                                config.insert, config.mate_rescue};
@@ -264,8 +282,10 @@ alignThreadedSource(const Sequence &reference, const ReadSource &source,
 
         // Provenance ledger: a read's journey spans producer and
         // consumer threads, so records are assembled here per batch
-        // (keyed by batch item) and published whole — never through
-        // the thread-local scope the single-threaded pipeline uses.
+        // (keyed by batch item) and published whole. The submit step
+        // attaches each job's record while the engine extends it, so
+        // the lower layers fill in the same fields as on the inline
+        // path.
         obs::Ledger &ledger = obs::Ledger::global();
         const bool ledger_on = ledger.enabled();
         ledger_recs.clear();
@@ -280,7 +300,7 @@ alignThreadedSource(const Sequence &reference, const ReadSource &source,
                 rec.seeds = batch.items[i].n_seeds;
                 rec.chains =
                     static_cast<uint32_t>(batch.items[i].n_chains);
-                rec.band = config.pipeline.band;
+                rec.band = ledgerBand(config.pipeline);
                 rec.kernel = kernelIsaName(kernelDispatch());
                 rec_of_item[i] =
                     static_cast<int>(ledger_recs.size());
@@ -303,36 +323,50 @@ alignThreadedSource(const Sequence &reference, const ReadSource &source,
             }
         }
 
-        // The submit step: one device batch per flank side. The per-job
-        // vectors of the BatchResult are parallel to the jobs, which is
-        // how each outcome reaches its read's ledger record.
-        const ExtensionSubmit to_device = [&](ExtensionBatch &b) {
-            obs::TraceSpan push_span("threaded.device_push", "threaded");
-            const double device_begin = threadCpuSeconds();
-            BatchResult res = device.processBatch(b.jobs);
-            ctx.device_cpu += threadCpuSeconds() - device_begin;
-            device_cycles += res.device_cycles;
+        // The submit step, once per flank side: the side's jobs in job
+        // order through the consumer's engine, or as one batch through
+        // the device model. The device's per-job BatchResult vectors are
+        // parallel to the jobs, which is how each outcome reaches its
+        // read's ledger record there.
+        const ExtensionSubmit submit = [&](ExtensionBatch &b) {
+            obs::TraceSpan submit_span("threaded.submit", "threaded");
+            const double submit_begin = threadCpuSeconds();
             extensions += b.jobs.size();
-            reruns += res.reruns_checks + res.reruns_exception;
+            ctx.job_recs.clear();
             for (size_t k = 0; ledger_on && k < b.jobs.size(); ++k) {
                 const int ri = rec_of_item[ctx.slot_item[b.slot_of[k]]];
-                if (ri < 0)
-                    continue;
-                obs::ReadRecord &rec = ledger_recs[static_cast<size_t>(ri)];
-                ++rec.extensions;
-                ++rec.kernel_calls; // the narrow speculation
-                rec.addVerdict(ledgerVerdict(res.verdicts[k]),
-                               res.edit_runs[k]);
-                if (res.rerun[k]) {
-                    ++rec.reruns;
-                    ++rec.kernel_calls; // host full-band rerun
-                }
-                rec.band_used =
-                    std::max(rec.band_used, res.results[k].max_off);
+                ctx.job_recs.push_back(
+                    ri < 0 ? nullptr
+                           : &ledger_recs[static_cast<size_t>(ri)]);
             }
-            b.results = std::move(res.results);
+            if (device) {
+                BatchResult res = device->processBatch(b.jobs);
+                device_cycles += res.device_cycles;
+                reruns += res.reruns_checks + res.reruns_exception;
+                for (size_t k = 0; k < ctx.job_recs.size(); ++k) {
+                    obs::ReadRecord *rec = ctx.job_recs[k];
+                    if (rec == nullptr)
+                        continue;
+                    ++rec->extensions;
+                    ++rec->kernel_calls; // the narrow speculation
+                    rec->addVerdict(ledgerVerdict(res.verdicts[k]),
+                                    res.edit_runs[k]);
+                    if (res.rerun[k]) {
+                        ++rec->reruns;
+                        ++rec->kernel_calls; // host full-band rerun
+                    }
+                    rec->band_used =
+                        std::max(rec->band_used, res.results[k].max_off);
+                }
+                b.results = std::move(res.results);
+            } else {
+                const uint64_t reruns_before = ctx.engineReruns();
+                submitToEngine(*ctx.engine, b, ctx.job_recs);
+                reruns += ctx.engineReruns() - reruns_before;
+            }
+            ctx.submit_cpu += threadCpuSeconds() - submit_begin;
         };
-        extendChains(slots, reference, xp, ctx.batch, to_device);
+        extendChains(slots, reference, xp, ctx.batch, submit);
 
         // Post-processing: best chain per read, traceback, SAM,
         // then hand the whole batch to the reorder window.
@@ -368,8 +402,7 @@ alignThreadedSource(const Sequence &reference, const ReadSource &source,
             for (size_t i = 0; i + 1 < batch.n_items; i += 2) {
                 const PairOutcome po = finalizePair(
                     recs[i], recs[i + 1], batch.items[i].read,
-                    batch.items[i + 1].read, *ctx.rescue_engine,
-                    pair_ctx);
+                    batch.items[i + 1].read, *ctx.engine, pair_ctx);
                 ++pair_count;
                 pair_proper += po.proper ? 1 : 0;
                 pair_rescues += po.rescued() ? 1 : 0;
@@ -487,8 +520,7 @@ alignThreadedSource(const Sequence &reference, const ReadSource &source,
                     break;
                 }
                 if (!helper)
-                    helper = std::make_unique<ConsumerCtx>(config,
-                                                           filter_cfg);
+                    helper = std::make_unique<ConsumerCtx>(config.pipeline);
                 const double help_begin = threadCpuSeconds();
                 consume_batch(help, *helper);
                 help_cpu += threadCpuSeconds() - help_begin;
@@ -500,19 +532,19 @@ alignThreadedSource(const Sequence &reference, const ReadSource &source,
         producer_cpu += cpu - help_cpu;
         consumer_cpu += help_cpu;
         if (helper)
-            device_cpu += helper->device_cpu;
+            submit_cpu += helper->submit_cpu;
     };
 
     // ---- Consumers: FPGA threads.
     auto fpga_worker = [&](size_t consumer_id) {
-        ConsumerCtx ctx(config, filter_cfg);
+        ConsumerCtx ctx(config.pipeline);
         const double cpu_begin = threadCpuSeconds();
         while (SeededBatch *claimed = ring.pop(consumer_id))
             consume_batch(claimed, ctx);
         const double cpu = threadCpuSeconds() - cpu_begin;
         std::lock_guard<std::mutex> lock(cpu_mutex);
         consumer_cpu += cpu;
-        device_cpu += ctx.device_cpu;
+        submit_cpu += ctx.submit_cpu;
     };
 
     std::vector<std::thread> workers;
@@ -562,7 +594,7 @@ alignThreadedSource(const Sequence &reference, const ReadSource &source,
         report->batch_size = batch_size;
         report->producer_cpu_seconds = producer_cpu;
         report->consumer_cpu_seconds = consumer_cpu;
-        report->device_emulation_cpu_seconds = device_cpu;
+        report->device_emulation_cpu_seconds = submit_cpu;
         report->device_occupancy_seconds =
             config.organization.clock_hz > 0
                 ? static_cast<double>(device_cycles.load()) /

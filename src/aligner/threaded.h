@@ -14,15 +14,16 @@ namespace seedex {
 /**
  * The software architecture of Fig. 12 (§V-B): seeding threads perform
  * seeding and chaining and publish whole batch slabs for FPGA threads;
- * FPGA threads claim a slab, package extension jobs, push a batch through
- * the accelerator, parse results (updating the initial score of right
- * extensions with the left-extension outcome "in the middle of parsing
- * left extension results"), handle the rerun tail, and emit SAM records.
- * The device model takes no lock (it has no state to guard), and a
- * seeding thread whose ring shard is full runs that same consumer stage
- * on a queued batch instead of blocking. Results are produced out of
- * order and streamed back in input order through a sequence-stamped
- * reorder buffer (see batch_ring.h).
+ * FPGA threads claim a slab, package extension jobs, submit each flank
+ * side to the run's extension engine (`pipeline.engine`; under
+ * EngineKind::Device, as one batch through the accelerator model), parse
+ * results (updating the initial score of right extensions with the
+ * left-extension outcome "in the middle of parsing left extension
+ * results"), and emit SAM records. The device model takes no lock (it
+ * has no state to guard), and a seeding thread whose ring shard is full
+ * runs that same consumer stage on a queued batch instead of blocking.
+ * Results are produced out of order and streamed back in input order
+ * through a sequence-stamped reorder buffer (see batch_ring.h).
  */
 struct ThreadedConfig
 {
@@ -80,7 +81,8 @@ struct ThreadedReport
     uint64_t helped_batches = 0;
     uint64_t extensions = 0;
     uint64_t reruns = 0;
-    /** Modeled FPGA occupancy summed over batches. */
+    /** Modeled FPGA occupancy summed over batches (EngineKind::Device
+     *  only; 0 otherwise). */
     uint64_t device_cycles = 0;
 
     // Run shape (so a report is self-describing in sweep JSON).
@@ -94,12 +96,14 @@ struct ThreadedReport
     // stage of a batch it helped with counts as consumer CPU.
     double producer_cpu_seconds = 0;
     double consumer_cpu_seconds = 0;
-    /** CPU spent emulating the device inside processBatch — a host
-     *  artifact a real FPGA would not pay; consumer_cpu_seconds
-     *  includes it. Measured around each whole processBatch call, on
-     *  whichever thread ran it. */
+    /** CPU spent inside the consumer's submit step, whatever the
+     *  engine: extension CPU, and under EngineKind::Device the device
+     *  emulation a real FPGA would not pay. consumer_cpu_seconds
+     *  includes it. Measured around each whole submit call, on whichever
+     *  thread ran it. (The name predates the other engines.) */
     double device_emulation_cpu_seconds = 0;
-    /** Modeled device busy time: device_cycles / clock_hz. */
+    /** Modeled device busy time: device_cycles / clock_hz (0 unless
+     *  EngineKind::Device). */
     double device_occupancy_seconds = 0;
 
     /** Hand-off ring telemetry (threaded.queue.* instruments). */
@@ -175,7 +179,9 @@ using ReadSource = std::function<size_t(
  * a time under a shared mutex and swap the reads into slab-owned
  * storage, so peak memory is bounded by the in-flight window regardless
  * of input size. Records are bit-identical to the single-threaded
- * full-band pipeline. The sink runs on consumer threads but is never
+ * pipeline on the same engine, and so, for every engine but the
+ * unguaranteed banded one, to the full band. The sink runs on consumer
+ * threads but is never
  * called concurrently; read indices passed to it count from 0 in pull
  * order. `index` lets the caller supply a prebuilt FM-index of
  * `reference` (e.g. loaded from a `.sdx` container); when null the

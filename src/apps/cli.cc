@@ -56,9 +56,11 @@ const char kUsage[] =
     "  --insert-mean=F / --insert-sd=F  pin the insert-size model instead\n"
     "                      of bootstrapping it from the first pairs\n"
     "  --no-rescue         disable SeedEx-checked mate rescue\n"
-    "  --engine=NAME       fullband | banded | seedex   [seedex]\n"
-    "  --band=N            band width for banded/seedex engines "
-    "(SEEDEX_BAND)\n"
+    "  --engine=NAME       fullband | banded | seedex | device   [seedex]\n"
+    "                      (device: seedex through the FPGA timing model,\n"
+    "                      with device.* counters; needs --threads>1)\n"
+    "  --band=N            band width for the banded, seedex and device\n"
+    "                      engines (SEEDEX_BAND)\n"
     "  --threads=N         total worker threads (SEEDEX_THREADS); 1 =\n"
     "                      single-threaded in-process pipeline\n"
     "  --seeding-threads=N / --fpga-threads=N  explicit 3:1 split override\n"
@@ -279,8 +281,10 @@ parseEngine(const std::string &name)
         return EngineKind::Banded;
     if (name == "seedex")
         return EngineKind::SeedEx;
+    if (name == "device")
+        return EngineKind::Device;
     throw UsageError("unknown engine '" + name +
-                     "' (expected fullband, banded, or seedex)");
+                     "' (expected fullband, banded, seedex, or device)");
 }
 
 std::string
@@ -420,16 +424,15 @@ cmdAlign(int argc, char **argv)
     tconfig.queue_shards = static_cast<int>(args.getCount(
         "--queue-shards", tconfig.queue_shards, 0));
 
-    bool threaded = threads > 1 || args.has("--seeding-threads") ||
+    const bool threaded = threads > 1 || args.has("--seeding-threads") ||
         args.has("--fpga-threads");
-    // The threaded path always drives the SeedEx device pipeline (its
-    // output is bit-identical to fullband by the optimality guarantee);
-    // the unguaranteed banded engine only exists single-threaded.
-    if (threaded && pconfig.engine == EngineKind::Banded) {
-        std::cerr << "seedex align: --engine=banded is single-threaded; "
-                     "ignoring --threads\n";
-        threaded = false;
-    }
+    // The device model runs on the threaded consumer's flank batches;
+    // the inline path submits one chain at a time, which would not
+    // model the device's batches.
+    if (!threaded && pconfig.engine == EngineKind::Device)
+        throw UsageError("--engine=device needs the threaded pipeline "
+                         "(--threads>1, --seeding-threads or "
+                         "--fpga-threads)");
 
     // Observability passthrough (same contract as the bench binaries):
     // enabling trace/ledger must happen before the run, writing after.

@@ -12,7 +12,9 @@ namespace {
 constexpr int kBandBuckets[] = {0, 1, 2, 4, 8, 16, 32, 64};
 
 thread_local ReadRecord t_record;
-thread_local bool t_open = false;
+/** The thread's active record: &t_record while a scope is open, or the
+ *  record an ActiveRecord attached. */
+thread_local ReadRecord *t_active = nullptr;
 
 } // namespace
 
@@ -71,7 +73,7 @@ Ledger::disable()
 ReadRecord *
 Ledger::active()
 {
-    return t_open ? &t_record : nullptr;
+    return t_active;
 }
 
 ReadRecord *
@@ -82,16 +84,16 @@ Ledger::open(uint64_t read_index, const std::string &name)
     t_record = ReadRecord{};
     t_record.read_index = read_index;
     t_record.name = name;
-    t_open = true;
+    t_active = &t_record;
     return &t_record;
 }
 
 void
 Ledger::close()
 {
-    if (!t_open)
+    if (t_active != &t_record)
         return;
-    t_open = false;
+    t_active = nullptr;
     global().publish(std::move(t_record));
 }
 
@@ -245,6 +247,16 @@ ReadScope::~ReadScope()
 {
     if (record_ != nullptr)
         Ledger::close();
+}
+
+ActiveRecord::ActiveRecord(ReadRecord *rec) : saved_(t_active)
+{
+    t_active = rec;
+}
+
+ActiveRecord::~ActiveRecord()
+{
+    t_active = saved_;
 }
 
 } // namespace seedex::obs

@@ -204,7 +204,8 @@ class Ledger
     static void close();
 
     /** Publish a fully assembled record (threaded pipeline path, where a
-     *  read's journey spans producer and consumer threads). */
+     *  read's journey spans producer and consumer threads; see
+     *  ActiveRecord). */
     void publish(ReadRecord rec);
 
     /** Drop all records and reset the sequence (quiescence only). */
@@ -262,6 +263,26 @@ class ReadScope
 
   private:
     ReadRecord *record_ = nullptr;
+};
+
+/**
+ * RAII attachment for a caller-owned record (the threaded pipeline,
+ * which assembles each read's record itself): while it lives, the
+ * calling thread's Ledger::active() is `rec` (nullptr: none), so the
+ * instrumented lower layers attribute onto it exactly as under a
+ * ReadScope. The previous active record is restored on destruction.
+ */
+class ActiveRecord
+{
+  public:
+    explicit ActiveRecord(ReadRecord *rec);
+    ~ActiveRecord();
+
+    ActiveRecord(const ActiveRecord &) = delete;
+    ActiveRecord &operator=(const ActiveRecord &) = delete;
+
+  private:
+    ReadRecord *saved_;
 };
 
 } // namespace seedex::obs

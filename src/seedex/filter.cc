@@ -62,10 +62,10 @@ FilterStats::add(const FilterOutcome &o)
     VerdictCounters &vc = verdictCounters();
     ++total;
     vc.total.inc();
-    // Provenance ledger: attribute the verdict to the read whose scope
-    // is open on this thread (the single-threaded pipeline path; the
-    // threaded pipeline attributes per-job verdicts from BatchResult
-    // instead, where batches mix reads across threads).
+    // Provenance ledger: attribute the verdict to the read record active
+    // on this thread (the inline pipeline's scope, or the job's read the
+    // threaded consumer attached; the device backend books its verdicts
+    // from BatchResult instead).
     if (obs::ReadRecord *rec = obs::Ledger::active()) {
         rec->addVerdict(ledgerVerdict(o.verdict), o.ran_edit_machine);
         if (!o.isAccepted())

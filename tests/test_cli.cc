@@ -5,6 +5,7 @@
 #include <fstream>
 #include <initializer_list>
 #include <iostream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "genome/fastx_stream.h"
 #include "genome/read_sim.h"
 #include "genome/reference.h"
+#include "obs/metrics.h"
 #include "util/crc32.h"
 #include "util/rng.h"
 
@@ -483,8 +485,6 @@ TEST_F(CliRoundTrip, SeedExFourThreads)
 
 TEST_F(CliRoundTrip, FullBandFourThreads)
 {
-    // The threaded path runs the SeedEx device pipeline; its optimality
-    // guarantee makes the output bit-identical to fullband.
     check(EngineKind::FullBand, "fullband", 4);
 }
 
@@ -583,6 +583,40 @@ TEST(CliErrors, UsageErrorsExitTwo)
     }
     EXPECT_EQ(cli({"seedex", "--version"}), 0);
     EXPECT_EQ(cli({"seedex", "--help"}), 0);
+}
+
+TEST(CliErrors, DeviceEngineNeedsThreadedPipeline)
+{
+    // The device model needs the threaded consumer's batches: without
+    // the threaded pipeline, --engine=device is a usage error raised
+    // before any file opens.
+    const Workload w = buildWorkload("device", 20);
+    // --band=21 stands in for a command line with no thread flag at all.
+    for (const char *flag : {"--threads=1", "--band=21"}) {
+        const std::string out = tempPath("device.sam");
+        EXPECT_EQ(cli({"seedex", "align", w.fasta_path, w.fastq_path, "-o",
+                       out, "--engine=device", flag}),
+                  2)
+            << flag;
+        EXPECT_FALSE(std::ifstream(out).good()) << flag;
+    }
+    for (const char *threads :
+         {"--threads=2", "--seeding-threads=1", "--fpga-threads=1"})
+        EXPECT_EQ(cli({"seedex", "align", w.fasta_path, w.fastq_path, "-o",
+                       tempPath("device.sam"), "--engine=device", threads}),
+                  0)
+            << threads;
+    EXPECT_EQ(cli({"seedex", "align", w.fasta_path, w.fastq_path,
+                   "--engine=bogus", "--threads=4"}),
+              2);
+
+    std::ostringstream help;
+    std::streambuf *saved = std::cout.rdbuf(help.rdbuf());
+    EXPECT_EQ(cli({"seedex", "--help"}), 0);
+    std::cout.rdbuf(saved);
+    EXPECT_NE(help.str().find("fullband | banded | seedex | device"),
+              std::string::npos)
+        << help.str();
 }
 
 TEST(CliErrors, MissingInputsExitOne)
@@ -740,6 +774,254 @@ TEST(CliReport, LoadTimedInReportAndTrace)
             << ref;
         EXPECT_NE(slurp(trace).find("\"index.load\""), std::string::npos)
             << ref;
+    }
+}
+
+// ---- --engine at every thread count -------------------------------------
+
+/** Registry counter value (the CLI runs in-process, so a run's counts
+ *  are the difference across it). */
+uint64_t
+counterValue(const std::string &name)
+{
+    return obs::MetricsRegistry::global().counter(name).value();
+}
+
+/** The SAM file minus its @PG line (which carries the command line). */
+std::string
+samBody(const std::string &path)
+{
+    std::istringstream in(slurp(path));
+    std::string body;
+    for (std::string line; std::getline(in, line);)
+        if (line.rfind("@PG", 0) != 0)
+            body += line + '\n';
+    return body;
+}
+
+void
+writeFastq(const std::string &path,
+           const std::vector<std::pair<std::string, Sequence>> &reads)
+{
+    std::ofstream fq(path);
+    for (const auto &[name, seq] : reads)
+        fq << '@' << name << '\n'
+           << seq.toString() << "\n+\n"
+           << std::string(seq.size(), 'I') << '\n';
+}
+
+/**
+ * `--engine` names one engine at every thread count: the threaded
+ * consumer extends through the run's own engine, and only
+ * `--engine=device` runs the device timing model. The corpus is
+ * perfbench's divergent profile (250 bp, 5 % substitutions, indels),
+ * where narrow bands reject and the banded engine clips, plus pairs
+ * with every 10th second mate shredded, so mate rescue runs on the
+ * threaded path past the 1024-pair bootstrap chunk.
+ */
+class CliEngine : public ::testing::Test
+{
+  protected:
+    struct Corpus
+    {
+        std::string sdx;
+        std::string reads;
+        std::string r1, r2;
+    };
+
+    static const Corpus &
+    corpus()
+    {
+        static const Corpus c = [] {
+            Corpus out;
+            Rng rng(77);
+            ReferenceParams rp;
+            rp.length = 200000;
+            const Sequence ref = generateReference(rp, rng);
+            const std::string fa = tempPath("engine.fa");
+            writeFastaFile(fa, {{"chr", ref}});
+            out.sdx = tempPath("engine.sdx");
+            EXPECT_EQ(cli({"seedex", "index", fa, "-o", out.sdx}), 0);
+
+            ReadSimParams divergent;
+            divergent.read_length = 250;
+            divergent.base_error_rate = 0.04;
+            divergent.snp_rate = 0.01;
+            divergent.small_indel_rate = 0.005;
+            divergent.long_indel_read_fraction = 0.05;
+            const ReadSimulator single(ref, divergent);
+            std::vector<std::pair<std::string, Sequence>> reads;
+            for (size_t i = 0; i < 400; ++i) {
+                SimulatedRead r = single.simulate(rng, i);
+                reads.emplace_back(std::move(r.name), std::move(r.seq));
+            }
+            writeFastq(out.reads = tempPath("engine.fq"), reads);
+
+            const ReadSimulator pairs(ref, ReadSimParams::illumina());
+            std::vector<std::pair<std::string, Sequence>> m1, m2;
+            for (size_t i = 0; i < 1400; ++i) {
+                SimulatedPair p = pairs.simulatePair(rng, i);
+                if (i % 10 == 3)
+                    for (size_t b = 5; b < p.second.seq.size(); b += 12)
+                        p.second.seq[b] =
+                            static_cast<Base>((p.second.seq[b] + 1) % 4);
+                m1.emplace_back(std::move(p.first.name),
+                                std::move(p.first.seq));
+                m2.emplace_back(std::move(p.second.name),
+                                std::move(p.second.seq));
+            }
+            writeFastq(out.r1 = tempPath("engine_1.fq"), m1);
+            writeFastq(out.r2 = tempPath("engine_2.fq"), m2);
+            return out;
+        }();
+        return c;
+    }
+
+    /** One `seedex align` run; what it left behind. */
+    struct Run
+    {
+        int rc = -1;
+        std::string sam;
+        std::string err;
+        std::string ledger;
+        std::string report;
+        /** How far each named counter moved during the run. */
+        std::map<std::string, uint64_t> moved;
+    };
+
+    static Run
+    align(const std::string &tag, bool paired,
+          const std::vector<std::string> &flags,
+          const std::vector<std::string> &counters = {})
+    {
+        const Corpus &c = corpus();
+        const std::string out = tempPath(tag + ".sam");
+        const std::string ledger = tempPath(tag + ".jsonl");
+        const std::string report = tempPath(tag + ".json");
+        std::vector<std::string> args = {"seedex", "align", c.sdx};
+        if (paired)
+            args.insert(args.end(), {"-1", c.r1, "-2", c.r2});
+        else
+            args.push_back(c.reads);
+        args.insert(args.end(), {"-o", out, "--ledger-out=" + ledger,
+                                 "--metrics-out=" + report});
+        args.insert(args.end(), flags.begin(), flags.end());
+        std::vector<char *> argv;
+        for (std::string &a : args)
+            argv.push_back(a.data());
+
+        std::map<std::string, uint64_t> before;
+        for (const std::string &n : counters)
+            before[n] = counterValue(n);
+        std::ostringstream err;
+        std::streambuf *saved = std::cerr.rdbuf(err.rdbuf());
+        Run run;
+        run.rc = runCli(static_cast<int>(argv.size()), argv.data());
+        std::cerr.rdbuf(saved);
+        run.err = err.str();
+        for (const std::string &n : counters)
+            run.moved[n] = counterValue(n) - before[n];
+        if (run.rc == 0) {
+            run.sam = samBody(out);
+            run.ledger = slurp(ledger);
+            run.report = slurp(report);
+        }
+        return run;
+    }
+};
+
+TEST_F(CliEngine, ThreadedFullBandRunsNoSeedExOrDevice)
+{
+    const std::vector<std::string> counters = {"filter.verdict.total",
+                                               "device.jobs"};
+    const Run fullband = align("fb_t4", false,
+                               {"--engine=fullband", "--threads=4"},
+                               counters);
+    ASSERT_EQ(fullband.rc, 0) << fullband.err;
+    EXPECT_EQ(jsonValue(fullband.report, "engine"), "fullband");
+    EXPECT_EQ(jsonValue(fullband.report, "threaded"), "true");
+    EXPECT_EQ(fullband.moved.at("filter.verdict.total"), 0u);
+    EXPECT_EQ(fullband.moved.at("device.jobs"), 0u);
+
+    // The default engine runs its SeedEx verdicts on the threads, but
+    // not the device model; only --engine=device runs that.
+    const Run seedex = align("sx_t4", false, {"--threads=4"}, counters);
+    ASSERT_EQ(seedex.rc, 0) << seedex.err;
+    EXPECT_GT(seedex.moved.at("filter.verdict.total"), 0u);
+    EXPECT_EQ(seedex.moved.at("device.jobs"), 0u);
+    const Run device = align("dev_t4", false,
+                             {"--engine=device", "--threads=4"}, counters);
+    ASSERT_EQ(device.rc, 0) << device.err;
+    EXPECT_EQ(device.moved.at("device.jobs"),
+              device.moved.at("filter.verdict.total"));
+    EXPECT_GT(device.moved.at("device.jobs"), 0u);
+
+    EXPECT_EQ(fullband.sam, seedex.sam);
+    EXPECT_EQ(fullband.sam, device.sam);
+}
+
+TEST_F(CliEngine, ThreadedBandedMatchesSingleThread)
+{
+    // Band 1 makes the unguaranteed engine clip, so its output differs
+    // from the full band and the comparison below means something.
+    for (const bool paired : {false, true}) {
+        SCOPED_TRACE(paired ? "paired" : "single-end");
+        const std::string tag = paired ? "bd_pe" : "bd_se";
+        const Run t1 = align(tag + "_t1", paired,
+                             {"--engine=banded", "--band=1", "--threads=1"});
+        const Run t4 = align(tag + "_t4", paired,
+                             {"--engine=banded", "--band=1", "--threads=4"});
+        ASSERT_EQ(t1.rc, 0) << t1.err;
+        ASSERT_EQ(t4.rc, 0) << t4.err;
+        EXPECT_EQ(jsonValue(t4.report, "threaded"), "true");
+        EXPECT_EQ(t4.err.find("ignoring --threads"), std::string::npos)
+            << t4.err;
+        EXPECT_NE(t4.err.find("fpga threads"), std::string::npos) << t4.err;
+        EXPECT_EQ(t1.sam, t4.sam);
+        const Run fullband = align(tag + "_fb", paired,
+                                   {"--engine=fullband", "--threads=1"});
+        ASSERT_EQ(fullband.rc, 0) << fullband.err;
+        EXPECT_NE(t1.sam, fullband.sam) << "band 1 never clipped";
+    }
+}
+
+TEST_F(CliEngine, ThreadedPairedFullBandCountersMatchSingleThread)
+{
+    const std::vector<std::string> counters = {
+        "seedex.paired.pairs",           "seedex.paired.proper",
+        "seedex.paired.rescues",         "seedex.paired.rescue_attempts",
+        "seedex.paired.rescue_extensions", "seedex.paired.rescue_passes"};
+    const Run t1 = align("pfb_t1", true,
+                         {"--engine=fullband", "--threads=1"}, counters);
+    const Run t4 = align("pfb_t4", true,
+                         {"--engine=fullband", "--threads=4"}, counters);
+    ASSERT_EQ(t1.rc, 0) << t1.err;
+    ASSERT_EQ(t4.rc, 0) << t4.err;
+    EXPECT_EQ(t1.sam, t4.sam);
+    for (const std::string &n : counters)
+        EXPECT_EQ(t1.moved.at(n), t4.moved.at(n)) << n;
+    // The full band runs no SeedEx check, in rescue either.
+    EXPECT_EQ(t4.moved.at("seedex.paired.rescue_passes"), 0u);
+    EXPECT_GT(t4.moved.at("seedex.paired.rescue_extensions"), 0u);
+}
+
+TEST_F(CliEngine, ThreadedLedgerMatchesSingleThread)
+{
+    for (const char *engine : {"seedex", "fullband", "banded"}) {
+        SCOPED_TRACE(engine);
+        const std::string flag = std::string("--engine=") + engine;
+        const Run t1 = align(std::string("led_") + engine + "_t1", false,
+                             {flag, "--band=11", "--threads=1"});
+        const Run t4 = align(std::string("led_") + engine + "_t4", false,
+                             {flag, "--band=11", "--threads=4"});
+        ASSERT_EQ(t1.rc, 0) << t1.err;
+        ASSERT_EQ(t4.rc, 0) << t4.err;
+        ASSERT_FALSE(t1.ledger.empty());
+        EXPECT_EQ(t1.ledger, t4.ledger);
+        // The full band reports band -1, the narrow engines their band.
+        const std::string band =
+            std::string(engine) == "fullband" ? "-1" : "11";
+        EXPECT_EQ(jsonValue(t4.ledger, "band"), band);
     }
 }
 

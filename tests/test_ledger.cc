@@ -73,64 +73,72 @@ verdictCounter(obs::LedgerVerdict v)
 TEST(Ledger, ThreadedRunLosesAndDuplicatesNothing)
 {
     const Workload w = makeWorkload(120000, 400, 0x1ed6e401);
-    LedgerGuard guard(1);
-    obs::MetricsRegistry::global().reset();
+    // Both ways the threaded consumer books provenance: the SeedEx
+    // engine through the lower layers (the job's read record attached),
+    // and the device backend from its BatchResult.
+    for (const EngineKind engine : {EngineKind::SeedEx, EngineKind::Device}) {
+        SCOPED_TRACE(engine == EngineKind::Device ? "device" : "seedex");
+        LedgerGuard guard(1);
+        obs::MetricsRegistry::global().reset();
 
-    ThreadedConfig cfg;
-    cfg.seeding_threads = 3;
-    cfg.fpga_threads = 2;
-    cfg.batch_size = 16;
-    ThreadedReport report;
-    const std::vector<SamRecord> records =
-        alignThreaded(w.reference, w.reads, cfg, &report);
-    ASSERT_EQ(records.size(), w.reads.size());
+        ThreadedConfig cfg;
+        cfg.pipeline.engine = engine;
+        cfg.seeding_threads = 3;
+        cfg.fpga_threads = 2;
+        cfg.batch_size = 16;
+        ThreadedReport report;
+        const std::vector<SamRecord> records =
+            alignThreaded(w.reference, w.reads, cfg, &report);
+        ASSERT_EQ(records.size(), w.reads.size());
 
-    // Every read surfaces exactly once, whichever thread processed it.
-    const std::vector<obs::ReadRecord> recs =
-        obs::Ledger::global().collect();
-    ASSERT_EQ(recs.size(), w.reads.size());
-    std::set<uint64_t> indexes;
-    for (const obs::ReadRecord &rec : recs)
-        indexes.insert(rec.read_index);
-    EXPECT_EQ(indexes.size(), w.reads.size());
-    EXPECT_EQ(*indexes.begin(), 0u);
-    EXPECT_EQ(*indexes.rbegin(), w.reads.size() - 1);
+        // Every read surfaces exactly once, whichever thread processed
+        // it.
+        const std::vector<obs::ReadRecord> recs =
+            obs::Ledger::global().collect();
+        ASSERT_EQ(recs.size(), w.reads.size());
+        std::set<uint64_t> indexes;
+        for (const obs::ReadRecord &rec : recs)
+            indexes.insert(rec.read_index);
+        EXPECT_EQ(indexes.size(), w.reads.size());
+        EXPECT_EQ(*indexes.begin(), 0u);
+        EXPECT_EQ(*indexes.rbegin(), w.reads.size() - 1);
 
-    // Records carry the read's own metadata, not a neighbour's.
-    for (const obs::ReadRecord &rec : recs) {
-        EXPECT_EQ(rec.name, w.reads[rec.read_index].first);
-        EXPECT_EQ(rec.mapped,
-                  records[rec.read_index].mapped());
-        if (rec.mapped) {
-            EXPECT_EQ(rec.score, records[rec.read_index].score);
-            EXPECT_GE(rec.chain_chosen, 0);
-            EXPECT_LT(rec.chain_chosen, static_cast<int>(rec.chains));
+        // Records carry the read's own metadata, not a neighbour's.
+        for (const obs::ReadRecord &rec : recs) {
+            EXPECT_EQ(rec.name, w.reads[rec.read_index].first);
+            EXPECT_EQ(rec.mapped, records[rec.read_index].mapped());
+            if (rec.mapped) {
+                EXPECT_EQ(rec.score, records[rec.read_index].score);
+                EXPECT_GE(rec.chain_chosen, 0);
+                EXPECT_LT(rec.chain_chosen, static_cast<int>(rec.chains));
+            }
         }
-    }
 
-    // Acceptance identity: ledger verdict tallies == the aggregate
-    // filter.verdict.* counters, code for code; ledger fallbacks == the
-    // threaded report's rerun count.
-    const obs::LedgerSummary sum = obs::Ledger::global().summary();
-    uint64_t counter_total = 0;
-    for (int v = 0; v < obs::kLedgerVerdicts; ++v) {
-        const auto lv = static_cast<obs::LedgerVerdict>(v);
-        EXPECT_EQ(sum.verdicts[static_cast<size_t>(v)],
-                  verdictCounter(lv))
-            << obs::ledgerVerdictName(lv);
-        counter_total += verdictCounter(lv);
+        // Acceptance identity: ledger verdict tallies == the aggregate
+        // filter.verdict.* counters, code for code; ledger fallbacks ==
+        // the threaded report's rerun count.
+        const obs::LedgerSummary sum = obs::Ledger::global().summary();
+        uint64_t counter_total = 0;
+        for (int v = 0; v < obs::kLedgerVerdicts; ++v) {
+            const auto lv = static_cast<obs::LedgerVerdict>(v);
+            EXPECT_EQ(sum.verdicts[static_cast<size_t>(v)],
+                      verdictCounter(lv))
+                << obs::ledgerVerdictName(lv);
+            counter_total += verdictCounter(lv);
+        }
+        EXPECT_EQ(sum.verdictTotal(), counter_total);
+        EXPECT_EQ(sum.verdictTotal(),
+                  obs::MetricsRegistry::global()
+                      .counter("filter.verdict.total")
+                      .value());
+        EXPECT_GT(sum.verdictTotal(), 0u);
+        EXPECT_EQ(sum.extensions, report.extensions);
+        EXPECT_EQ(sum.reruns, report.reruns);
+        EXPECT_EQ(sum.edit_machine_runs,
+                  obs::MetricsRegistry::global()
+                      .counter("filter.edit_machine.runs")
+                      .value());
     }
-    EXPECT_EQ(sum.verdictTotal(), counter_total);
-    EXPECT_EQ(sum.verdictTotal(),
-              obs::MetricsRegistry::global()
-                  .counter("filter.verdict.total")
-                  .value());
-    EXPECT_EQ(sum.extensions, report.extensions);
-    EXPECT_EQ(sum.reruns, report.reruns);
-    EXPECT_EQ(sum.edit_machine_runs,
-              obs::MetricsRegistry::global()
-                  .counter("filter.edit_machine.runs")
-                  .value());
 }
 
 TEST(Ledger, SingleThreadedPipelineMatchesFilterCounters)

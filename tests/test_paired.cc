@@ -116,6 +116,7 @@ TEST_F(PairedWall, ThreadedMatchesOracleBitExactlyAcrossThreadShapes)
 
     const auto run_threaded = [&](int seeding, int fpga) {
         ThreadedConfig config;
+        config.pipeline.engine = oconfig.pipeline.engine;
         config.seeding_threads = seeding;
         config.fpga_threads = fpga;
         config.paired = true;

@@ -144,7 +144,10 @@ TEST_F(SystemFixture, ThreadedMatchesSingleThreadedBaseline)
     Aligner baseline(ref_, base);
     const auto expected = baseline.alignBatch(reads);
 
+    // SeedEx on the threads against the full-band baseline: the
+    // optimality guarantee under the producer-consumer pipeline.
     ThreadedConfig config;
+    config.pipeline.engine = EngineKind::SeedEx;
     config.seeding_threads = 3;
     config.fpga_threads = 2;
     config.batch_size = 16;

@@ -341,6 +341,7 @@ TEST_F(ThreadedStress, EightByEightStreamsBitIdenticalInInputOrder)
     const auto expected = baseline.alignBatch(reads);
 
     ThreadedConfig config;
+    config.pipeline.engine = EngineKind::SeedEx;
     config.seeding_threads = 8;
     config.fpga_threads = 8;
     config.batch_size = 32;
@@ -394,7 +395,10 @@ TEST_F(ThreadedStress, EightByEightStreamsBitIdenticalInInputOrder)
  * that sleeps once per batch, so the device side is always backlogged.
  * Helping must change nothing but who does the work: SAM bytes equal
  * the single-threaded aligner, and the device/filter/rerun instruments
- * equal a 1+1 run of the same corpus.
+ * equal a 1+1 run of the same corpus. The wall runs under the device
+ * backend, where the device.* instruments move, and under `seedex
+ * align`'s default engine (SeedEx), which must leave every device.*
+ * counter where it was.
  */
 class ThreadedHelp : public ::testing::Test
 {
@@ -432,11 +436,25 @@ class ThreadedHelp : public ::testing::Test
                 "device.rerun.checks"};
     }
 
+    /** Every registered device.* counter and its value. */
+    static std::map<std::string, uint64_t>
+    deviceCounters()
+    {
+        std::map<std::string, uint64_t> out;
+        for (const auto &[name, value] :
+             obs::MetricsRegistry::global().snapshot().counters)
+            if (name.rfind("device.", 0) == 0)
+                out[name] = value;
+        return out;
+    }
+
     struct Run
     {
         std::vector<std::string> sam;
         ThreadedReport report;
         std::map<std::string, uint64_t> counters;
+        /** How far each device.* counter moved during the run. */
+        std::map<std::string, uint64_t> device_moved;
     };
 
     /** One threaded run over `reads`. `backlog` selects the forced-help
@@ -455,6 +473,8 @@ class ThreadedHelp : public ::testing::Test
         std::map<std::string, uint64_t> before;
         for (const std::string &n : names)
             before[n] = obs::MetricsRegistry::global().counter(n).value();
+        const std::map<std::string, uint64_t> device_before =
+            deviceCounters();
 
         Run out;
         out.sam.resize(reads.size());
@@ -469,31 +489,58 @@ class ThreadedHelp : public ::testing::Test
             out.counters[n] =
                 obs::MetricsRegistry::global().counter(n).value() -
                 before[n];
+        for (const auto &[n, value] : deviceCounters()) {
+            const auto it = device_before.find(n);
+            out.device_moved[n] =
+                value - (it == device_before.end() ? 0 : it->second);
+        }
         return out;
     }
 
-    /** The wall: the backlogged run helped, its bytes equal `expect`,
-     *  and its instruments equal the 1+1 run's. */
+    /** The wall, per engine: the backlogged run helped, its bytes equal
+     *  `expect`, and its instruments equal the 1+1 run's. The device
+     *  backend moves the device.* counters; the default engine leaves
+     *  every one of them unchanged. */
     void
     checkWall(const std::vector<std::pair<std::string, Sequence>> &reads,
-              const ThreadedConfig &config,
-              const std::vector<std::string> &expect)
+              ThreadedConfig config, const std::vector<std::string> &expect)
     {
-        const Run serial = run(reads, config, /*backlog=*/false);
-        const Run helped = run(reads, config, /*backlog=*/true);
-        EXPECT_GT(helped.report.helped_batches, 0u)
-            << "the backlog never made a seeding thread help";
-        EXPECT_LE(helped.report.helped_batches, helped.report.batches);
-        EXPECT_EQ(helped.report.queue.claims, helped.report.batches);
-        EXPECT_EQ(helped.report.queue.publishes, helped.report.batches);
-        ASSERT_EQ(helped.sam.size(), expect.size());
-        for (size_t i = 0; i < expect.size(); ++i) {
-            ASSERT_EQ(serial.sam[i], expect[i]) << "1+1 run, record " << i;
-            ASSERT_EQ(helped.sam[i], expect[i]) << "3+1 run, record " << i;
+        for (const EngineKind engine :
+             {EngineKind::Device, EngineKind::SeedEx}) {
+            const bool device = engine == EngineKind::Device;
+            SCOPED_TRACE(device ? "engine=device" : "engine=seedex");
+            config.pipeline.engine = engine;
+            const Run serial = run(reads, config, /*backlog=*/false);
+            const Run helped = run(reads, config, /*backlog=*/true);
+            EXPECT_GT(helped.report.helped_batches, 0u)
+                << "the backlog never made a seeding thread help";
+            EXPECT_LE(helped.report.helped_batches, helped.report.batches);
+            EXPECT_EQ(helped.report.queue.claims, helped.report.batches);
+            EXPECT_EQ(helped.report.queue.publishes, helped.report.batches);
+            ASSERT_EQ(helped.sam.size(), expect.size());
+            for (size_t i = 0; i < expect.size(); ++i) {
+                ASSERT_EQ(serial.sam[i], expect[i])
+                    << "1+1 run, record " << i;
+                ASSERT_EQ(helped.sam[i], expect[i])
+                    << "3+1 run, record " << i;
+            }
+            for (const std::string &n : invariantCounters())
+                EXPECT_EQ(helped.counters.at(n), serial.counters.at(n))
+                    << n;
+            EXPECT_GT(helped.counters.at("threaded.extensions"), 0u);
+            EXPECT_GT(helped.counters.at("filter.verdict.total"), 0u);
+            for (const Run *r : {&serial, &helped}) {
+                if (device) {
+                    EXPECT_GT(r->device_moved.at("device.jobs"), 0u);
+                    EXPECT_GT(r->report.device_cycles, 0u);
+                    continue;
+                }
+                for (const auto &[n, moved] : r->device_moved)
+                    EXPECT_EQ(moved, 0u) << n;
+                EXPECT_EQ(r->report.device_cycles, 0u);
+                EXPECT_EQ(r->report.device_occupancy_seconds, 0.0);
+            }
         }
-        for (const std::string &n : invariantCounters())
-            EXPECT_EQ(helped.counters.at(n), serial.counters.at(n)) << n;
-        EXPECT_GT(helped.counters.at("threaded.extensions"), 0u);
     }
 
     std::vector<std::pair<std::string, Sequence>>
