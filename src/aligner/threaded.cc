@@ -145,7 +145,8 @@ ThreadedConfig::applyEnv()
 void
 alignThreadedSource(const Sequence &reference, const ReadSource &source,
                     const ThreadedConfig &config, const SamSink &sink,
-                    ThreadedReport *report, const FmdIndex *external_index)
+                    ThreadedReport *report, const FmdIndex *external_index,
+                    uint64_t first_read_index)
 {
     std::unique_ptr<FmdIndex> owned_index;
     if (external_index == nullptr) {
@@ -292,10 +293,12 @@ alignThreadedSource(const Sequence &reference, const ReadSource &source,
         if (ledger_on) {
             rec_of_item.assign(batch.n_items, -1);
             for (size_t i = 0; i < batch.n_items; ++i) {
-                if (!ledger.shouldRecord(batch.items[i].read_idx))
+                const uint64_t read_index =
+                    first_read_index + batch.items[i].read_idx;
+                if (!ledger.shouldRecord(read_index))
                     continue;
                 obs::ReadRecord rec;
-                rec.read_index = batch.items[i].read_idx;
+                rec.read_index = read_index;
                 rec.name = batch.items[i].name;
                 rec.seeds = batch.items[i].n_seeds;
                 rec.chains =

@@ -185,13 +185,17 @@ using ReadSource = std::function<size_t(
  * called concurrently; read indices passed to it count from 0 in pull
  * order. `index` lets the caller supply a prebuilt FM-index of
  * `reference` (e.g. loaded from a `.sdx` container); when null the
- * pipeline builds its own.
+ * pipeline builds its own. Provenance-ledger records number the reads
+ * from `first_read_index`, so a caller that aligned reads before the
+ * pipeline started (the CLI's paired bootstrap chunk) keeps every
+ * record's index unique.
  */
 void
 alignThreadedSource(const Sequence &reference, const ReadSource &source,
                     const ThreadedConfig &config, const SamSink &sink,
                     ThreadedReport *report = nullptr,
-                    const FmdIndex *index = nullptr);
+                    const FmdIndex *index = nullptr,
+                    uint64_t first_read_index = 0);
 
 /**
  * Convenience wrapper that pulls `reads` through alignThreadedSource

@@ -26,6 +26,7 @@
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/trace.h"
+#include "util/huge_pages.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 #include "util/table.h"
@@ -459,6 +460,10 @@ cmdAlign(int argc, char **argv)
         ref = loadReference(args.positional[0]);
         load_watch.stop();
     }
+    // Whether the index arrays got 2 MiB pages (0 where THP is off);
+    // reading smaps_rollup walks the address space, so only on request.
+    const double huge_page_mib =
+        metrics_out.empty() ? 0.0 : anonHugePageMib();
     pconfig.contigs = ref.contigs;
     tconfig.pipeline = pconfig;
 
@@ -577,8 +582,9 @@ cmdAlign(int argc, char **argv)
         tconfig.paired = paired;
         tconfig.insert = insert_model;
         tconfig.mate_rescue = mate_rescue;
+        // The bootstrap chunk's reads took ledger indices 0..total_reads.
         alignThreadedSource(ref.seq, source, tconfig, sink, &treport,
-                            &aligner.index());
+                            &aligner.index(), total_reads);
         total_reads += treport.reads;
     } else {
         // Stop at the first chunk whose write fails.
@@ -634,6 +640,7 @@ cmdAlign(int argc, char **argv)
             w.kv("reads", total_reads);
             w.kv("wall_seconds", wall.seconds());
             w.kv("load_seconds", load_watch.seconds());
+            w.kv("huge_page_mib", huge_page_mib);
             w.kv("engine", args.get("--engine", "seedex"));
             w.kv("threads", static_cast<uint64_t>(threads));
             w.kv("threaded", threaded);

@@ -43,9 +43,9 @@ readPod(std::istream &is, T &v)
     return is.good();
 }
 
-template <typename T>
+template <typename T, typename A>
 bool
-writeVec(std::ostream &os, const std::vector<T> &v)
+writeVec(std::ostream &os, const std::vector<T, A> &v)
 {
     if (!writePod(os, static_cast<uint64_t>(v.size())))
         return false;
@@ -56,9 +56,9 @@ writeVec(std::ostream &os, const std::vector<T> &v)
 
 /** Read a saved array whose element count must be exactly `expected`;
  *  the count is checked before the vector is sized. */
-template <typename T>
+template <typename T, typename A>
 bool
-readVec(std::istream &is, std::vector<T> &v, uint64_t expected)
+readVec(std::istream &is, std::vector<T, A> &v, uint64_t expected)
 {
     uint64_t n = 0;
     if (!readPod(is, n) || n != expected)
@@ -74,8 +74,9 @@ struct LocateScratch
 {
     std::vector<uint64_t> j;
     std::vector<uint64_t> steps;
-    std::vector<uint64_t> pos;
-    std::vector<uint8_t> done;
+    /** Sample slot once the walk reached a sampled row, else
+     *  FmdIndex::kUnsampled. */
+    std::vector<uint64_t> slot;
 };
 
 LocateScratch &
@@ -188,10 +189,25 @@ FmdIndex::lf(uint64_t j) const
     return counts_[c] + bwt_.rank(c, j);
 }
 
-void
-FmdIndex::prefetchSaMark(uint64_t j) const
+uint64_t
+FmdIndex::locateStep(uint64_t &row) const
 {
-    __builtin_prefetch(&sa_mark_[j / 64], 0, 3);
+    if (saMarked(row)) {
+        const uint64_t slot = saSampleSlot(row);
+        __builtin_prefetch(&sa_samples_[slot], 0, 3);
+        return slot;
+    }
+    row = lf(row);
+    prefetchLocate(row);
+    return kUnsampled;
+}
+
+void
+FmdIndex::prefetchLocate(uint64_t row) const
+{
+    bwt_.prefetch(row);
+    __builtin_prefetch(&sa_mark_[row / 64], 0, 3);
+    __builtin_prefetch(&sa_mark_rank_[row / 64], 0, 3);
 }
 
 FmdInterval
@@ -297,13 +313,12 @@ FmdIndex::suffixToText(uint64_t rank) const
     // multiple of kSaStep) is hit in < kSaStep steps — asserted, not
     // hoped for.
     uint64_t steps = 0;
-    uint64_t j = rank;
-    while (!saMarked(j)) {
-        j = lf(j);
+    uint64_t slot;
+    while ((slot = locateStep(rank)) == kUnsampled) {
         ++steps;
         assert(steps < kSaStep && "locate walk exceeded kSaStep");
     }
-    return static_cast<uint64_t>(sa_samples_[saSampleSlot(j)]) + steps;
+    return sampleAt(slot) + steps;
 }
 
 void
@@ -319,44 +334,36 @@ FmdIndex::locateInto(const FmdInterval &interval, size_t max_hits,
     }
 
     // Lockstep walk of all n suffix resolutions: every round advances
-    // each unresolved walker one LF step and prefetches its next occ
-    // block and mark word, so the n walks' cache misses overlap.
+    // each unresolved walker one locateStep, which prefetches what its
+    // next step reads, so the n walks' cache misses overlap. The
+    // samples are read only once every walk has ended.
     LocateScratch &sc = locateScratch();
     sc.j.resize(n);
     sc.steps.resize(n);
-    sc.pos.resize(n);
-    sc.done.resize(n);
+    sc.slot.resize(n);
     for (uint64_t r = 0; r < n; ++r) {
         sc.j[r] = interval.k + r;
         sc.steps[r] = 0;
-        sc.done[r] = 0;
-        prefetchSaMark(sc.j[r]);
-        bwt_.prefetch(sc.j[r]);
+        sc.slot[r] = kUnsampled;
+        prefetchLocate(sc.j[r]);
     }
     uint64_t remaining = n;
     while (remaining > 0) {
         for (uint64_t r = 0; r < n; ++r) {
-            if (sc.done[r])
+            if (sc.slot[r] != kUnsampled)
                 continue;
-            const uint64_t j = sc.j[r];
-            if (saMarked(j)) {
-                sc.pos[r] =
-                    static_cast<uint64_t>(sa_samples_[saSampleSlot(j)]) +
-                    sc.steps[r];
-                sc.done[r] = 1;
+            sc.slot[r] = locateStep(sc.j[r]);
+            if (sc.slot[r] != kUnsampled) {
                 --remaining;
                 continue;
             }
-            const uint64_t next = lf(j);
             ++sc.steps[r];
             assert(sc.steps[r] < kSaStep && "locate walk exceeded kSaStep");
-            sc.j[r] = next;
-            bwt_.prefetch(next);
-            prefetchSaMark(next);
         }
     }
     for (uint64_t r = 0; r < n; ++r)
-        hits.push_back(hitAt(sc.pos[r], pattern_len));
+        hits.push_back(
+            hitAt(sampleAt(sc.slot[r]) + sc.steps[r], pattern_len));
 }
 
 std::vector<FmdHit>

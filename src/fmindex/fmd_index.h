@@ -149,6 +149,41 @@ class FmdIndex
      */
     uint64_t suffixToText(uint64_t rank) const;
 
+    /** locateStep()'s result on a row that is not sampled. */
+    static constexpr uint64_t kUnsampled = ~uint64_t{0};
+
+    /**
+     * One step of a locate walk at BWT row `row`, the one primitive
+     * every locate walk is built from. On a sampled row, returns its
+     * sample slot (see sampleAt) and prefetches the sample. Otherwise
+     * moves `row` one LF step back (one occ call), prefetches what the
+     * next step reads (see prefetchLocate) and returns kUnsampled. The
+     * suffix starts at sampleAt(slot) + the number of LF steps taken.
+     */
+    uint64_t locateStep(uint64_t &row) const;
+
+    /** Text position of the sample in `slot` (from locateStep). */
+    uint64_t
+    sampleAt(uint64_t slot) const
+    {
+        return static_cast<uint64_t>(sa_samples_[slot]);
+    }
+
+    /** Hint the cache that a locate walk steps from `row` next: its
+     *  BWT block, SA mark word and mark-rank word. */
+    void prefetchLocate(uint64_t row) const;
+
+    /** Hint the cache that textBase(j) is read next (no-op at the
+     *  sentinel and beyond). */
+    void
+    prefetchText(uint64_t j) const
+    {
+        if (j < ref_len_)
+            text_.prefetch(j);
+        else if (j < 2 * ref_len_)
+            text_.prefetch(2 * ref_len_ - 1 - j);
+    }
+
     /** The reference hit of a `pattern_len`-base occurrence that starts
      *  at index-text position `text_pos`. */
     FmdHit
@@ -239,8 +274,6 @@ class FmdIndex
   private:
     FmdIndex() = default; // for read()
 
-    /** Prefetch the suffix-array mark word of rank j. */
-    void prefetchSaMark(uint64_t j) const;
     bool saMarked(uint64_t rank) const;
     uint64_t saSampleSlot(uint64_t rank) const;
     /** The backward extension of `in` by shifted symbol sc, from the
@@ -265,10 +298,11 @@ class FmdIndex
     uint64_t counts_[6] = {}; ///< C array (cumulative symbol counts)
     /** Position-sampled suffix array: ranks whose text position is a
      *  multiple of kSaStep are marked; samples are stored in rank
-     *  order and found via a word-level rank directory. */
-    std::vector<uint64_t> sa_mark_;
-    std::vector<uint32_t> sa_mark_rank_;
-    std::vector<int32_t> sa_samples_;
+     *  order and found via a word-level rank directory. Like the BWT
+     *  blocks and the text, these sit on huge pages from 2 MiB up. */
+    HugePageVector<uint64_t> sa_mark_;
+    HugePageVector<uint32_t> sa_mark_rank_;
+    HugePageVector<int32_t> sa_samples_;
 };
 
 } // namespace seedex

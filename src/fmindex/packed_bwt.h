@@ -6,6 +6,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/huge_pages.h"
+
 #if defined(__x86_64__) && defined(__GNUC__)
 #define SEEDEX_RANK_SIMD 1
 #include <immintrin.h>
@@ -408,7 +410,7 @@ class PackedBwt
         return n;
     }
 
-    std::vector<Block> blocks_;
+    HugePageVector<Block> blocks_;
     std::vector<uint64_t> exceptions_; ///< sorted positions, code 0
     /** exceptions_[0], or UINT64_MAX when there are none. */
     uint64_t first_exception_ = UINT64_MAX;

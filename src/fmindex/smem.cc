@@ -1,6 +1,7 @@
 #include "fmindex/smem.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace seedex {
 
@@ -204,18 +205,37 @@ applyForwardStep(State &st, const FmdInterval &ok, uint64_t min_intv)
     return false;
 }
 
+/**
+ * Start walking the unique interval `iv` to the text (Phase::Locate);
+ * `resume` runs once tpos is set. As in locateUnique, k and l are
+ * dropped: the walk starts from k, and nothing reads either again. The
+ * first step waits a round for its row's prefetch.
+ */
+void
+enterLocate(const FmdIndex &index, State &st, FmdInterval &iv,
+            Phase resume)
+{
+    st.loc_row = iv.k;
+    st.loc_slot = FmdIndex::kUnsampled;
+    st.loc_steps = 0;
+    st.resume = resume;
+    iv.k = iv.l = 0;
+    index.prefetchLocate(st.loc_row);
+    st.phase = Phase::Locate;
+}
+
 /** Close the forward sweep and arm the backward shrink pass (a unique
- *  match, now prev[0], is located if the sweep has not done so). */
+ *  match, now prev[0], is located first if the sweep has not done so). */
 void
 finishForward(const FmdIndex &index, State &st, uint64_t min_intv)
 {
     std::reverse(st.curr.begin(), st.curr.end());
     st.ret = static_cast<int>(st.curr.front().info);
     std::swap(st.curr, st.prev);
-    if (min_intv == 1 && st.prev[0].s == 1 && st.tpos == kNoTextPos)
-        st.tpos = locateUnique(index, st.prev[0]);
     st.i = st.x - 1;
     st.phase = Phase::Backward;
+    if (min_intv == 1 && st.prev[0].s == 1 && st.tpos == kNoTextPos)
+        enterLocate(index, st, st.prev[0], Phase::Backward);
 }
 
 /** One backward round of `st` prepending c (see backwardRound); moves
@@ -236,11 +256,11 @@ stepBackward(const FmdIndex &index, State &st, Base c, uint64_t min_intv,
 
 /**
  * Advance `st` until it either appends extension requests for this
- * round (req_count > 0) or runs out of work (Phase::Done). All
- * transitions that need no occ query — pivot management, ambiguous
- * bases, text steps of a unique match, dead backward rounds — happen
- * here, so a round never stalls on a read that has
- * cheap work to do.
+ * round (req_count > 0), takes its one locate step of the round, or
+ * runs out of work (Phase::Done). All other transitions that need no
+ * occ query — pivot management, ambiguous bases, text steps of a
+ * unique match, dead backward rounds — happen here, so a round never
+ * stalls on a read that has cheap work to do.
  */
 void
 emitRequests(const FmdIndex &index, State &st, uint64_t min_intv,
@@ -276,9 +296,15 @@ emitRequests(const FmdIndex &index, State &st, uint64_t min_intv,
             if (st.i >= st.len || q[st.i] >= kNumBases) {
                 st.curr.push_back(st.ik);
                 finishForward(index, st, min_intv);
+                if (st.phase == Phase::Locate)
+                    return; // the walk's first row is in flight
                 continue;
             }
             if (text && st.ik.s == 1) {
+                if (st.tpos == kNoTextPos) {
+                    enterLocate(index, st, st.ik, Phase::Forward);
+                    return;
+                }
                 if (textExtendsForward(index, st.ik, st.tpos, st.i - st.x,
                                        q[st.i])) {
                     st.ik.info = static_cast<uint64_t>(st.i) + 1;
@@ -312,6 +338,28 @@ emitRequests(const FmdIndex &index, State &st, uint64_t min_intv,
             for (size_t j = on_text; j < st.prev.size(); ++j)
                 requests.push_back({st.prev[j], c, true});
             return;
+          }
+          case Phase::Locate: {
+            // One step a round, on the row prefetched the round before.
+            if (st.loc_slot == FmdIndex::kUnsampled) {
+                st.loc_slot = index.locateStep(st.loc_row);
+                st.loc_steps += st.loc_slot == FmdIndex::kUnsampled;
+                assert(st.loc_steps < FmdIndex::kSaStep &&
+                       "locate walk exceeded kSaStep");
+                return;
+            }
+            if (st.tpos == kNoTextPos) {
+                // The sample is in: prefetch the text base the resumed
+                // phase compares first, and wait a round for it.
+                st.tpos = index.sampleAt(st.loc_slot) + st.loc_steps;
+                index.prefetchText(
+                    st.resume == Phase::Forward
+                        ? st.tpos + static_cast<uint64_t>(st.i - st.x)
+                        : st.tpos - 1);
+                return;
+            }
+            st.phase = st.resume;
+            continue;
           }
         }
     }

@@ -42,7 +42,13 @@ struct SmemWorkspace
     /** One read's in-flight search in the lockstep batch driver. */
     struct State
     {
-        enum class Phase : uint8_t { NextPivot, Forward, Backward, Done };
+        enum class Phase : uint8_t {
+            NextPivot,
+            Forward,
+            Backward,
+            Locate, ///< walking a unique match to the text
+            Done
+        };
 
         const Sequence *query = nullptr;
         std::vector<Smem> *out = nullptr;
@@ -57,6 +63,14 @@ struct SmemWorkspace
         size_t pivot_start = 0; ///< out->size() when the pivot began
         size_t req_first = 0;   ///< this round's slice of the request buffer
         size_t req_count = 0;
+        /** Phase::Locate's walk, one FmdIndex::locateStep per round:
+         *  the BWT row it stands on, its LF steps so far, the sample
+         *  slot once the row is sampled (FmdIndex::kUnsampled until
+         *  then) and the phase that resumes once tpos is set. */
+        uint64_t loc_row = 0;
+        uint64_t loc_slot = FmdIndex::kUnsampled;
+        uint32_t loc_steps = 0;
+        Phase resume = Phase::Done;
         Phase phase = Phase::Done;
         FmdInterval ik;
         std::vector<FmdInterval> curr, prev;
@@ -96,9 +110,12 @@ void collectSmemsInto(const FmdIndex &index, const Sequence &query,
  * Lockstep SMEM generation for a batch of reads: all reads' searches
  * advance one extension round at a time through FmdIndex::extendBatch,
  * which prefetches every read's next BWT block before computing any of
- * them — the memory-level-parallelism driver of the seeding stage.
- * `out` must have n entries; each is cleared and filled with exactly
- * the SMEMs collectSmems would produce for that read.
+ * them — the memory-level-parallelism driver of the seeding stage. A
+ * unique match walks to the text one LF step per round (Phase::Locate),
+ * its next row prefetched a round ahead, so its misses overlap the
+ * other reads' extensions too. `out` must have n entries; each is
+ * cleared and filled with exactly the SMEMs collectSmems would produce
+ * for that read, with the same index queries.
  */
 void collectSmemsBatch(const FmdIndex &index,
                        const Sequence *const *queries, size_t n,

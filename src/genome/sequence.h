@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "genome/nucleotide.h"
+#include "util/huge_pages.h"
 
 namespace seedex {
 
@@ -71,7 +72,8 @@ class Sequence
  * 2-bit packed read-only sequence, the format the paper stores for the
  * reference genome in FPGA DRAM. Ambiguous bases must be resolved before
  * packing (the generator substitutes a deterministic base for N, matching
- * how BWA packs its reference).
+ * how BWA packs its reference). The words sit on huge pages from 2 MiB
+ * up: FmdIndex probes its text copy at random positions.
  */
 class PackedSequence
 {
@@ -92,6 +94,13 @@ class PackedSequence
         return static_cast<Base>((words_[i >> 5] >> ((i & 31) * 2)) & 3);
     }
 
+    /** Hint the cache that base i is about to be read. */
+    void
+    prefetch(size_t i) const
+    {
+        __builtin_prefetch(&words_[i >> 5], 0, 3);
+    }
+
     /** Unpack [pos, pos+len) back into a code sequence. */
     Sequence unpack(size_t pos, size_t len) const;
 
@@ -99,7 +108,7 @@ class PackedSequence
     size_t storageBytes() const { return words_.size() * sizeof(uint64_t); }
 
   private:
-    std::vector<uint64_t> words_;
+    HugePageVector<uint64_t> words_;
     size_t size_ = 0;
 };
 

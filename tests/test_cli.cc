@@ -772,6 +772,10 @@ TEST(CliReport, LoadTimedInReportAndTrace)
                   0);
         EXPECT_GT(std::stod(jsonValue(slurp(metrics), "load_seconds")), 0.0)
             << ref;
+        // Whether the index got 2 MiB pages; 0 where THP is off.
+        EXPECT_GE(std::stod(jsonValue(slurp(metrics), "huge_page_mib")),
+                  0.0)
+            << ref;
         EXPECT_NE(slurp(trace).find("\"index.load\""), std::string::npos)
             << ref;
     }
@@ -1023,6 +1027,23 @@ TEST_F(CliEngine, ThreadedLedgerMatchesSingleThread)
             std::string(engine) == "fullband" ? "-1" : "11";
         EXPECT_EQ(jsonValue(t4.ledger, "band"), band);
     }
+}
+
+TEST_F(CliEngine, ThreadedPairedLedgerNumbersEachReadOnce)
+{
+    // The inline bootstrap chunk records reads 0..2047; the threaded
+    // portion must go on from there. Were both to count from 0, the
+    // ledger's sort would order the tied records differently run to run.
+    const Run a = align("led_pairs_a", true, {"--threads=4"});
+    const Run b = align("led_pairs_b", true, {"--threads=4"});
+    ASSERT_EQ(a.rc, 0) << a.err;
+    ASSERT_EQ(b.rc, 0) << b.err;
+    EXPECT_EQ(a.ledger, b.ledger);
+    std::istringstream lines(a.ledger);
+    uint64_t want = 0;
+    for (std::string line; std::getline(lines, line); ++want)
+        ASSERT_EQ(jsonValue(line, "read"), std::to_string(want));
+    EXPECT_EQ(want, 2 * 1400u); // every read of the 1,400 pairs, once
 }
 
 // ---- unmapped-record SAM fields ----------------------------------------

@@ -16,7 +16,8 @@
  *    The SMEM spans, occurrence counts, located positions and seeds of
  *    both drivers must equal it across the strand junction, at both
  *    reference ends, and with min_intv = 2, where the text path never
- *    engages.
+ *    engages. Both drivers must also issue the same occ queries and
+ *    text steps.
  *
  * The fuzzing covers random genomes with injected N runs, sentinel-
  * adjacent patterns, very short reads and tiny references. The file
@@ -45,6 +46,7 @@
 #include "fmindex/suffix_array.h"
 #include "genome/reference.h"
 #include "obs/metrics.h"
+#include "util/huge_pages.h"
 #include "util/rng.h"
 
 using namespace seedex;
@@ -826,6 +828,44 @@ TEST_F(SeedingDifferential, TextPathSmemsMatchRankOracle)
     }
 }
 
+TEST_F(SeedingDifferential, BothDriversIssueTheSameIndexQueries)
+{
+    // bench_seed compares the two drivers as doing the same work: the
+    // batch driver's lockstep rounds and its per-round locate steps
+    // must issue exactly the scalar driver's occ queries (LF steps
+    // included) and text steps. A walk that skips or repeats a step,
+    // or locates a match twice, shows here.
+    Rng rng(53);
+    std::vector<Sequence> reads;
+    for (int it = 0; it < 64; ++it)
+        reads.push_back(sampleRead(rng, ref_, 40 + rng.pick(80)));
+    for (Sequence &read : textPathReads(rng, ref_, 200))
+        reads.push_back(std::move(read));
+    std::vector<const Sequence *> queries;
+    for (const Sequence &read : reads)
+        queries.push_back(&read);
+    SmemWorkspace ws;
+    std::vector<Smem> one;
+    std::vector<std::vector<Smem>> batch(reads.size());
+    const FmdThreadCounters &counters = FmdIndex::threadCounters();
+    for (const uint64_t min_intv : {uint64_t{1}, uint64_t{2}}) {
+        SCOPED_TRACE("min_intv=" + std::to_string(min_intv));
+        const FmdThreadCounters before = counters;
+        for (const Sequence &read : reads)
+            collectSmemsInto(*index_, read, 12, min_intv, ws, one);
+        const FmdThreadCounters scalar = counters;
+        collectSmemsBatch(*index_, queries.data(), queries.size(), 12,
+                          min_intv, ws, batch);
+        const FmdThreadCounters after = counters;
+        EXPECT_EQ(after.occ_calls - scalar.occ_calls,
+                  scalar.occ_calls - before.occ_calls);
+        EXPECT_EQ(after.text_steps - scalar.text_steps,
+                  scalar.text_steps - before.text_steps);
+        // min_intv = 1 locates unique matches; 2 never leaves the BWT.
+        EXPECT_EQ(scalar.text_steps > before.text_steps, min_intv == 1);
+    }
+}
+
 TEST_F(SeedingDifferential, TextPathSeedsMatchRankOracle)
 {
     Rng rng(43);
@@ -1066,6 +1106,50 @@ TEST(SeedingSerialization, OversizedCountRejectedBeforeAllocation)
     EXPECT_LT(g_largest_new.load(std::memory_order_relaxed), text_len * 8);
 }
 
+TEST(SeedingSerialization, HugePageArraysRoundTrip)
+{
+    // At 2.1 Mbp the BWT blocks and the SA samples pass 2 MiB, so the
+    // built and the loaded index both hold them in mapped, huge-page
+    // advised memory (HugePageAllocator's large path; the smaller
+    // arrays stay on operator new). The loaded index must still give
+    // the rank oracle's SMEMs, on both drivers.
+    Rng rng(59);
+    ReferenceParams params;
+    params.length = 2100000;
+    const Sequence ref = generateReference(params, rng);
+    const uint64_t T = 2 * ref.size() + 1;
+    ASSERT_GE((T / PackedBwt::kBlockSymbols + 1) * 64, kHugePageBytes);
+    ASSERT_GE(((T - 1) / FmdIndex::kSaStep + 1) * sizeof(int32_t),
+              kHugePageBytes);
+    const FmdIndex index(ref);
+    std::stringstream ss;
+    ASSERT_TRUE(index.save(ss));
+    const auto loaded = FmdIndex::load(ss, ref);
+    ASSERT_NE(loaded, nullptr);
+    EXPECT_EQ(loaded->storageBytes(), index.storageBytes());
+
+    std::vector<Sequence> reads;
+    for (int it = 0; it < 48; ++it)
+        reads.push_back(sampleRead(rng, ref, 101));
+    std::vector<const Sequence *> queries;
+    for (const Sequence &read : reads)
+        queries.push_back(&read);
+    SmemWorkspace ws;
+    std::vector<std::vector<Smem>> batch_out(reads.size());
+    collectSmemsBatch(*loaded, queries.data(), queries.size(), 19, 1, ws,
+                      batch_out);
+    TextCoverage cov;
+    for (size_t r = 0; r < reads.size(); ++r) {
+        const auto want = oracleSmems(index, reads[r], 19, 1);
+        const std::string ctx = "read " + std::to_string(r);
+        expectMatchesOracle(index, collectSmems(*loaded, reads[r], 19),
+                            want, "scalar, " + ctx, cov);
+        expectMatchesOracle(index, batch_out[r], want, "batch, " + ctx,
+                            cov);
+    }
+    EXPECT_GT(cov.located, 0u);
+}
+
 // ------------------------------------------------------------ observability
 
 TEST_F(SeedingDifferential, SeedInstrumentsAdvance)
@@ -1125,6 +1209,7 @@ TEST_F(SeedingDifferential, SteadyStateBatchSeedingAllocatesNothing)
         collectSeedsBatch(*index_, queries.data(), queries.size(), params,
                           ws, out);
 
+    const uint64_t text_before = FmdIndex::threadCounters().text_steps;
     const uint64_t allocs_before =
         g_new_calls.load(std::memory_order_relaxed);
     collectSeedsBatch(*index_, queries.data(), queries.size(), params, ws,
@@ -1133,6 +1218,8 @@ TEST_F(SeedingDifferential, SteadyStateBatchSeedingAllocatesNothing)
         g_new_calls.load(std::memory_order_relaxed);
     EXPECT_EQ(allocs_after, allocs_before)
         << "steady-state batch seeding must not touch the heap";
+    // Text steps follow a locate, so the driver's locate phase ran too.
+    EXPECT_GT(FmdIndex::threadCounters().text_steps, text_before);
 }
 
 } // namespace

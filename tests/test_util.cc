@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "util/crc32.h"
 #include "util/histogram.h"
+#include "util/huge_pages.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 #include "util/table.h"
@@ -307,6 +313,109 @@ TEST(Crc32, MebibyteMatchesBitwiseReference)
         b = static_cast<uint8_t>(rng.next());
     EXPECT_EQ(crc32(buf.data(), buf.size()),
               bitwiseCrc32(buf.data(), buf.size()));
+}
+
+/** One mapping of this process, as /proc/self/smaps lists it. */
+struct Vma
+{
+    uintptr_t begin = 0;
+    uintptr_t end = 0;
+    /** VmFlags carries `hg`: advised with MADV_HUGEPAGE. */
+    bool huge_advised = false;
+};
+
+/** The mapping that holds `addr`; nullopt where smaps is unreadable. */
+std::optional<Vma>
+vmaAt(const void *addr)
+{
+    std::ifstream in("/proc/self/smaps");
+    const uintptr_t a = reinterpret_cast<uintptr_t>(addr);
+    std::optional<Vma> found;
+    std::string line;
+    bool inside = false;
+    while (std::getline(in, line)) {
+        // A mapping's header line is "begin-end perms offset dev inode";
+        // its field lines ("Size:", "VmFlags:", ...) follow it.
+        unsigned long long begin = 0, end = 0;
+        if (std::sscanf(line.c_str(), "%llx-%llx ", &begin, &end) == 2) {
+            inside = begin <= a && a < end;
+            if (inside)
+                found = Vma{begin, end, false};
+        } else if (inside && line.rfind("VmFlags:", 0) == 0) {
+            found->huge_advised = (line + " ").find(" hg ") !=
+                std::string::npos;
+        }
+    }
+    return found;
+}
+
+TEST(HugePageAllocator, AdvisesOnlyTheWholeHugePages)
+{
+    // A tail past the last whole 2 MiB page stays on 4 KiB pages, so an
+    // array a few bytes over a power of two costs no extra 2 MiB.
+    EXPECT_EQ(hugePageAdviceBytes(kHugePageBytes - 1), 0u);
+    EXPECT_EQ(hugePageAdviceBytes(kHugePageBytes), kHugePageBytes);
+    EXPECT_EQ(hugePageAdviceBytes(kHugePageBytes + 64), kHugePageBytes);
+    EXPECT_EQ(hugePageAdviceBytes((size_t{64} << 20) + 64),
+              size_t{64} << 20);
+}
+
+TEST(HugePageAllocator, SmallArraysKeepTheirAlignment)
+{
+    // Below 2 MiB the arrays come from aligned operator new: at least
+    // 16-byte aligned, and a 64-byte block (PackedBwt::Block's shape)
+    // on its cache line.
+    struct alignas(64) Block
+    {
+        uint64_t words[8];
+    };
+    HugePageAllocator<Block> blocks;
+    for (const size_t n : {size_t{1}, size_t{3},
+                           kHugePageBytes / sizeof(Block) - 1}) {
+        Block *p = blocks.allocate(n);
+        EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % 64, 0u) << n;
+        p[n - 1].words[7] = n;
+        blocks.deallocate(p, n);
+    }
+    HugePageAllocator<uint8_t> bytes;
+    for (const size_t n : {size_t{1}, size_t{7}, kHugePageBytes - 1}) {
+        uint8_t *p = bytes.allocate(n);
+        EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % 16, 0u) << n;
+        p[n - 1] = 1;
+        bytes.deallocate(p, n);
+    }
+}
+
+TEST(HugePageAllocator, LargeArraysStartOnAHugePageAndAdviseOnlyWholePages)
+{
+    // From 2 MiB up the array is its own mapping, 2 MiB-aligned; its
+    // whole 2 MiB pages carry the huge-page advice and its tail does
+    // not. A kernel without transparent huge pages advises nothing.
+    const bool thp =
+        std::ifstream("/sys/kernel/mm/transparent_hugepage/enabled").good();
+    HugePageAllocator<uint8_t> alloc;
+    for (const size_t n : {kHugePageBytes, kHugePageBytes + 64,
+                           (size_t{64} << 20) + 64}) {
+        uint8_t *p = alloc.allocate(n);
+        EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % kHugePageBytes, 0u) << n;
+        p[0] = 1;
+        p[n - 1] = 2;
+        const size_t advised = hugePageAdviceBytes(n);
+        const std::optional<Vma> head = vmaAt(p);
+        if (head) {
+            EXPECT_EQ(head->huge_advised, thp) << n;
+            if (thp) {
+                EXPECT_EQ(head->end, reinterpret_cast<uintptr_t>(p) + advised)
+                    << n;
+            }
+            if (advised < n) {
+                const std::optional<Vma> tail = vmaAt(p + advised);
+                ASSERT_TRUE(tail.has_value()) << n;
+                EXPECT_FALSE(tail->huge_advised) << n;
+            }
+        }
+        alloc.deallocate(p, n);
+    }
 }
 
 } // namespace

@@ -11,9 +11,9 @@
 # section, and the BENCH_threads.json sweep; finally runs the
 # CLI paired-end path (simulate --paired with shredded rescue-bait
 # mates, threaded align -1/-2) and validates the `paired` report
-# section, the run section's load_seconds, the threaded section's
-# sink and reorder-window wait seconds, the seedex.paired.*
-# instruments, the extension reconciliation identity
+# section, the run section's load_seconds and huge_page_mib, the
+# threaded section's sink and reorder-window wait seconds, the
+# seedex.paired.* instruments, the extension reconciliation identity
 # filter.verdict.total == aligner.extensions + threaded.extensions +
 # paired.rescue_extensions, and the ledger's pair fields.
 #
@@ -458,6 +458,9 @@ assert counters["seedex.paired.rescues"] == paired["rescues"]
 run = report["run"]
 assert run["reads"] == 2 * paired["pairs"], (run["reads"], paired)
 assert run["load_seconds"] > 0, run
+# Whether the index arrays got 2 MiB pages: on every run, 0 where THP is
+# off or /proc/self/smaps_rollup is missing.
+assert "huge_page_mib" in run and run["huge_page_mib"] >= 0, run
 
 # --- The CLI's `threaded` section: helped batches are a subset of all
 # batches, and the stage CPU split covers device emulation.
