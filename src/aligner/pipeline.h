@@ -11,7 +11,6 @@
 #include "aligner/seeding.h"
 #include "fmindex/fmd_index.h"
 #include "hw/throughput_model.h"
-#include "util/stopwatch.h"
 
 namespace seedex {
 
@@ -21,8 +20,8 @@ enum class EngineKind
     FullBand, ///< BWA-MEM/BWA-MEM2 software baseline
     Banded,   ///< fixed narrow band, NO guarantee (Fig. 13 baseline)
     SeedEx,   ///< speculative narrow band + checks + rerun (this paper)
-    /** SeedEx through the device timing model (Fig. 7/8): the threaded
-     *  consumer pushes each flank side through
+    /** SeedEx through the device timing model (Fig. 7/8): the stage's
+     *  submit step pushes each flank side of a slab through
      *  SeedExAccelerator::processBatch, which adds modeled cycles, the
      *  speculative-exception reruns and the device.* counters. Every
      *  extension outside that step runs the SeedEx engine. */
@@ -68,10 +67,6 @@ struct PipelineStats
 /** The extension engine `config` selects (Device: the SeedEx engine). */
 std::unique_ptr<ExtensionEngine> makeEngine(const PipelineConfig &config);
 
-/** The band a read's ledger record reports: -1 (the full band) for the
- *  full-band engine, else the configured band. */
-int ledgerBand(const PipelineConfig &config);
-
 /**
  * The SAM record of one read's best chain: the highest-scoring slot
  * (the first on ties), with the best score among the others as the
@@ -82,12 +77,17 @@ SamRecord bestChainRecord(const std::string &name, const Sequence &read,
                           const Sequence &reference,
                           const PipelineConfig &config, size_t &chosen);
 
+struct AlignStage;
+struct StageCtx;
+
 /**
  * The single-end mini-aligner (the BWA-MEM stand-in of DESIGN.md §1):
  * FMD-index seeding, chaining, two-sided banded extension through a
- * pluggable engine, host traceback, SAM records. Its measured stage
- * times drive the Fig. 17 model; its output equivalence across engines
- * reproduces Fig. 13 at application level.
+ * pluggable engine, host traceback, SAM records. A thin wrapper over the
+ * alignment stage's inline driver (stage.h), the same path the CLI runs
+ * at every thread count. Its measured stage times drive the Fig. 17
+ * model; its output equivalence across engines reproduces Fig. 13 at
+ * application level.
  *
  * The aligner borrows `reference`: the caller keeps it alive, unmoved
  * and unmodified for the aligner's whole lifetime (temporaries are
@@ -108,17 +108,19 @@ class Aligner
     Aligner(Sequence &&reference, PipelineConfig config,
             std::unique_ptr<FmdIndex> index) = delete;
 
+    ~Aligner();
+
     /** Align one read; stats are accumulated if non-null. Extension jobs
-     *  are appended to `capture` (if non-null) in submission order, each
-     *  chain's left flank before its right, for the accelerator device
-     *  model. */
+     *  are appended to `capture` (if non-null) in submission order: every
+     *  chain's left flank, then every chain's right flank. */
     SamRecord alignRead(const std::string &name, const Sequence &read,
                         PipelineStats *stats = nullptr,
                         std::vector<ExtensionJob> *capture = nullptr);
 
-    /** Align a batch of (name, read) pairs. Seeding runs in lockstep
-     *  batches of seedBatchSize() reads (identical output to alignRead
-     *  per read, but with cross-read prefetching on the FM-index). */
+    /** Align a batch of (name, read) pairs in slabs of kDefaultBatchSize
+     *  reads; `capture` receives each slab's left flanks, then its right
+     *  flanks. Provenance-ledger records number the reads on from the
+     *  previous call on this aligner. */
     std::vector<SamRecord>
     alignBatch(const std::vector<std::pair<std::string, Sequence>> &reads,
                PipelineStats *stats = nullptr,
@@ -126,21 +128,17 @@ class Aligner
 
     const FmdIndex &index() const { return *index_; }
     const Sequence &reference() const { return ref_; }
-    ExtensionEngine &engine() { return *engine_; }
+    ExtensionEngine &engine();
     const PipelineConfig &config() const { return config_; }
 
   private:
-    /** Chain, extend, and emit one read whose seeds were already
-     *  collected (`seed_seconds` is charged to the seeding stage). */
-    SamRecord alignSeeded(const std::string &name, const Sequence &read,
-                          const std::vector<Seed> &seeds,
-                          double seed_seconds, PipelineStats *stats,
-                          std::vector<ExtensionJob> *capture);
-
     const Sequence &ref_;
     PipelineConfig config_;
     std::unique_ptr<FmdIndex> index_;
-    std::unique_ptr<ExtensionEngine> engine_;
+    std::unique_ptr<AlignStage> stage_;
+    std::unique_ptr<StageCtx> ctx_;
+    /** Ledger index of the next read this aligner aligns. */
+    uint64_t next_read_index_ = 0;
 };
 
 } // namespace seedex

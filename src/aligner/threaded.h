@@ -2,28 +2,26 @@
 #define SEEDEX_ALIGNER_THREADED_H
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "aligner/paired.h"
 #include "aligner/pipeline.h"
+#include "aligner/stage.h"
 #include "hw/accelerator.h"
 
 namespace seedex {
 
 /**
- * The software architecture of Fig. 12 (§V-B): seeding threads perform
- * seeding and chaining and publish whole batch slabs for FPGA threads;
- * FPGA threads claim a slab, package extension jobs, submit each flank
- * side to the run's extension engine (`pipeline.engine`; under
- * EngineKind::Device, as one batch through the accelerator model), parse
- * results (updating the initial score of right extensions with the
- * left-extension outcome "in the middle of parsing left extension
- * results"), and emit SAM records. The device model takes no lock (it
- * has no state to guard), and a seeding thread whose ring shard is full
- * runs that same consumer stage on a queued batch instead of blocking.
- * Results are produced out of order and streamed back in input order
- * through a sequence-stamped reorder buffer (see batch_ring.h).
+ * The software architecture of Fig. 12 (§V-B), over the alignment stage
+ * (stage.h): seeding threads run step 1 (seeding and chaining) and
+ * publish whole batch slabs for FPGA threads; FPGA threads claim a slab
+ * and run steps 2 and 3 (extension through the run's engine or, under
+ * EngineKind::Device, the accelerator model; the pick; pair finalization
+ * and the ledger). The device model takes no lock (it has no state to
+ * guard), and a seeding thread whose ring shard is full runs steps 2 and
+ * 3 on a queued batch instead of blocking. Results are produced out of
+ * order and streamed back in input order through a sequence-stamped
+ * reorder buffer (see batch_ring.h).
  */
 struct ThreadedConfig
 {
@@ -32,7 +30,7 @@ struct ThreadedConfig
     /** Consumer threads driving the FPGA (load-balancing knob, §V-B). */
     int fpga_threads = 2;
     /** Reads per FPGA batch (= per published slab). */
-    size_t batch_size = 64;
+    size_t batch_size = kDefaultBatchSize;
     /** Hand-off ring capacity, in whole batches per shard. */
     size_t queue_capacity = 8;
     /** Ring shards; 0 = auto (single shard up to 3 producers, then one
@@ -54,7 +52,7 @@ struct ThreadedConfig
      */
     bool paired = false;
     /** Frozen insert-size model pair finalization tests against (the
-     *  CLI freezes it from the bootstrap chunk before starting the
+     *  CLI freezes it from the bootstrap slab before starting the
      *  pipeline, so every consumer sees one identical model). */
     InsertModel insert;
     /** Attempt SeedEx-checked mate rescue for half-mapped pairs. */
@@ -145,32 +143,7 @@ struct ThreadedReport
          *  window lock or for window space, summed over threads. */
         double window_wait_seconds = 0;
     } reorder;
-
-    /** Pair accounting (paired mode only; zeros otherwise). */
-    struct Paired
-    {
-        uint64_t pairs = 0;
-        uint64_t proper = 0;
-        uint64_t rescues = 0;
-        uint64_t rescue_extensions = 0;
-        uint64_t rescue_passes = 0;
-    } paired;
 };
-
-/** Receives finished records in strictly increasing read_idx order. */
-using SamSink = std::function<void(size_t read_idx, SamRecord &&rec)>;
-
-/**
- * Pull-style read supplier for alignThreadedSource. `out` has at least
- * `max` elements on entry; the supplier overwrites out[0..n) (assigning
- * into the recycled strings/sequences, so their capacity is reused) and
- * returns n. Returning 0 ends the stream. Called under an internal
- * pipeline mutex, so implementations need no locking of their own, and
- * successive calls see strictly increasing file positions. In paired
- * mode every pull must return whole pairs.
- */
-using ReadSource = std::function<size_t(
-    std::vector<std::pair<std::string, Sequence>> &out, size_t max)>;
 
 /**
  * Align the reads `source` supplies with the producer-consumer
@@ -178,17 +151,16 @@ using ReadSource = std::function<size_t(
  * its batch retires from the reorder window. Producers pull a batch at
  * a time under a shared mutex and swap the reads into slab-owned
  * storage, so peak memory is bounded by the in-flight window regardless
- * of input size. Records are bit-identical to the single-threaded
- * pipeline on the same engine, and so, for every engine but the
- * unguaranteed banded one, to the full band. The sink runs on consumer
- * threads but is never
- * called concurrently; read indices passed to it count from 0 in pull
- * order. `index` lets the caller supply a prebuilt FM-index of
- * `reference` (e.g. loaded from a `.sdx` container); when null the
- * pipeline builds its own. Provenance-ledger records number the reads
- * from `first_read_index`, so a caller that aligned reads before the
- * pipeline started (the CLI's paired bootstrap chunk) keeps every
- * record's index unique.
+ * of input size. Records, ledger records and counters are those of
+ * alignInline on the same slabs, and so, for every engine but the
+ * unguaranteed banded one, the records are the full band's. The sink
+ * runs on consumer threads but is never called concurrently; read
+ * indices passed to it count from 0 in pull order. `index` lets the
+ * caller supply a prebuilt FM-index of `reference` (e.g. loaded from a
+ * `.sdx` container); when null the pipeline builds its own.
+ * Provenance-ledger records number the reads from `first_read_index`,
+ * so a caller that aligned reads before the pipeline started (the CLI's
+ * paired bootstrap slab) keeps every record's index unique.
  */
 void
 alignThreadedSource(const Sequence &reference, const ReadSource &source,

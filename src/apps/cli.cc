@@ -1,5 +1,6 @@
 #include "apps/cli.h"
 
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <exception>
@@ -15,6 +16,7 @@
 
 #include "aligner/pipeline.h"
 #include "aligner/sam.h"
+#include "aligner/stage.h"
 #include "aligner/threaded.h"
 #include "fmindex/fmd_index.h"
 #include "fmindex/sdx.h"
@@ -59,13 +61,14 @@ const char kUsage[] =
     "  --no-rescue         disable SeedEx-checked mate rescue\n"
     "  --engine=NAME       fullband | banded | seedex | device   [seedex]\n"
     "                      (device: seedex through the FPGA timing model,\n"
-    "                      with device.* counters; needs --threads>1)\n"
+    "                      with device.* counters)\n"
     "  --band=N            band width for the banded, seedex and device\n"
     "                      engines (SEEDEX_BAND)\n"
-    "  --threads=N         total worker threads (SEEDEX_THREADS); 1 =\n"
-    "                      single-threaded in-process pipeline\n"
+    "  --threads=N         total worker threads (SEEDEX_THREADS); 1 = the\n"
+    "                      same stage inline on the calling thread\n"
     "  --seeding-threads=N / --fpga-threads=N  explicit 3:1 split override\n"
-    "  --batch=N           reads per pipeline batch (SEEDEX_BATCH)\n"
+    "  --batch=N           reads per slab, at every thread count [64]\n"
+    "                      (SEEDEX_BATCH)\n"
     "  --queue-cap=N       ring capacity per shard (SEEDEX_QUEUE_CAP)\n"
     "  --queue-shards=N    ring shards (SEEDEX_QUEUE_SHARDS)\n"
     "  --kernel=NAME       scalar | sse | avx2 | auto (SEEDEX_KERNEL)\n"
@@ -326,10 +329,6 @@ cmdIndex(int argc, char **argv)
 
 // ---- seedex align -------------------------------------------------------
 
-/** How many reads the single-threaded path pulls per alignBatch call
- *  (bounds memory to one chunk while keeping lockstep seeding fed). */
-constexpr size_t kAlignChunk = 1024;
-
 int
 cmdAlign(int argc, char **argv)
 {
@@ -427,13 +426,6 @@ cmdAlign(int argc, char **argv)
 
     const bool threaded = threads > 1 || args.has("--seeding-threads") ||
         args.has("--fpga-threads");
-    // The device model runs on the threaded consumer's flank batches;
-    // the inline path submits one chain at a time, which would not
-    // model the device's batches.
-    if (!threaded && pconfig.engine == EngineKind::Device)
-        throw UsageError("--engine=device needs the threaded pipeline "
-                         "(--threads>1, --seeding-threads or "
-                         "--fpga-threads)");
 
     // Observability passthrough (same contract as the bench binaries):
     // enabling trace/ledger must happen before the run, writing after.
@@ -481,13 +473,17 @@ cmdAlign(int argc, char **argv)
 
     Stopwatch wall;
     wall.start();
-    Aligner aligner(ref.seq, pconfig, std::move(ref.index));
+    const AlignStage stage(ref.seq, *ref.index, pconfig,
+                           tconfig.organization);
+    StageCtx ctx(pconfig);
 
     // One read source for every mode: single-end reads, or whole pairs as
     // two consecutive reads under the pair's name (so mates share a slab;
     // batch sizes are even in paired mode). A parse error ends the stream
     // and is rethrown once the run has drained, so it never unwinds
-    // through a pipeline thread.
+    // through a pipeline thread. So does a failed write: the sink sets
+    // `write_failed` (it is never called concurrently, so only it touches
+    // `out`), and the source then ends the stream.
     std::unique_ptr<FastqReader> reader;
     std::unique_ptr<PairedReadSource> pairs;
     if (!paired)
@@ -500,10 +496,11 @@ cmdAlign(int argc, char **argv)
     FastqRecord fq;
     PairedRecord pr;
     std::exception_ptr read_error;
+    std::atomic<bool> write_failed{false};
     const ReadSource source =
         [&](std::vector<std::pair<std::string, Sequence>> &pulled,
             size_t max) -> size_t {
-        if (read_error)
+        if (read_error || write_failed.load(std::memory_order_relaxed))
             return 0;
         size_t n = 0;
         try {
@@ -532,64 +529,54 @@ cmdAlign(int argc, char **argv)
         return n;
     };
     const SamSink sink = [&](size_t, SamRecord &&sam) {
-        out << sam.render() << '\n';
+        if (!(out << sam.render() << '\n'))
+            write_failed.store(true, std::memory_order_relaxed);
     };
 
-    // Inline alignment of one pulled chunk; false at the end of the
-    // input or on a parse error.
-    std::vector<std::pair<std::string, Sequence>> chunk;
-    std::vector<SamRecord> recs;
-    const auto align_chunk = [&](size_t max) {
-        chunk.resize(max);
-        chunk.resize(source(chunk, max));
-        if (chunk.empty() || read_error)
-            return false;
-        recs = aligner.alignBatch(chunk);
-        return true;
-    };
-
-    // Bootstrap chunk: the first pairs are aligned by the single-threaded
-    // Aligner in EVERY mode, so the frozen insert model — and the output
-    // bytes — cannot depend on --threads.
+    // Bootstrap slab: the first pairs run steps 1 and 2 on this thread in
+    // EVERY mode; their primary records freeze the insert model, so the
+    // model — and the output bytes — cannot depend on --threads. Then
+    // step 3 pairs them against it like every later slab.
     InsertModel insert_model = insert_prior;
     uint64_t insert_observations = 0;
-    if (paired && align_chunk(2 * InsertEstimator::kBootstrapPairs) &&
-        !insert_override) {
-        InsertEstimator est(insert_prior);
-        for (size_t i = 0; i + 1 < recs.size(); i += 2)
-            est.observe(recs[i], recs[i + 1]);
-        insert_model = est.freeze();
-        insert_observations = est.observations();
-    }
-    const PairContext pair_ctx{ref.seq, pconfig.contigs, pconfig.extension,
-                               insert_model, mate_rescue};
+    PairContext pair_ctx{ref.seq, pconfig.contigs, pconfig.extension,
+                         insert_prior, mate_rescue};
     uint64_t total_reads = 0;
-    const auto emit_chunk = [&] {
-        for (size_t i = 0; i < recs.size(); ++i) {
-            if (paired && i % 2 == 0)
-                finalizePair(recs[i], recs[i + 1], chunk[i].second,
-                             chunk[i + 1].second, aligner.engine(),
-                             pair_ctx);
-            sink(total_reads + i, std::move(recs[i]));
+    std::vector<std::pair<std::string, Sequence>> pulled(
+        paired ? 2 * InsertEstimator::kBootstrapPairs : 0);
+    if (const size_t n = paired ? source(pulled, pulled.size()) : 0) {
+        SeededBatch slab;
+        slab.prepare(n);
+        loadSlab(slab, pulled, n, 0);
+        seedSlab(stage, ctx, slab);
+        extendSlab(stage, ctx, slab);
+        if (!insert_override) {
+            InsertEstimator est(insert_prior);
+            for (size_t i = 0; i + 1 < n; i += 2)
+                est.observe(ctx.records[i], ctx.records[i + 1]);
+            insert_model = est.freeze();
+            insert_observations = est.observations();
         }
-        total_reads += recs.size();
-        recs.clear();
-    };
-    emit_chunk(); // the bootstrap chunk (nothing when single-end)
+        pair_ctx.insert = insert_model;
+        finishSlab(ctx, slab, &pair_ctx);
+        for (size_t i = 0; i < n; ++i)
+            sink(i, std::move(ctx.records[i]));
+        total_reads = n;
+    }
 
     ThreadedReport treport;
     if (threaded) {
         tconfig.paired = paired;
         tconfig.insert = insert_model;
         tconfig.mate_rescue = mate_rescue;
-        // The bootstrap chunk's reads took ledger indices 0..total_reads.
+        // The bootstrap slab's reads took ledger indices 0..total_reads.
         alignThreadedSource(ref.seq, source, tconfig, sink, &treport,
-                            &aligner.index(), total_reads);
+                            ref.index.get(), total_reads);
         total_reads += treport.reads;
     } else {
-        // Stop at the first chunk whose write fails.
-        while (out && align_chunk(kAlignChunk))
-            emit_chunk();
+        total_reads +=
+            alignInline(stage, ctx, source, tconfig.batch_size,
+                        paired ? &pair_ctx : nullptr, sink, total_reads);
     }
     wall.stop();
     if (read_error)

@@ -11,9 +11,7 @@ namespace {
 /** Upper bounds of the band-width histogram buckets (plus +inf). */
 constexpr int kBandBuckets[] = {0, 1, 2, 4, 8, 16, 32, 64};
 
-thread_local ReadRecord t_record;
-/** The thread's active record: &t_record while a scope is open, or the
- *  record an ActiveRecord attached. */
+/** The record an ActiveRecord attached on this thread. */
 thread_local ReadRecord *t_active = nullptr;
 
 } // namespace
@@ -76,27 +74,6 @@ Ledger::active()
     return t_active;
 }
 
-ReadRecord *
-Ledger::open(uint64_t read_index, const std::string &name)
-{
-    if (!global().shouldRecord(read_index))
-        return nullptr;
-    t_record = ReadRecord{};
-    t_record.read_index = read_index;
-    t_record.name = name;
-    t_active = &t_record;
-    return &t_record;
-}
-
-void
-Ledger::close()
-{
-    if (t_active != &t_record)
-        return;
-    t_active = nullptr;
-    global().publish(std::move(t_record));
-}
-
 Ledger::ThreadBuffer &
 Ledger::threadBuffer()
 {
@@ -121,7 +98,6 @@ Ledger::clear()
     std::lock_guard<std::mutex> lock(mutex_);
     for (const auto &buffer : buffers_)
         buffer->records.clear();
-    next_index_.store(0, std::memory_order_relaxed);
 }
 
 size_t
@@ -233,20 +209,6 @@ bool
 Ledger::writeJsonl(const std::string &path) const
 {
     return writeTextFile(path, toJsonl());
-}
-
-ReadScope::ReadScope(const std::string &name)
-{
-    Ledger &ledger = Ledger::global();
-    if (!ledger.enabled())
-        return;
-    record_ = Ledger::open(ledger.nextReadIndex(), name);
-}
-
-ReadScope::~ReadScope()
-{
-    if (record_ != nullptr)
-        Ledger::close();
 }
 
 ActiveRecord::ActiveRecord(ReadRecord *rec) : saved_(t_active)

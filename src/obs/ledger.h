@@ -85,8 +85,8 @@ struct ReadRecord
     bool mapped = false;
     /** Pair provenance (paired pipelines; single-end reads keep the
      *  defaults). `rescue_extensions` counts the engine extensions the
-     *  pair spent rescuing this read's mate or itself — attributed to
-     *  the rescued mate's record. */
+     *  pair spent trying to place this read by mate rescue, whether or
+     *  not it was placed (`pair_rescued`). */
     bool paired = false;
     bool proper = false;
     bool pair_rescued = false;
@@ -182,33 +182,18 @@ class Ledger
         return n <= 1 || read_index % n == 0;
     }
 
-    /** Sequence numbers for callers without an external read id. */
-    uint64_t
-    nextReadIndex()
-    {
-        return next_index_.fetch_add(1, std::memory_order_relaxed);
-    }
-
     /**
-     * The calling thread's open record, or nullptr when none is open.
+     * The record ActiveRecord attached on the calling thread, or nullptr.
      * Instrumented lower layers (filter funnel, extend kernel) attribute
      * events to it without any signature plumbing.
      */
     static ReadRecord *active();
 
-    /** Open a thread-local record (nullptr if disabled / not sampled).
-     *  Prefer the ReadScope RAII wrapper. */
-    static ReadRecord *open(uint64_t read_index, const std::string &name);
-
-    /** Publish the thread-local record opened by open(). */
-    static void close();
-
-    /** Publish a fully assembled record (threaded pipeline path, where a
-     *  read's journey spans producer and consumer threads; see
-     *  ActiveRecord). */
+    /** Publish a fully assembled record (the alignment stage builds each
+     *  read's record itself; see ActiveRecord). */
     void publish(ReadRecord rec);
 
-    /** Drop all records and reset the sequence (quiescence only). */
+    /** Drop all records (quiescence only). */
     void clear();
 
     /** Records across all thread buffers (quiescence only). */
@@ -238,39 +223,16 @@ class Ledger
 
     std::atomic<bool> enabled_{false};
     std::atomic<uint32_t> sample_every_{1};
-    std::atomic<uint64_t> next_index_{0};
     mutable std::mutex mutex_;
     std::vector<std::shared_ptr<ThreadBuffer>> buffers_;
 };
 
 /**
- * RAII read scope for the single-threaded pipeline: opens a thread-local
- * record (auto-numbered via Ledger::nextReadIndex) on construction and
- * publishes it on destruction. record() is nullptr when the ledger is
- * disabled or the read was sampled out — callers guard field writes on
- * it; lower layers use Ledger::active().
- */
-class ReadScope
-{
-  public:
-    explicit ReadScope(const std::string &name);
-    ~ReadScope();
-
-    ReadScope(const ReadScope &) = delete;
-    ReadScope &operator=(const ReadScope &) = delete;
-
-    ReadRecord *record() const { return record_; }
-
-  private:
-    ReadRecord *record_ = nullptr;
-};
-
-/**
- * RAII attachment for a caller-owned record (the threaded pipeline,
- * which assembles each read's record itself): while it lives, the
- * calling thread's Ledger::active() is `rec` (nullptr: none), so the
- * instrumented lower layers attribute onto it exactly as under a
- * ReadScope. The previous active record is restored on destruction.
+ * RAII attachment for a caller-owned record (the alignment stage, which
+ * assembles each read's record itself): while it lives, the calling
+ * thread's Ledger::active() is `rec` (nullptr: none), so the
+ * instrumented lower layers attribute onto it. The previous active
+ * record is restored on destruction.
  */
 class ActiveRecord
 {

@@ -174,7 +174,7 @@ struct MetricsSnapshot
  * heap-allocated and never move or die, and reset() zeroes values
  * without invalidating references), so steady-state updates never touch
  * the registry mutex. Naming convention: dotted lowercase paths,
- * `<subsystem>.<object>.<unit>` — e.g. `aligner.seeding.seconds`,
+ * `<subsystem>.<object>.<unit>` — e.g. `stage.seed.seconds`,
  * `filter.verdict.pass_s2`, `threaded.queue.depth` (see DESIGN.md
  * §"Observability").
  */

@@ -585,40 +585,6 @@ TEST(CliErrors, UsageErrorsExitTwo)
     EXPECT_EQ(cli({"seedex", "--help"}), 0);
 }
 
-TEST(CliErrors, DeviceEngineNeedsThreadedPipeline)
-{
-    // The device model needs the threaded consumer's batches: without
-    // the threaded pipeline, --engine=device is a usage error raised
-    // before any file opens.
-    const Workload w = buildWorkload("device", 20);
-    // --band=21 stands in for a command line with no thread flag at all.
-    for (const char *flag : {"--threads=1", "--band=21"}) {
-        const std::string out = tempPath("device.sam");
-        EXPECT_EQ(cli({"seedex", "align", w.fasta_path, w.fastq_path, "-o",
-                       out, "--engine=device", flag}),
-                  2)
-            << flag;
-        EXPECT_FALSE(std::ifstream(out).good()) << flag;
-    }
-    for (const char *threads :
-         {"--threads=2", "--seeding-threads=1", "--fpga-threads=1"})
-        EXPECT_EQ(cli({"seedex", "align", w.fasta_path, w.fastq_path, "-o",
-                       tempPath("device.sam"), "--engine=device", threads}),
-                  0)
-            << threads;
-    EXPECT_EQ(cli({"seedex", "align", w.fasta_path, w.fastq_path,
-                   "--engine=bogus", "--threads=4"}),
-              2);
-
-    std::ostringstream help;
-    std::streambuf *saved = std::cout.rdbuf(help.rdbuf());
-    EXPECT_EQ(cli({"seedex", "--help"}), 0);
-    std::cout.rdbuf(saved);
-    EXPECT_NE(help.str().find("fullband | banded | seedex | device"),
-              std::string::npos)
-        << help.str();
-}
-
 TEST(CliErrors, MissingInputsExitOne)
 {
     EXPECT_EQ(cli({"seedex", "index", tempPath("nope.fa"), "-o",
@@ -657,15 +623,25 @@ class FullDiskBuf : public std::streambuf
 
 TEST(CliErrors, FailedStdoutWriteExitsOne)
 {
-    const Workload w = buildWorkload("fullout", 200);
+    // More reads than the --threads=4 window holds in flight (about
+    // 1,100 at 3+1 threads and --batch=64): the first failed write must
+    // stop the read feed, so the stage never sees the whole input.
+    const size_t kReads = 8000;
+    const Workload w = buildWorkload("fullout", kReads);
     FullDiskBuf full;
+    obs::Counter &stage_reads =
+        obs::MetricsRegistry::global().counter("stage.reads");
     for (const char *threads : {"--threads=1", "--threads=4"}) {
+        const uint64_t before = stage_reads.value();
         std::streambuf *saved = std::cout.rdbuf(&full);
         const int rc =
             cli({"seedex", "align", w.fasta_path, w.fastq_path, threads});
         std::cout.rdbuf(saved);
         std::cout.clear();
         EXPECT_EQ(rc, 1) << threads;
+        const uint64_t aligned = stage_reads.value() - before;
+        EXPECT_GT(aligned, 0u) << threads;
+        EXPECT_LT(aligned, kReads) << threads;
     }
 }
 
@@ -820,8 +796,8 @@ writeFastq(const std::string &path,
  * `--engine=device` runs the device timing model. The corpus is
  * perfbench's divergent profile (250 bp, 5 % substitutions, indels),
  * where narrow bands reject and the banded engine clips, plus pairs
- * with every 10th second mate shredded, so mate rescue runs on the
- * threaded path past the 1024-pair bootstrap chunk.
+ * with every 10th second mate shredded, so mate rescue runs in the
+ * 1024-pair bootstrap slab and past it.
  */
 class CliEngine : public ::testing::Test
 {
@@ -964,6 +940,49 @@ TEST_F(CliEngine, ThreadedFullBandRunsNoSeedExOrDevice)
     EXPECT_EQ(fullband.sam, device.sam);
 }
 
+TEST_F(CliEngine, DeviceRunsAtEveryThreadCount)
+{
+    // The device model runs on the stage's slabs, which are the same
+    // --batch slabs inline and on the threads: --threads=1 gives the
+    // --threads=4 SAM and modeled counters, single-end and paired (where
+    // the bootstrap slab goes through the model too).
+    const std::vector<std::string> counters = {
+        "device.batches",          "device.jobs",
+        "device.rerun.checks",     "device.rerun.exception",
+        "device.cycles.critical",  "device.cycles.busy",
+        "device.cycles.edit",      "filter.verdict.total",
+        "filter.verdict.pass_s2",  "filter.verdict.pass_checks",
+        "filter.verdict.fail_s1",  "filter.verdict.fail_e_score",
+        "filter.verdict.fail_edit_check",
+        "filter.verdict.fail_gscore_guard", "filter.edit_machine.runs"};
+    for (const bool paired : {false, true}) {
+        SCOPED_TRACE(paired ? "paired" : "single-end");
+        const std::string tag = paired ? "dev_pe" : "dev_se";
+        const Run t1 = align(tag + "_t1", paired,
+                             {"--engine=device", "--threads=1"}, counters);
+        const Run t4 = align(tag + "_t4", paired,
+                             {"--engine=device", "--threads=4"}, counters);
+        ASSERT_EQ(t1.rc, 0) << t1.err;
+        ASSERT_EQ(t4.rc, 0) << t4.err;
+        EXPECT_EQ(jsonValue(t1.report, "threaded"), "false");
+        EXPECT_EQ(t1.sam, t4.sam);
+        for (const std::string &n : counters)
+            EXPECT_EQ(t1.moved.at(n), t4.moved.at(n)) << n;
+        EXPECT_GT(t1.moved.at("device.jobs"), 0u);
+    }
+
+    EXPECT_EQ(cli({"seedex", "align", corpus().sdx, corpus().reads,
+                   "--engine=bogus", "--threads=4"}),
+              2);
+    std::ostringstream help;
+    std::streambuf *saved = std::cout.rdbuf(help.rdbuf());
+    EXPECT_EQ(cli({"seedex", "--help"}), 0);
+    std::cout.rdbuf(saved);
+    EXPECT_NE(help.str().find("fullband | banded | seedex | device"),
+              std::string::npos)
+        << help.str();
+}
+
 TEST_F(CliEngine, ThreadedBandedMatchesSingleThread)
 {
     // Band 1 makes the unguaranteed engine clip, so its output differs
@@ -1011,29 +1030,38 @@ TEST_F(CliEngine, ThreadedPairedFullBandCountersMatchSingleThread)
 
 TEST_F(CliEngine, ThreadedLedgerMatchesSingleThread)
 {
-    for (const char *engine : {"seedex", "fullband", "banded"}) {
-        SCOPED_TRACE(engine);
-        const std::string flag = std::string("--engine=") + engine;
-        const Run t1 = align(std::string("led_") + engine + "_t1", false,
-                             {flag, "--band=11", "--threads=1"});
-        const Run t4 = align(std::string("led_") + engine + "_t4", false,
-                             {flag, "--band=11", "--threads=4"});
-        ASSERT_EQ(t1.rc, 0) << t1.err;
-        ASSERT_EQ(t4.rc, 0) << t4.err;
-        ASSERT_FALSE(t1.ledger.empty());
-        EXPECT_EQ(t1.ledger, t4.ledger);
-        // The full band reports band -1, the narrow engines their band.
-        const std::string band =
-            std::string(engine) == "fullband" ? "-1" : "11";
-        EXPECT_EQ(jsonValue(t4.ledger, "band"), band);
+    for (const bool paired : {false, true}) {
+        for (const char *engine : {"seedex", "fullband", "banded"}) {
+            SCOPED_TRACE(std::string(engine) +
+                         (paired ? " paired" : " single-end"));
+            const std::string flag = std::string("--engine=") + engine;
+            const std::string tag =
+                std::string(paired ? "led_pe_" : "led_") + engine;
+            const Run t1 = align(tag + "_t1", paired,
+                                 {flag, "--band=11", "--threads=1"});
+            const Run t4 = align(tag + "_t4", paired,
+                                 {flag, "--band=11", "--threads=4"});
+            ASSERT_EQ(t1.rc, 0) << t1.err;
+            ASSERT_EQ(t4.rc, 0) << t4.err;
+            ASSERT_FALSE(t1.ledger.empty());
+            EXPECT_EQ(t1.ledger, t4.ledger);
+            // The full band reports band -1, the narrow engines their
+            // band; paired records, the bootstrap slab's included, carry
+            // their pair fields.
+            const std::string band =
+                std::string(engine) == "fullband" ? "-1" : "11";
+            EXPECT_EQ(jsonValue(t4.ledger, "band"), band);
+            EXPECT_EQ(jsonValue(t1.ledger, "paired"),
+                      paired ? "true" : "false");
+        }
     }
 }
 
 TEST_F(CliEngine, ThreadedPairedLedgerNumbersEachReadOnce)
 {
-    // The inline bootstrap chunk records reads 0..2047; the threaded
-    // portion must go on from there. Were both to count from 0, the
-    // ledger's sort would order the tied records differently run to run.
+    // The bootstrap slab records reads 0..2047; the threaded portion
+    // must go on from there. Were both to count from 0, the ledger's
+    // sort would order the tied records differently run to run.
     const Run a = align("led_pairs_a", true, {"--threads=4"});
     const Run b = align("led_pairs_b", true, {"--threads=4"});
     ASSERT_EQ(a.rc, 0) << a.err;

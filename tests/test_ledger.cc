@@ -200,7 +200,7 @@ TEST(Ledger, SamplingIsDeterministicAndExact)
         EXPECT_EQ(sum.records, w.reads.size() / 4);
     }
 
-    // The same sampling applies to the single-threaded auto-numbering.
+    // The same sampling applies to the Aligner's own numbering.
     {
         LedgerGuard guard(4);
         PipelineConfig pcfg;
@@ -220,10 +220,18 @@ TEST(Ledger, DisabledCostsNothingAndRecordsNothing)
     EXPECT_FALSE(obs::Ledger::global().enabled());
     EXPECT_EQ(obs::Ledger::active(), nullptr);
     {
-        obs::ReadScope scope("unrecorded");
-        EXPECT_EQ(scope.record(), nullptr);
+        // The stage builds a record only for a read the ledger samples,
+        // and attaches null otherwise: off, it samples none.
+        EXPECT_FALSE(obs::Ledger::global().shouldRecord(0));
+        const obs::ActiveRecord active(nullptr);
         EXPECT_EQ(obs::Ledger::active(), nullptr);
     }
+    const Workload w = makeWorkload(30000, 20, 0x1ed6e404);
+    PipelineConfig cfg;
+    cfg.engine = EngineKind::SeedEx;
+    Aligner aligner(w.reference, cfg);
+    aligner.alignBatch(w.reads, nullptr);
+    EXPECT_EQ(obs::Ledger::active(), nullptr);
     EXPECT_EQ(obs::Ledger::global().recordCount(), 0u);
 }
 
@@ -321,11 +329,17 @@ TEST(Ledger, BandedEngineReportsZdropAndClip)
             qv.push_back(tv[i]);
         }
         BandedEngine engine(2);
-        obs::ReadScope scope("clipped");
-        ASSERT_NE(scope.record(), nullptr);
-        engine.extend({Sequence(std::vector<Base>(qv)), Sequence(tv), 30});
-        EXPECT_GE(scope.record()->band_clips, 1u);
-        EXPECT_EQ(scope.record()->zdrops, 0u);
+        obs::ReadRecord rec;
+        rec.name = "clipped";
+        {
+            const obs::ActiveRecord active(&rec);
+            ASSERT_EQ(obs::Ledger::active(), &rec);
+            engine.extend(
+                {Sequence(std::vector<Base>(qv)), Sequence(tv), 30});
+        }
+        EXPECT_GE(rec.band_clips, 1u);
+        EXPECT_EQ(rec.zdrops, 0u);
+        obs::Ledger::global().publish(std::move(rec));
     }
     { // zdrop: 40 matching bases then 80 of noise, tight zdrop
         std::vector<Base> qv(tv.begin(), tv.begin() + 40);
@@ -336,10 +350,16 @@ TEST(Ledger, BandedEngineReportsZdropAndClip)
                                    1 + rng.pick(3)) %
                                   4));
         BandedEngine engine(41, Scoring::bwaDefault(), 5, /*zdrop=*/5);
-        obs::ReadScope scope("dropped");
-        ASSERT_NE(scope.record(), nullptr);
-        engine.extend({Sequence(std::move(qv)), Sequence(tv), 30});
-        EXPECT_GE(scope.record()->zdrops, 1u);
+        obs::ReadRecord rec;
+        rec.read_index = 1;
+        rec.name = "dropped";
+        {
+            const obs::ActiveRecord active(&rec);
+            ASSERT_EQ(obs::Ledger::active(), &rec);
+            engine.extend({Sequence(std::move(qv)), Sequence(tv), 30});
+        }
+        EXPECT_GE(rec.zdrops, 1u);
+        obs::Ledger::global().publish(std::move(rec));
     }
 
     const obs::LedgerSummary sum = obs::Ledger::global().summary();

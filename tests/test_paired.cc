@@ -121,18 +121,19 @@ TEST_F(PairedWall, ThreadedMatchesOracleBitExactlyAcrossThreadShapes)
         config.fpga_threads = fpga;
         config.paired = true;
         config.insert = oconfig.insert;
-        ThreadedReport report;
+        const PairedCounters before = pairedCounters();
         const std::vector<SamRecord> recs =
-            alignThreaded(ref_, reads, config, &report);
+            alignThreaded(ref_, reads, config);
+        const PairedCounters after = pairedCounters();
         ASSERT_EQ(recs.size(), reads.size());
         for (size_t j = 0; j < recs.size(); ++j)
             ASSERT_EQ(recs[j].render(), expect[j])
                 << "thread shape " << seeding << "+" << fpga
                 << " diverges from oracle at record " << j;
-        EXPECT_EQ(report.paired.pairs, n_pairs);
-        EXPECT_EQ(report.paired.rescues, oracle_rescues);
-        EXPECT_EQ(report.paired.proper, oracle_proper);
-        EXPECT_GT(report.paired.rescue_extensions, 0u);
+        EXPECT_EQ(after.pairs - before.pairs, n_pairs);
+        EXPECT_EQ(after.rescues - before.rescues, oracle_rescues);
+        EXPECT_EQ(after.proper - before.proper, oracle_proper);
+        EXPECT_GT(after.rescue_extensions - before.rescue_extensions, 0u);
     };
     run_threaded(1, 1);
     run_threaded(4, 2);

@@ -219,8 +219,8 @@ TEST_F(SystemFixture, RegistryVerdictCountersMatchFilterStats)
     EXPECT_EQ(f.pass_s2 + f.pass_checks + f.fail_s1 + f.fail_e +
                   f.fail_edit + f.fail_gscore_guard,
               stats.extensions);
-    EXPECT_EQ(snap.counterValue("aligner.reads"), stats.reads);
-    EXPECT_EQ(snap.counterValue("aligner.extensions"), stats.extensions);
+    EXPECT_EQ(snap.counterValue("stage.reads"), stats.reads);
+    EXPECT_EQ(snap.counterValue("stage.extensions"), stats.extensions);
 }
 
 // ---------------------------------------------------------- Paired ends

@@ -386,6 +386,25 @@ TEST_F(ThreadedStress, EightByEightStreamsBitIdenticalInInputOrder)
     EXPECT_GT(report.consumer_cpu_seconds, 0.0);
 }
 
+TEST_F(ThreadedStress, SeedBatchSizeSelectsTheSeedingDriver)
+{
+    // SEEDEX_SEED_BATCH=1 selects the scalar SMEM driver, which leaves
+    // the lockstep driver's batch-size gauge at 0; any other size runs
+    // the lockstep driver on chunks of that many reads. The stage's seed
+    // step makes the choice, so it holds on the threads as inline.
+    const auto reads = simulateReads(256, 415);
+    ThreadedConfig config;
+    config.pipeline.engine = EngineKind::SeedEx;
+    config.seeding_threads = 2;
+    config.fpga_threads = 1;
+    obs::MetricsRegistry::global().reset();
+    alignThreaded(ref_, reads, config);
+    const size_t chunk = seedBatchSize();
+    EXPECT_EQ(
+        obs::MetricsRegistry::global().gauge("seed.batch_size").maxValue(),
+        chunk == 1 ? 0 : static_cast<int64_t>(chunk));
+}
+
 // ------------------------------------------------------- Help-path wall
 
 /**
@@ -420,8 +439,8 @@ class ThreadedHelp : public ::testing::Test
     static std::vector<std::string>
     invariantCounters()
     {
-        return {"threaded.extensions",
-                "threaded.reruns",
+        return {"stage.extensions",
+                "stage.reruns",
                 "filter.verdict.total",
                 "filter.verdict.pass_s2",
                 "filter.verdict.pass_checks",
@@ -527,7 +546,7 @@ class ThreadedHelp : public ::testing::Test
             for (const std::string &n : invariantCounters())
                 EXPECT_EQ(helped.counters.at(n), serial.counters.at(n))
                     << n;
-            EXPECT_GT(helped.counters.at("threaded.extensions"), 0u);
+            EXPECT_GT(helped.counters.at("stage.extensions"), 0u);
             EXPECT_GT(helped.counters.at("filter.verdict.total"), 0u);
             for (const Run *r : {&serial, &helped}) {
                 if (device) {

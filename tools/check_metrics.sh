@@ -14,8 +14,8 @@
 # section, the run section's load_seconds and huge_page_mib, the
 # threaded section's sink and reorder-window wait seconds, the
 # seedex.paired.* instruments, the extension reconciliation identity
-# filter.verdict.total == aligner.extensions + threaded.extensions +
-# paired.rescue_extensions, and the ledger's pair fields.
+# filter.verdict.total == stage.extensions + paired.rescue_extensions,
+# and the ledger's pair fields on every record.
 #
 # Usage: tools/check_metrics.sh [BUILD_DIR]     (default: build)
 set -euo pipefail
@@ -58,7 +58,7 @@ echo "== running $BENCH --quick --metrics-out=$METRICS"
 
 echo "== grep-level schema checks"
 for key in '"schema":"seedex.run_report/v1"' '"stage_seconds"' \
-           '"pass_s2"' '"aligner.extension.seconds"' '"p99"'; do
+           '"pass_s2"' '"stage.extend.seconds"' '"p99"'; do
     grep -q "$key" "$METRICS" || { echo "FAIL: $key not in $METRICS" >&2; exit 1; }
 done
 grep -q '"traceEvents"' "$TRACE" || { echo "FAIL: no traceEvents in $TRACE" >&2; exit 1; }
@@ -88,7 +88,7 @@ assert verdict_sum == flt["total"], (verdict_sum, flt["total"])
 assert verdict_sum == pipeline["extensions"], \
     (verdict_sum, pipeline["extensions"])
 
-hist = report["metrics"]["histograms"]["aligner.extension.seconds"]
+hist = report["metrics"]["histograms"]["stage.extend.seconds"]
 assert hist["count"] > 0
 assert 0 < hist["p50"] <= hist["p90"] <= hist["p99"]
 
@@ -346,10 +346,10 @@ counters = report["metrics"]["counters"]
 for name in ("threaded.queue.publishes", "threaded.queue.claims",
              "threaded.queue.wakeups", "threaded.pool.hits",
              "threaded.pool.misses", "threaded.reorder.retired",
-             "threaded.reads", "threaded.batches",
+             "stage.reads", "stage.batches",
              "threaded.helped_batches"):
     assert name in counters, f"missing counter {name}"
-assert counters["threaded.helped_batches"] <= counters["threaded.batches"]
+assert counters["threaded.helped_batches"] <= counters["stage.batches"]
 assert counters["threaded.queue.publishes"] >= queue["publishes"]
 assert counters["threaded.queue.publishes"] == \
     counters["threaded.queue.claims"]
@@ -363,8 +363,8 @@ assert counters["threaded.reorder.retired"] == \
     counters["threaded.queue.publishes"]
 
 hists = report["metrics"]["histograms"]
-hist = hists["threaded.batch.wall_seconds"]
-assert hist["count"] == counters["threaded.batches"]
+hist = hists["stage.extend.seconds"]
+assert hist["count"] == counters["stage.batches"]
 
 # --- Sweep document: every cell bit-identical, sane ratio columns,
 # and the ISSUE 7 headline (>= 2.5x modeled speedup at 8 threads).
@@ -480,40 +480,37 @@ assert 0 <= thr["sink_seconds"] <= wall, (thr, wall)
 assert 0 <= thr["window_wait_seconds"] <= threads * wall, (thr, wall)
 
 # --- Extension reconciliation: each verdict the filter issued came
-# from the single-threaded bootstrap chunk, a threaded consumer, or a
-# mate-rescue extension — no extension escapes the funnel.
+# from a primary extension of the stage (the bootstrap slab's included)
+# or from a mate-rescue extension, exactly once.
 total = counters["filter.verdict.total"]
-funnel = (counters["aligner.extensions"] +
-          counters["threaded.extensions"] +
+funnel = (counters["stage.extensions"] +
           counters["seedex.paired.rescue_extensions"])
 assert total == funnel, (total, funnel)
 
-# --- Ledger: pair fields ride along on every read record; the
-# threaded (post-bootstrap) portion carries paired=true.
+# --- Ledger: every read record, the bootstrap slab's included, went
+# through the stage's pair step, so pair fields and rescue totals match
+# the process-wide counters exactly.
 with open(sys.argv[2]) as f:
     records = [json.loads(line) for line in f if line.strip()]
-assert records, "ledger has no read records"
+assert len(records) == run["reads"], (len(records), run["reads"])
 for rec in records:
     for field in ("paired", "proper", "pair_rescued",
                   "rescue_extensions"):
         assert field in rec, f"ledger record lacks {field}"
-n_paired = sum(1 for r in records if r["paired"])
-assert n_paired > 0, "no ledger record is marked paired"
+    assert rec["paired"] is True, rec
 ledger_rescued = sum(1 for r in records if r["pair_rescued"])
 ledger_rescue_ext = sum(r["rescue_extensions"] for r in records)
-# The ledger only sees the threaded portion (bootstrap reads align
-# before the pair stage), so its rescue totals are bounded by the
-# process-wide counters.
-assert ledger_rescued <= counters["seedex.paired.rescues"]
-assert ledger_rescue_ext <= counters["seedex.paired.rescue_extensions"]
+assert ledger_rescued == counters["seedex.paired.rescues"], \
+    (ledger_rescued, counters["seedex.paired.rescues"])
+assert ledger_rescue_ext == counters["seedex.paired.rescue_extensions"], \
+    (ledger_rescue_ext, counters["seedex.paired.rescue_extensions"])
 
 print(f"ok: pairs={paired['pairs']} proper={paired['proper']} "
       f"rescues={paired['rescues']} "
       f"(insert {paired['insert_mean']:.1f} "
       f"+/- {paired['insert_sd']:.1f} from "
       f"{paired['insert_observations']} obs); "
-      f"verdicts {total} == aligner {counters['aligner.extensions']} "
-      f"+ threaded {counters['threaded.extensions']} "
+      f"verdicts {total} == stage {counters['stage.extensions']} "
       f"+ rescue {counters['seedex.paired.rescue_extensions']}")
 EOF
 
