@@ -62,7 +62,7 @@ quickMode(int argc, char **argv)
         if (std::string(argv[i]) == "--quick")
             return true;
     }
-    return std::getenv("SEEDEX_BENCH_QUICK") != nullptr;
+    return false;
 }
 
 /** Standard exhibit banner. */
@@ -73,9 +73,9 @@ banner(const std::string &exhibit, const std::string &claim)
               << "paper: " << claim << "\n\n";
 }
 
-/** Value of a `--flag=VALUE` argument, or `env` fallback, or "". */
+/** Value of a `--flag=VALUE` argument, or "". */
 inline std::string
-flagValue(int argc, char **argv, const std::string &flag, const char *env)
+flagValue(int argc, char **argv, const std::string &flag)
 {
     const std::string prefix = flag + "=";
     for (int i = 1; i < argc; ++i) {
@@ -83,31 +83,26 @@ flagValue(int argc, char **argv, const std::string &flag, const char *env)
         if (arg.rfind(prefix, 0) == 0)
             return arg.substr(prefix.size());
     }
-    if (env != nullptr) {
-        if (const char *v = std::getenv(env))
-            return v;
-    }
     return {};
 }
 
-/** Destination of the machine-readable run report (`--metrics-out=FILE`
- *  or SEEDEX_METRICS_OUT); empty means "don't write one". */
+/** Destination of the machine-readable run report (`--metrics-out=FILE`);
+ *  empty means "don't write one". */
 inline std::string
 metricsOutPath(int argc, char **argv)
 {
-    return flagValue(argc, argv, "--metrics-out", "SEEDEX_METRICS_OUT");
+    return flagValue(argc, argv, "--metrics-out");
 }
 
 /**
- * Destination of the Chrome trace (`--trace-out=FILE` or SEEDEX_TRACE);
- * empty means tracing stays off. Call before the timed region: it
- * enables the global trace session as a side effect.
+ * Destination of the Chrome trace (`--trace-out=FILE`); empty means
+ * tracing stays off. Call before the timed region: it enables the
+ * global trace session as a side effect.
  */
 inline std::string
 traceOutPath(int argc, char **argv)
 {
-    const std::string path =
-        flagValue(argc, argv, "--trace-out", "SEEDEX_TRACE");
+    const std::string path = flagValue(argc, argv, "--trace-out");
     if (!path.empty())
         obs::TraceSession::global().enable();
     return path;
@@ -128,20 +123,18 @@ maybeWriteTrace(const std::string &path)
 }
 
 /**
- * Destination of the per-read provenance ledger (`--ledger-out=FILE` or
- * SEEDEX_LEDGER_OUT); empty means the ledger stays off. Call before the
- * timed region: it enables the global ledger as a side effect, sampling
- * every SEEDEX_LEDGER_SAMPLE-th read (default 1 = all).
+ * Destination of the per-read provenance ledger (`--ledger-out=FILE`);
+ * empty means the ledger stays off. Call before the timed region: it
+ * enables the global ledger as a side effect, sampling every
+ * `--ledger-sample=N`-th read (default 1 = all).
  */
 inline std::string
 ledgerOutPath(int argc, char **argv)
 {
-    const std::string path =
-        flagValue(argc, argv, "--ledger-out", "SEEDEX_LEDGER_OUT");
+    const std::string path = flagValue(argc, argv, "--ledger-out");
     if (!path.empty()) {
         uint32_t sample = 1;
-        const std::string s =
-            flagValue(argc, argv, "--ledger-sample", "SEEDEX_LEDGER_SAMPLE");
+        const std::string s = flagValue(argc, argv, "--ledger-sample");
         if (!s.empty())
             sample = static_cast<uint32_t>(
                 std::max(1L, std::strtol(s.c_str(), nullptr, 10)));
@@ -232,7 +225,6 @@ appendThreadingDetail(obs::JsonWriter &w, const ThreadedReport &r)
     w.kv("publishes", r.queue.publishes);
     w.kv("claims", r.queue.claims);
     w.kv("wakeups", r.queue.wakeups);
-    w.kv("shards", r.queue.shards);
     w.kv("capacity_batches", r.queue.capacity_batches);
     w.kv("max_depth", r.queue.max_depth);
     w.kv("avg_depth", r.queue.avg_depth);

@@ -166,7 +166,7 @@ main(int argc, char **argv)
            "101 bp / band 41");
 
     const bool quick = quickMode(argc, argv);
-    std::string out_path = flagValue(argc, argv, "--out", nullptr);
+    std::string out_path = flagValue(argc, argv, "--out");
     if (out_path.empty())
         out_path = "BENCH_kernel.json";
     const std::string metrics_path = metricsOutPath(argc, argv);

@@ -142,7 +142,7 @@ main(int argc, char **argv)
            "parallelism it extracts)");
 
     const bool quick = quickMode(argc, argv);
-    std::string out_path = flagValue(argc, argv, "--out", nullptr);
+    std::string out_path = flagValue(argc, argv, "--out");
     if (out_path.empty())
         out_path = "BENCH_seed.json";
     const std::string metrics_path = metricsOutPath(argc, argv);

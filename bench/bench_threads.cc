@@ -39,15 +39,6 @@ using namespace seedex::bench;
 
 namespace {
 
-/** The SEEDEX_THREADS policy: 3:1 seeding:fpga split, one each side
- *  minimum (keep in sync with ThreadedConfig::applyEnv). */
-void
-splitThreads(int total, int *seeding, int *fpga)
-{
-    *seeding = std::max(1, (total * 3) / 4);
-    *fpga = std::max(1, total - *seeding);
-}
-
 struct CellResult
 {
     ThreadedReport report;
@@ -68,7 +59,7 @@ runCell(const Sequence &reference, const FmdIndex &index,
     // The device backend: modeled speedup needs the modeled occupancy.
     ThreadedConfig config;
     config.pipeline.engine = EngineKind::Device;
-    splitThreads(threads, &config.seeding_threads, &config.fpga_threads);
+    config.splitThreads(threads);
     config.batch_size = batch;
 
     CellResult res;
@@ -139,7 +130,6 @@ appendCell(obs::JsonWriter &json, int threads, size_t batch,
     json.kv("queue_publishes", r.queue.publishes);
     json.kv("queue_claims", r.queue.claims);
     json.kv("queue_wakeups", r.queue.wakeups);
-    json.kv("queue_shards", static_cast<uint64_t>(r.queue.shards));
     json.kv("queue_max_depth", r.queue.max_depth);
     json.kv("reorder_max_pending", r.reorder.max_pending);
     json.endObject();
@@ -155,7 +145,7 @@ main(int argc, char **argv)
            "2.5x modeled speedup with batch-granular hand-off");
 
     const bool quick = quickMode(argc, argv);
-    std::string out_path = flagValue(argc, argv, "--out", nullptr);
+    std::string out_path = flagValue(argc, argv, "--out");
     if (out_path.empty())
         out_path = "BENCH_threads.json";
     const std::string metrics_path = metricsOutPath(argc, argv);

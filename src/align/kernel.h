@@ -17,7 +17,7 @@ namespace seedex {
  * Each tier is a separately compiled translation unit (kernel_sse.cc,
  * kernel_avx2.cc) built with the matching -m flags; the dispatcher picks
  * the widest tier the host CPU supports at first use, overridable with
- * `SEEDEX_KERNEL=scalar|sse|avx2` (or `--kernel`). The same tier runs
+ * `SEEDEX_KERNEL=scalar|sse|avx2`. The same tier runs
  * the banded extension, the banded-global fill and the device model's
  * speculation sweep. Every tier is bit-exact with the scalar reference
  * on all ExtendResult fields AND on the band-edge E trace the SeedEx

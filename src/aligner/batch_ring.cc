@@ -39,11 +39,6 @@ ringMetrics()
     return metrics;
 }
 
-/** How long a consumer naps on its home shard before rescanning the
- *  others (sharded configuration only; single-shard waits are purely
- *  notification driven). */
-constexpr std::chrono::microseconds kShardNap{500};
-
 using Clock = std::chrono::steady_clock;
 
 double
@@ -99,199 +94,154 @@ BatchPool::release(SeededBatch *batch)
 
 // ------------------------------------------------------------- BatchRing
 
-BatchRing::BatchRing(size_t capacity_per_shard, size_t shards)
-    : capacity_(std::max<size_t>(1, capacity_per_shard))
-{
-    shards = std::max<size_t>(1, shards);
-    shards_.reserve(shards);
-    for (size_t i = 0; i < shards; ++i) {
-        auto shard = std::make_unique<Shard>();
-        shard->ring.assign(capacity_, nullptr);
-        shards_.push_back(std::move(shard));
-    }
-}
-
-size_t
-BatchRing::totalCount() const
-{
-    size_t total = 0;
-    for (const auto &s : shards_)
-        total += s->count.load(std::memory_order_acquire);
-    return total;
-}
+BatchRing::BatchRing(size_t capacity)
+    : ring_(std::max<size_t>(1, capacity), nullptr)
+{}
 
 void
 BatchRing::recordDepth(bool published)
 {
-    const auto depth = static_cast<int64_t>(totalCount());
+    const auto depth = static_cast<int64_t>(count_);
     ringMetrics().depth.set(depth);
     obs::TraceSession::global().counter("threaded.queue.depth",
                                         static_cast<double>(depth));
     if (published) {
-        depth_sum_.fetch_add(static_cast<uint64_t>(depth),
-                             std::memory_order_relaxed);
-        int64_t cur = depth_max_.load(std::memory_order_relaxed);
-        while (depth > cur &&
-               !depth_max_.compare_exchange_weak(
-                   cur, depth, std::memory_order_relaxed))
-            ;
+        depth_sum_ += static_cast<uint64_t>(depth);
+        depth_max_ = std::max(depth_max_, depth);
     }
 }
 
 void
-BatchRing::push(SeededBatch *batch, size_t producer)
+BatchRing::push(SeededBatch *batch)
 {
-    Shard &s = *shards_[producer % shards_.size()];
-    std::unique_lock<std::mutex> lock(s.mutex);
-    if (s.count.load(std::memory_order_relaxed) >= capacity_) {
-        ++s.waiting_producers;
-        s.not_full.wait(lock, [&] {
-            return s.count.load(std::memory_order_relaxed) < capacity_;
-        });
-        --s.waiting_producers;
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (count_ >= ring_.size()) {
+        ++waiting_producers_;
+        not_full_.wait(lock, [&] { return count_ < ring_.size(); });
+        --waiting_producers_;
     }
-    putLocked(s, batch, lock);
+    putLocked(batch, lock);
 }
 
 bool
-BatchRing::tryPush(SeededBatch *batch, size_t producer)
+BatchRing::tryPush(SeededBatch *batch)
 {
-    Shard &s = *shards_[producer % shards_.size()];
-    std::unique_lock<std::mutex> lock(s.mutex);
-    if (s.count.load(std::memory_order_relaxed) >= capacity_)
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (count_ >= ring_.size())
         return false;
-    putLocked(s, batch, lock);
+    putLocked(batch, lock);
     return true;
 }
 
 void
-BatchRing::putLocked(Shard &s, SeededBatch *batch,
-                     std::unique_lock<std::mutex> &lock)
+BatchRing::putLocked(SeededBatch *batch, std::unique_lock<std::mutex> &lock)
 {
-    const size_t count = s.count.load(std::memory_order_relaxed);
-    s.ring[(s.head + count) % capacity_] = batch;
-    s.count.store(count + 1, std::memory_order_release);
-    publishes_.fetch_add(1, std::memory_order_relaxed);
+    ring_[(head_ + count_) % ring_.size()] = batch;
+    ++count_;
+    ++publishes_;
     ringMetrics().publishes.inc();
     recordDepth(/*published=*/true);
     // At most one notify per publish, and only when someone is parked
     // (the wakeup audit this ring exists for).
-    const bool wake = s.waiting_consumers > 0;
+    const bool wake = waiting_consumers_ > 0;
     if (wake) {
-        wakeups_.fetch_add(1, std::memory_order_relaxed);
+        ++wakeups_;
         ringMetrics().wakeups.inc();
     }
     lock.unlock();
     if (wake)
-        s.not_empty.notify_one();
+        not_empty_.notify_one();
 }
 
 SeededBatch *
-BatchRing::takeLocked(Shard &s, std::unique_lock<std::mutex> &lock)
+BatchRing::takeLocked(std::unique_lock<std::mutex> &lock)
 {
-    const size_t count = s.count.load(std::memory_order_relaxed);
-    if (count == 0)
+    if (count_ == 0)
         return nullptr;
-    SeededBatch *batch = s.ring[s.head];
-    s.head = (s.head + 1) % capacity_;
-    s.count.store(count - 1, std::memory_order_release);
-    claims_.fetch_add(1, std::memory_order_relaxed);
+    SeededBatch *batch = ring_[head_];
+    head_ = (head_ + 1) % ring_.size();
+    --count_;
+    ++claims_;
     ringMetrics().claims.inc();
     recordDepth(/*published=*/false);
-    const bool wake = s.waiting_producers > 0;
+    const bool wake = waiting_producers_ > 0;
     if (wake) {
-        wakeups_.fetch_add(1, std::memory_order_relaxed);
+        ++wakeups_;
         ringMetrics().wakeups.inc();
     }
     lock.unlock();
     if (wake)
-        s.not_full.notify_one();
+        not_full_.notify_one();
     return batch;
 }
 
 SeededBatch *
-BatchRing::scanShards(size_t home)
+BatchRing::tryPop()
 {
-    // Every shard, home first; the lock-free count peek keeps foreign
-    // shards untouched when they are empty.
-    const size_t n = shards_.size();
-    for (size_t k = 0; k < n; ++k) {
-        Shard &s = *shards_[(home + k) % n];
-        if (s.count.load(std::memory_order_acquire) == 0)
-            continue;
-        std::unique_lock<std::mutex> lock(s.mutex);
-        if (SeededBatch *batch = takeLocked(s, lock))
-            return batch;
-    }
-    return nullptr;
+    std::unique_lock<std::mutex> lock(mutex_);
+    return takeLocked(lock);
 }
 
 SeededBatch *
-BatchRing::tryPop(size_t consumer)
+BatchRing::pop()
 {
-    return scanShards(consumer % shards_.size());
-}
-
-SeededBatch *
-BatchRing::pop(size_t consumer)
-{
-    const size_t n = shards_.size();
-    const size_t home = consumer % n;
-    for (;;) {
-        if (SeededBatch *batch = scanShards(home))
-            return batch;
-        if (closed_.load(std::memory_order_acquire) && totalCount() == 0)
-            return nullptr;
-        Shard &s = *shards_[home];
-        std::unique_lock<std::mutex> lock(s.mutex);
-        if (s.count.load(std::memory_order_relaxed) == 0 &&
-            !closed_.load(std::memory_order_relaxed)) {
-            ++s.waiting_consumers;
-            const auto ready = [&] {
-                return s.count.load(std::memory_order_relaxed) > 0 ||
-                       closed_.load(std::memory_order_relaxed);
-            };
-            if (n == 1)
-                s.not_empty.wait(lock, ready);
-            else
-                // Nap, then rescan: a foreign-shard publish does not
-                // notify this shard, so bound the sleep instead.
-                s.not_empty.wait_for(lock, kShardNap, ready);
-            --s.waiting_consumers;
-        }
-        if (SeededBatch *batch = takeLocked(s, lock))
-            return batch;
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (count_ == 0 && !closed_) {
+        ++waiting_consumers_;
+        not_empty_.wait(lock, [&] { return count_ > 0 || closed_; });
+        --waiting_consumers_;
     }
+    return takeLocked(lock);
 }
 
 void
 BatchRing::close()
 {
-    closed_.store(true, std::memory_order_release);
-    for (auto &s : shards_) {
-        { std::lock_guard<std::mutex> lock(s->mutex); }
-        // Shutdown broadcast: deliberately not counted as wakeups (the
-        // audited invariant covers steady-state publishes/claims).
-        s->not_empty.notify_all();
-        s->not_full.notify_all();
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        closed_ = true;
     }
+    // Shutdown broadcast: deliberately not counted as wakeups (the
+    // audited invariant covers steady-state publishes/claims).
+    not_empty_.notify_all();
+    not_full_.notify_all();
+}
+
+uint64_t
+BatchRing::publishes() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return publishes_;
+}
+
+uint64_t
+BatchRing::claims() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return claims_;
+}
+
+uint64_t
+BatchRing::wakeups() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return wakeups_;
 }
 
 int64_t
 BatchRing::maxDepth() const
 {
-    return depth_max_.load(std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(mutex_);
+    return depth_max_;
 }
 
 double
 BatchRing::avgDepth() const
 {
-    const uint64_t n = publishes_.load(std::memory_order_relaxed);
-    if (n == 0)
-        return 0.0;
-    return static_cast<double>(
-               depth_sum_.load(std::memory_order_relaxed)) /
-           static_cast<double>(n);
+    std::lock_guard<std::mutex> lock(mutex_);
+    return publishes_ == 0 ? 0.0
+                           : static_cast<double>(depth_sum_) /
+            static_cast<double>(publishes_);
 }
 
 // --------------------------------------------------------- ReorderBuffer

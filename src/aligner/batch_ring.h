@@ -23,12 +23,11 @@ namespace seedex {
  *    free list, so the chains / reverse complements / seed counts a
  *    producer writes are reused run-long instead of reallocated per read
  *    (the DpWorkspace arena discipline applied to the queue payload).
- *  - BatchRing: a bounded ring of batch-slot pointers. Producers publish
- *    a whole batch with one lock acquisition and at most one notify;
- *    consumers claim a whole batch the same way — lock and wakeup
- *    traffic drops by the batch factor vs the per-read deque this
- *    replaces. Optional sharding (one sub-ring per producer group)
- *    removes the last shared cache line at high thread counts.
+ *  - BatchRing: one bounded queue of batch-slot pointers. Producers
+ *    publish a whole batch with one lock acquisition and at most one
+ *    notify; consumers claim a whole batch the same way — lock and
+ *    wakeup traffic drops by the batch factor vs the per-read deque this
+ *    replaces.
  *  - ReorderBuffer: sequence-stamped slots that stream finished batches
  *    out in input order incrementally, bounding result memory by the
  *    in-flight window instead of buffering and sorting the whole run.
@@ -110,93 +109,62 @@ class BatchPool
 };
 
 /**
- * Bounded MPMC ring of published batches, optionally sharded by
- * producer. One push = one lock + at most one notify (only when a
- * consumer is actually waiting); one pop likewise toward producers —
- * the audited replacement for the per-read queue whose popBatch woke
- * every producer with notify_all. Counted in
+ * Bounded MPMC queue of published batches: one mutex, two condition
+ * variables, one ring. One push = one lock + at most one notify (only
+ * when a consumer is actually waiting); one pop likewise toward
+ * producers — the audited replacement for the per-read queue whose
+ * popBatch woke every producer with notify_all. Counted in
  * `threaded.queue.{publishes,claims,wakeups}`; the wakeup invariant
  * (wakeups <= publishes + claims) is asserted by tools/check_metrics.sh.
- *
- * With more than one shard a consumer scans all shards (own shard
- * first) and naps on its home shard between scans, so cross-shard
- * publishes are picked up within the nap interval without global
- * notification traffic.
  */
 class BatchRing
 {
   public:
-    BatchRing(size_t capacity_per_shard, size_t shards);
+    explicit BatchRing(size_t capacity);
 
-    /** Publish a filled batch; blocks while the producer's shard is
-     *  full. */
-    void push(SeededBatch *batch, size_t producer);
+    /** Publish a filled batch; blocks while the ring is full. */
+    void push(SeededBatch *batch);
 
-    /** Publish without waiting: false (nothing published) when the
-     *  producer's shard is full. */
-    bool tryPush(SeededBatch *batch, size_t producer);
+    /** Publish without waiting: false (nothing published) when the ring
+     *  is full. */
+    bool tryPush(SeededBatch *batch);
 
-    /** Claim the oldest available batch, preferring the consumer's home
-     *  shard; blocks while empty. Returns nullptr only when the ring is
-     *  closed and fully drained. */
-    SeededBatch *pop(size_t consumer);
+    /** Claim the oldest batch; blocks while empty. Returns nullptr only
+     *  when the ring is closed and fully drained. */
+    SeededBatch *pop();
 
-    /** Claim like pop() but never wait: nullptr when every shard is
-     *  empty at the time of the scan. Lets a producer whose shard is
-     *  full run the consumer stage itself instead of blocking. */
-    SeededBatch *tryPop(size_t consumer);
+    /** Claim like pop() but never wait: nullptr when the ring is empty.
+     *  Lets a producer that finds the ring full run the consumer stage
+     *  itself instead of blocking. */
+    SeededBatch *tryPop();
 
     /** No more pushes: wake everyone so drained consumers can exit. */
     void close();
 
-    uint64_t
-    publishes() const
-    {
-        return publishes_.load(std::memory_order_relaxed);
-    }
-    uint64_t
-    claims() const
-    {
-        return claims_.load(std::memory_order_relaxed);
-    }
-    uint64_t
-    wakeups() const
-    {
-        return wakeups_.load(std::memory_order_relaxed);
-    }
-    size_t shardCount() const { return shards_.size(); }
-    size_t capacityPerShard() const { return capacity_; }
+    uint64_t publishes() const;
+    uint64_t claims() const;
+    uint64_t wakeups() const;
+    size_t capacity() const { return ring_.size(); }
     int64_t maxDepth() const;
-    /** Mean total depth observed at publish time. */
+    /** Mean depth observed at publish time. */
     double avgDepth() const;
 
   private:
-    struct Shard
-    {
-        std::mutex mutex;
-        std::condition_variable not_empty, not_full;
-        std::vector<SeededBatch *> ring;
-        size_t head = 0;
-        /** Atomic so other shards' consumers can peek without the
-         *  lock; writes happen under `mutex`. */
-        std::atomic<size_t> count{0};
-        int waiting_producers = 0;
-        int waiting_consumers = 0;
-    };
-
-    void putLocked(Shard &s, SeededBatch *batch,
-                   std::unique_lock<std::mutex> &lock);
-    SeededBatch *takeLocked(Shard &s, std::unique_lock<std::mutex> &lock);
-    SeededBatch *scanShards(size_t home);
-    size_t totalCount() const;
+    void putLocked(SeededBatch *batch, std::unique_lock<std::mutex> &lock);
+    SeededBatch *takeLocked(std::unique_lock<std::mutex> &lock);
     void recordDepth(bool published);
 
-    std::vector<std::unique_ptr<Shard>> shards_;
-    size_t capacity_;
-    std::atomic<bool> closed_{false};
-    std::atomic<uint64_t> publishes_{0}, claims_{0}, wakeups_{0};
-    std::atomic<uint64_t> depth_sum_{0};
-    std::atomic<int64_t> depth_max_{0};
+    mutable std::mutex mutex_;
+    std::condition_variable not_empty_, not_full_;
+    std::vector<SeededBatch *> ring_;
+    size_t head_ = 0;
+    size_t count_ = 0;
+    int waiting_producers_ = 0;
+    int waiting_consumers_ = 0;
+    bool closed_ = false;
+    uint64_t publishes_ = 0, claims_ = 0, wakeups_ = 0;
+    uint64_t depth_sum_ = 0;
+    int64_t depth_max_ = 0;
 };
 
 /**
@@ -211,8 +179,8 @@ class BatchRing
  * before building/publishing batch seq, which blocks while seq is
  * outside the window. That guarantee is what keeps complete() from ever
  * blocking a consumer — if consumers could block here, every consumer
- * could park at the window edge while the head batch sat unclaimed in a
- * ring shard, deadlocking the pipeline. With reserve() gating admission,
+ * could park at the window edge while the head batch sat unclaimed in
+ * the ring, deadlocking the pipeline. With reserve() gating admission,
  * any published batch is inside the window by construction, consumers
  * always drain the ring, and the head always retires.
  */

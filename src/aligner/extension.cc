@@ -72,14 +72,15 @@ void
 submitToEngine(ExtensionEngine &engine, ExtensionBatch &batch,
                std::span<obs::ReadRecord *const> records)
 {
+    const std::span<const ExtensionJob> jobs = batch.jobs();
     if (records.empty()) {
-        for (const ExtensionJob &job : batch.jobs)
+        for (const ExtensionJob &job : jobs)
             batch.results.push_back(engine.extend(job));
         return;
     }
-    for (size_t k = 0; k < batch.jobs.size(); ++k) {
+    for (size_t k = 0; k < jobs.size(); ++k) {
         const obs::ActiveRecord active(records[k]);
-        batch.results.push_back(engine.extend(batch.jobs[k]));
+        batch.results.push_back(engine.extend(jobs[k]));
         if (records[k] != nullptr)
             ++records[k]->extensions;
     }
@@ -127,11 +128,11 @@ extendChains(std::span<ChainSlot> slots, const Sequence &reference,
                 : ref_len - std::min<uint64_t>(ref_len, anchor.rend());
             const size_t tlen = static_cast<size_t>(std::min<uint64_t>(
                 avail, static_cast<uint64_t>(qlen + params.window_slack)));
-            if (n_jobs == batch.jobs.size()) {
-                batch.jobs.emplace_back();
+            if (n_jobs == batch.job_storage.size()) {
+                batch.job_storage.emplace_back();
                 batch.slot_of.emplace_back();
             }
-            ExtensionJob &job = batch.jobs[n_jobs];
+            ExtensionJob &job = batch.job_storage[n_jobs];
             copyFlank(job.query, *slot.read,
                       static_cast<size_t>(left ? 0 : anchor.qend()),
                       static_cast<size_t>(qlen), left);
@@ -145,8 +146,7 @@ extendChains(std::span<ChainSlot> slots, const Sequence &reference,
         }
         if (n_jobs == 0)
             continue;
-        batch.jobs.resize(n_jobs);
-        batch.slot_of.resize(n_jobs);
+        batch.n_jobs = n_jobs;
         batch.results.clear();
         submit(batch);
 

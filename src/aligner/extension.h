@@ -141,17 +141,27 @@ struct ChainSlot
 };
 
 /** The flank jobs of one driver pass and their results. Recycled across
- *  calls: packaging overwrites the kept jobs' sequences in place. */
+ *  sides and calls: the job storage stays at its high-water mark, and
+ *  packaging overwrites the kept jobs' sequences in place. */
 struct ExtensionBatch
 {
-    std::vector<ExtensionJob> jobs;
-    /** Slot each job came from, parallel to `jobs`. */
+    /** The current side's jobs. */
+    std::span<const ExtensionJob>
+    jobs() const
+    {
+        return {job_storage.data(), n_jobs};
+    }
+
+    /** Job storage; the first n_jobs entries are live. */
+    std::vector<ExtensionJob> job_storage;
+    size_t n_jobs = 0;
+    /** Slot each live job came from, parallel to the job storage. */
     std::vector<size_t> slot_of;
-    /** Written by the submit step, parallel to `jobs`. */
+    /** Written by the submit step, parallel to jobs(). */
     std::vector<ExtendResult> results;
 };
 
-/** The driver's backend: extend every job of `batch.jobs` into
+/** The driver's backend: extend every job of `batch.jobs()` into
  *  `batch.results` (empty on entry). */
 using ExtensionSubmit = std::function<void(ExtensionBatch &batch)>;
 

@@ -223,18 +223,19 @@ extendSlab(const AlignStage &stage, StageCtx &ctx, const SeededBatch &slab)
     const ExtensionSubmit submit = [&](ExtensionBatch &b) {
         obs::TraceSpan submit_span("stage.submit", "stage");
         const double submit_begin = threadCpuSeconds();
-        extensions += b.jobs.size();
+        const std::span<const ExtensionJob> jobs = b.jobs();
+        extensions += jobs.size();
         if (ctx.capture != nullptr)
-            ctx.capture->insert(ctx.capture->end(), b.jobs.begin(),
-                                b.jobs.end());
+            ctx.capture->insert(ctx.capture->end(), jobs.begin(),
+                                jobs.end());
         ctx.job_recs.clear();
-        for (size_t k = 0; ctx.ledger_on && k < b.jobs.size(); ++k) {
+        for (size_t k = 0; ctx.ledger_on && k < jobs.size(); ++k) {
             const int ri = ctx.rec_of_item[ctx.slot_item[b.slot_of[k]]];
             ctx.job_recs.push_back(
                 ri < 0 ? nullptr : &ctx.ledger_recs[static_cast<size_t>(ri)]);
         }
         if (stage.device) {
-            BatchResult res = stage.device->processBatch(b.jobs);
+            BatchResult res = stage.device->processBatch(jobs);
             totals.device_cycles += res.device_cycles;
             reruns += res.reruns_checks + res.reruns_exception;
             for (size_t k = 0; k < ctx.job_recs.size(); ++k) {

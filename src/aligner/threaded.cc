@@ -34,23 +34,23 @@ envLong(const char *name, long fallback)
 } // namespace
 
 void
+ThreadedConfig::splitThreads(long threads)
+{
+    // Most threads seed; a few drive the device (§V-B).
+    seeding_threads = static_cast<int>(std::max<long>(1, (threads * 3) / 4));
+    fpga_threads =
+        static_cast<int>(std::max<long>(1, threads - seeding_threads));
+}
+
+void
 ThreadedConfig::applyEnv()
 {
-    const long threads = envLong("SEEDEX_THREADS", 0);
-    if (threads > 0) {
-        // The paper's 3:1 split (most threads seed; a few drive the
-        // device), with at least one thread on each side.
-        seeding_threads =
-            static_cast<int>(std::max<long>(1, (threads * 3) / 4));
-        fpga_threads =
-            static_cast<int>(std::max<long>(1, threads - seeding_threads));
-    }
+    if (const long threads = envLong("SEEDEX_THREADS", 0); threads > 0)
+        splitThreads(threads);
     batch_size = static_cast<size_t>(
         envLong("SEEDEX_BATCH", static_cast<long>(batch_size)));
     queue_capacity = static_cast<size_t>(
         envLong("SEEDEX_QUEUE_CAP", static_cast<long>(queue_capacity)));
-    queue_shards = static_cast<int>(
-        envLong("SEEDEX_QUEUE_SHARDS", static_cast<long>(queue_shards)));
 }
 
 void
@@ -81,25 +81,17 @@ alignThreadedSource(const Sequence &reference, const ReadSource &source,
         batch_size += batch_size & 1;
     const int n_producers = std::max(1, config.seeding_threads);
     const int n_consumers = std::max(1, config.fpga_threads);
-    size_t shards = config.queue_shards > 0
-        ? static_cast<size_t>(config.queue_shards)
-        : (n_producers <= 3
-               ? 1
-               : std::min<size_t>(4,
-                                  static_cast<size_t>(n_producers) / 2));
-    shards = std::min<size_t>(shards, static_cast<size_t>(n_producers));
-    const size_t capacity = std::max<size_t>(1, config.queue_capacity);
+    BatchRing ring(config.queue_capacity);
 
     // In-flight bound: every batch is either unpushed in a producer, in
     // the ring, or claimed by a consumer or a helping producer (which
     // still holds its own unpushed batch). The pool free list is sized
     // to it so it never regrows, and the reorder window is at least as
     // large so producer-side reserve() admits the whole in-flight set.
-    const size_t inflight_bound = shards * capacity +
+    const size_t inflight_bound = ring.capacity() +
         2 * static_cast<size_t>(n_producers) +
         static_cast<size_t>(n_consumers) + 2;
 
-    BatchRing ring(capacity, shards);
     BatchPool pool(inflight_bound, batch_size);
     ReorderBuffer reorder(
         inflight_bound,
@@ -125,8 +117,8 @@ alignThreadedSource(const Sequence &reference, const ReadSource &source,
 
     // ---- The consumer half (Fig. 12's FPGA-thread work): steps 2 and
     // 3, then the records go to the reorder window. FPGA threads run it
-    // on every batch they pop; a seeding thread whose ring shard is full
-    // runs it on a batch it claims instead of blocking. It never waits
+    // on every batch they pop; a seeding thread that finds the ring full,
+    // or the input exhausted, runs it on a batch it claims. It never waits
     // on another thread: the batch was reserved before it was published,
     // so reorder.complete() cannot block.
     auto consume_batch = [&](SeededBatch *claimed, StageCtx &ctx) {
@@ -143,13 +135,19 @@ alignThreadedSource(const Sequence &reference, const ReadSource &source,
     // ---- Producers: each pulls a whole batch worth of reads, runs step
     // 1 on it in pooled slab storage, and publishes the filled slab with
     // a single ring operation.
-    auto seeding_worker = [&](size_t producer_id) {
+    auto seeding_worker = [&] {
         StageCtx ctx(config.pipeline);
         // Pull buffer, recycled across pulls (the source assigns into
         // the existing strings/sequences, reusing their capacity).
         std::vector<std::pair<std::string, Sequence>> pulled(batch_size);
         // CPU spent helping with steps 2 and 3 is consumer CPU.
         double help_cpu = 0;
+        const auto help = [&](SeededBatch *queued) {
+            const double help_begin = threadCpuSeconds();
+            consume_batch(queued, ctx);
+            help_cpu += threadCpuSeconds() - help_begin;
+            ++helped_batches;
+        };
         const double cpu_begin = threadCpuSeconds();
         for (;;) {
             size_t n = 0;
@@ -173,38 +171,40 @@ alignThreadedSource(const Sequence &reference, const ReadSource &source,
             // are then inside the window by construction, so consumers
             // never block in reorder.complete() and always drain the
             // ring (a consumer parked at the window edge while the head
-            // batch sat unclaimed in another shard would deadlock the
-            // run). It runs after the pull because the mutex cannot be
-            // held across a blocking reserve; that is still
-            // deadlock-free: smaller sequence numbers are always handed
-            // out first, and their holders either block in reserve() on
-            // yet smaller numbers or go on to publish, so the window
-            // head always advances. Blocking here parks only this
-            // producer's pulled reads — memory stays bounded by
-            // producers × batch_size.
+            // batch sat unclaimed in the ring would deadlock the run).
+            // It runs after the pull because the mutex cannot be held
+            // across a blocking reserve; that is still deadlock-free:
+            // smaller sequence numbers are always handed out first, and
+            // their holders either block in reserve() on yet smaller
+            // numbers or go on to publish, so the window head always
+            // advances. Blocking here parks only this producer's pulled
+            // reads — memory stays bounded by producers × batch_size.
             reorder.reserve(seq);
             SeededBatch *batch = pool.acquire();
             batch->seq = seq;
             batch->base = base;
             loadSlab(*batch, pulled, n, first_read_index + base);
             seedSlab(stage, ctx, *batch);
-            // Publish; while the home shard is full, help drain it
-            // rather than block: claim a queued batch and run the
-            // consumer half on it.
-            while (!ring.tryPush(batch, producer_id)) {
-                SeededBatch *help = ring.tryPop(producer_id);
-                if (help == nullptr) {
+            // Publish; while the ring is full, help drain it rather than
+            // block: claim a queued batch and run the consumer half on
+            // it.
+            while (!ring.tryPush(batch)) {
+                SeededBatch *queued = ring.tryPop();
+                if (queued == nullptr) {
                     // Drained between the two calls: there is room now
                     // (or soon), as in the plain blocking publish.
-                    ring.push(batch, producer_id);
+                    ring.push(batch);
                     break;
                 }
-                const double help_begin = threadCpuSeconds();
-                consume_batch(help, ctx);
-                help_cpu += threadCpuSeconds() - help_begin;
-                ++helped_batches;
+                help(queued);
             }
         }
+        // The input is exhausted: drain the ring alongside the FPGA
+        // threads instead of leaving the backlog to them alone (with one
+        // FPGA thread, that tail is what a 3+1 split loses to 2+2 on
+        // extension-heavy reads).
+        while (SeededBatch *queued = ring.tryPop())
+            help(queued);
         const double cpu = threadCpuSeconds() - cpu_begin;
         std::lock_guard<std::mutex> lock(cpu_mutex);
         producer_cpu += cpu - help_cpu;
@@ -213,10 +213,10 @@ alignThreadedSource(const Sequence &reference, const ReadSource &source,
     };
 
     // ---- Consumers: FPGA threads.
-    auto fpga_worker = [&](size_t consumer_id) {
+    auto fpga_worker = [&] {
         StageCtx ctx(config.pipeline);
         const double cpu_begin = threadCpuSeconds();
-        while (SeededBatch *claimed = ring.pop(consumer_id))
+        while (SeededBatch *claimed = ring.pop())
             consume_batch(claimed, ctx);
         const double cpu = threadCpuSeconds() - cpu_begin;
         std::lock_guard<std::mutex> lock(cpu_mutex);
@@ -226,12 +226,11 @@ alignThreadedSource(const Sequence &reference, const ReadSource &source,
 
     std::vector<std::thread> workers;
     for (int t = 0; t < n_consumers; ++t)
-        workers.emplace_back(fpga_worker, static_cast<size_t>(t));
+        workers.emplace_back(fpga_worker);
     {
         std::vector<std::thread> producers;
         for (int t = 0; t < n_producers; ++t)
-            producers.emplace_back(seeding_worker,
-                                   static_cast<size_t>(t));
+            producers.emplace_back(seeding_worker);
         for (std::thread &t : producers)
             t.join();
         ring.close();
@@ -278,8 +277,7 @@ alignThreadedSource(const Sequence &reference, const ReadSource &source,
         report->queue.publishes = ring.publishes();
         report->queue.claims = ring.claims();
         report->queue.wakeups = ring.wakeups();
-        report->queue.shards = ring.shardCount();
-        report->queue.capacity_batches = ring.capacityPerShard();
+        report->queue.capacity_batches = ring.capacity();
         report->queue.max_depth = ring.maxDepth();
         report->queue.avg_depth = ring.avgDepth();
         report->pool.hits = pool.hits();

@@ -18,8 +18,9 @@ namespace seedex {
  * and run steps 2 and 3 (extension through the run's engine or, under
  * EngineKind::Device, the accelerator model; the pick; pair finalization
  * and the ledger). The device model takes no lock (it has no state to
- * guard), and a seeding thread whose ring shard is full runs steps 2 and
- * 3 on a queued batch instead of blocking. Results are produced out of
+ * guard), and a seeding thread that finds the ring full runs steps 2 and
+ * 3 on a queued batch instead of blocking, as it does on every batch
+ * still queued once the input is exhausted. Results are produced out of
  * order and streamed back in input order through a sequence-stamped
  * reorder buffer (see batch_ring.h).
  */
@@ -31,11 +32,8 @@ struct ThreadedConfig
     int fpga_threads = 2;
     /** Reads per FPGA batch (= per published slab). */
     size_t batch_size = kDefaultBatchSize;
-    /** Hand-off ring capacity, in whole batches per shard. */
+    /** Hand-off ring capacity, in whole batches. */
     size_t queue_capacity = 8;
-    /** Ring shards; 0 = auto (single shard up to 3 producers, then one
-     *  per two producers, capped at 4). */
-    int queue_shards = 0;
     PipelineConfig pipeline;
     AcceleratorOrganization organization;
 
@@ -58,12 +56,15 @@ struct ThreadedConfig
     /** Attempt SeedEx-checked mate rescue for half-mapped pairs. */
     bool mate_rescue = true;
 
+    /** Split `threads` workers the paper's way: 3:1 between seeding and
+     *  FPGA threads, with at least one thread on each side. */
+    void splitThreads(long threads);
+
     /**
-     * Fold the environment knobs into this config (README "Threading
-     * knobs"): SEEDEX_THREADS (total worker threads, split 3:1 between
-     * seeding and FPGA threads, at least one each), SEEDEX_BATCH,
-     * SEEDEX_QUEUE_CAP, SEEDEX_QUEUE_SHARDS. Unset or unparsable
-     * variables leave the current values untouched.
+     * Fold SEEDEX_THREADS (through splitThreads), SEEDEX_BATCH and
+     * SEEDEX_QUEUE_CAP into this config. Unset or unparsable variables
+     * leave the current values untouched. `seedex align` and the bench
+     * binaries take flags instead; perfbench's traced driver calls this.
      */
     void applyEnv();
 };
@@ -74,8 +75,9 @@ struct ThreadedReport
     double wall_seconds = 0;
     uint64_t reads = 0;
     uint64_t batches = 0;
-    /** Batches whose consumer stage ran on a seeding thread that found
-     *  its ring shard full (included in `batches`). */
+    /** Batches whose consumer stage ran on a seeding thread, because it
+     *  found the ring full or the input exhausted (included in
+     *  `batches`). */
     uint64_t helped_batches = 0;
     uint64_t extensions = 0;
     uint64_t reruns = 0;
@@ -110,7 +112,6 @@ struct ThreadedReport
         uint64_t publishes = 0;
         uint64_t claims = 0;
         uint64_t wakeups = 0;
-        uint64_t shards = 0;
         uint64_t capacity_batches = 0;
         int64_t max_depth = 0;
         double avg_depth = 0;

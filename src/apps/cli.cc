@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <exception>
 #include <fstream>
-#include <initializer_list>
 #include <iostream>
 #include <limits>
 #include <map>
@@ -52,7 +51,7 @@ const char kUsage[] =
     "  align <ref.sdx|ref.fa> -1 <r1.fq> -2 <r2.fq>   paired-end mode\n"
     "  simulate -o <prefix>                 write a synthetic ref + reads\n"
     "\n"
-    "align options (env-knob equivalents in parentheses):\n"
+    "align options:\n"
     "  -o FILE             SAM output path (default: stdout)\n"
     "  -1 FILE / -2 FILE   paired-end mate files (zipped record by record)\n"
     "  --interleaved       treat <reads.fq> as interleaved pairs\n"
@@ -63,18 +62,14 @@ const char kUsage[] =
     "                      (device: seedex through the FPGA timing model,\n"
     "                      with device.* counters)\n"
     "  --band=N            band width for the banded, seedex and device\n"
-    "                      engines (SEEDEX_BAND)\n"
-    "  --threads=N         total worker threads (SEEDEX_THREADS); 1 = the\n"
-    "                      same stage inline on the calling thread\n"
-    "  --seeding-threads=N / --fpga-threads=N  explicit 3:1 split override\n"
+    "                      engines [41]\n"
+    "  --threads=N         worker threads, split 3:1 between seeding and\n"
+    "                      FPGA threads; 1 runs the same stage inline [1]\n"
     "  --batch=N           reads per slab, at every thread count [64]\n"
-    "                      (SEEDEX_BATCH)\n"
-    "  --queue-cap=N       ring capacity per shard (SEEDEX_QUEUE_CAP)\n"
-    "  --queue-shards=N    ring shards (SEEDEX_QUEUE_SHARDS)\n"
-    "  --kernel=NAME       scalar | sse | avx2 | auto (SEEDEX_KERNEL)\n"
-    "  --metrics-out=FILE  machine-readable run report (SEEDEX_METRICS_OUT)\n"
-    "  --trace-out=FILE    Chrome trace (SEEDEX_TRACE)\n"
-    "  --ledger-out=FILE   per-read provenance JSONL (SEEDEX_LEDGER_OUT)\n"
+    "  --queue-cap=N       hand-off ring capacity in slabs [8]\n"
+    "  --metrics-out=FILE  machine-readable run report\n"
+    "  --trace-out=FILE    Chrome trace\n"
+    "  --ledger-out=FILE   per-read provenance JSONL\n"
     "  --ledger-sample=N   ledger sampling stride, 1 = every read\n"
     "\n"
     "simulate options:\n"
@@ -99,18 +94,6 @@ struct Args
     {
         auto it = flags.find(name);
         return it == flags.end() ? fallback : it->second;
-    }
-
-    /** Flag value, falling back to an environment variable, then "". */
-    std::string
-    getOrEnv(const std::string &name, const char *env) const
-    {
-        auto it = flags.find(name);
-        if (it != flags.end())
-            return it->second;
-        if (const char *v = std::getenv(env))
-            return v;
-        return {};
     }
 
     long
@@ -142,24 +125,6 @@ struct Args
                              std::to_string(max) + ", got " +
                              std::to_string(n));
         return n;
-    }
-
-    /** Flag value that must be one of `choices`; "" when absent. */
-    std::string
-    getChoice(const std::string &name,
-              std::initializer_list<const char *> choices) const
-    {
-        if (!has(name))
-            return {};
-        const std::string value = get(name);
-        std::string expected;
-        for (const char *c : choices) {
-            if (value == c)
-                return value;
-            expected += expected.empty() ? c : std::string("|") + c;
-        }
-        throw UsageError(name + " expects " + expected + ", got '" + value +
-                         "'");
     }
 
     double
@@ -210,16 +175,6 @@ parseArgs(int argc, char **argv, int first,
         }
     }
     return args;
-}
-
-/** Forward a CLI flag into the env knob the subsystem reads lazily
- *  (kernel dispatch is resolved once per process, on first use, so
- *  setting the variable up front is equivalent). */
-void
-exportKnob(const Args &args, const std::string &flag, const char *env)
-{
-    if (args.has(flag))
-        setenv(env, args.get(flag).c_str(), 1);
 }
 
 /** The reference as the aligner consumes it: one concatenated sequence
@@ -334,10 +289,8 @@ cmdAlign(int argc, char **argv)
 {
     const Args args = parseArgs(
         argc, argv, 2,
-        {"--engine", "--band", "--threads", "--seeding-threads",
-         "--fpga-threads", "--batch", "--queue-cap", "--queue-shards",
-         "--kernel", "--metrics-out",
-         "--trace-out", "--ledger-out", "--ledger-sample",
+        {"--engine", "--band", "--threads", "--batch", "--queue-cap",
+         "--metrics-out", "--trace-out", "--ledger-out", "--ledger-sample",
          "--interleaved", "--insert-mean", "--insert-sd", "--no-rescue"},
         {"-o", "-1", "-2"});
 
@@ -378,63 +331,30 @@ cmdAlign(int argc, char **argv)
 
     // Validate every flag before touching the filesystem, so a typo is
     // a usage error (exit 2) even when the inputs are also unreadable.
+    // Flags are the only settings: no SEEDEX_* variable reaches the run
+    // from here.
     PipelineConfig pconfig;
     pconfig.engine = parseEngine(args.get("--engine", "seedex"));
-    // The band follows the CLI-wide precedence contract: an explicit
-    // flag beats the SEEDEX_* environment variable, which beats the
-    // built-in default (see the README flag table).
-    if (args.has("--band")) {
-        pconfig.band =
-            static_cast<int>(args.getCount("--band", pconfig.band, 1));
-    } else if (const char *v = std::getenv("SEEDEX_BAND")) {
-        char *end = nullptr;
-        const long n = std::strtol(v, &end, 10);
-        if (end != v && *end == '\0' && n > 0)
-            pconfig.band = static_cast<int>(n);
-    }
-    // The dispatcher itself falls back silently on a name it does not
-    // know, so the flag is checked here.
-    args.getChoice("--kernel", {"scalar", "sse", "avx2", "auto"});
-    exportKnob(args, "--kernel", "SEEDEX_KERNEL");
+    pconfig.band =
+        static_cast<int>(args.getCount("--band", pconfig.band, 1));
     // Checked even without --ledger-out; the stride is a uint32_t.
     const long ledger_sample =
         args.getCount("--ledger-sample", 1, 1, UINT32_MAX);
 
-    // Threading shape: env knobs first (ThreadedConfig::applyEnv), then
-    // flags override. --threads picks the paper's 3:1 split; the
-    // explicit per-side flags override that.
     ThreadedConfig tconfig;
-    tconfig.applyEnv();
-    long threads = 1;
-    if (const char *v = std::getenv("SEEDEX_THREADS"))
-        threads = std::max(1L, std::strtol(v, nullptr, 10));
-    threads = args.getCount("--threads", threads, 1);
-    tconfig.seeding_threads =
-        static_cast<int>(std::max<long>(1, (threads * 3) / 4));
-    tconfig.fpga_threads = static_cast<int>(
-        std::max<long>(1, threads - tconfig.seeding_threads));
-    tconfig.seeding_threads = static_cast<int>(args.getCount(
-        "--seeding-threads", tconfig.seeding_threads, 1));
-    tconfig.fpga_threads = static_cast<int>(
-        args.getCount("--fpga-threads", tconfig.fpga_threads, 1));
+    const long threads = args.getCount("--threads", 1, 1);
+    tconfig.splitThreads(threads);
     tconfig.batch_size = static_cast<size_t>(args.getCount(
         "--batch", static_cast<long>(tconfig.batch_size), 1));
     tconfig.queue_capacity = static_cast<size_t>(args.getCount(
         "--queue-cap", static_cast<long>(tconfig.queue_capacity), 1));
-    tconfig.queue_shards = static_cast<int>(args.getCount(
-        "--queue-shards", tconfig.queue_shards, 0));
-
-    const bool threaded = threads > 1 || args.has("--seeding-threads") ||
-        args.has("--fpga-threads");
+    const bool threaded = threads > 1;
 
     // Observability passthrough (same contract as the bench binaries):
     // enabling trace/ledger must happen before the run, writing after.
-    const std::string metrics_out =
-        args.getOrEnv("--metrics-out", "SEEDEX_METRICS_OUT");
-    const std::string trace_out =
-        args.getOrEnv("--trace-out", "SEEDEX_TRACE");
-    const std::string ledger_out =
-        args.getOrEnv("--ledger-out", "SEEDEX_LEDGER_OUT");
+    const std::string metrics_out = args.get("--metrics-out");
+    const std::string trace_out = args.get("--trace-out");
+    const std::string ledger_out = args.get("--ledger-out");
     if (!trace_out.empty())
         obs::TraceSession::global().enable();
     if (!ledger_out.empty()) {
@@ -611,16 +531,23 @@ cmdAlign(int argc, char **argv)
                       .c_str());
     }
 
+    // Every requested output is attempted; any that fails fails the run.
+    bool outputs_ok = true;
+    const auto wrote = [&](bool ok, const char *what,
+                           const std::string &path) {
+        if (!ok)
+            std::cerr << "seedex align: FAILED to write " << what << " to "
+                      << path << "\n";
+        outputs_ok &= ok;
+    };
     if (!trace_out.empty()) {
         obs::TraceSession::global().disable();
-        if (!obs::TraceSession::global().writeJson(trace_out))
-            std::cerr << "seedex align: FAILED to write trace to "
-                      << trace_out << "\n";
+        wrote(obs::TraceSession::global().writeJson(trace_out), "trace",
+              trace_out);
     }
-    if (!ledger_out.empty() &&
-        !obs::Ledger::global().writeJsonl(ledger_out))
-        std::cerr << "seedex align: FAILED to write ledger to "
-                  << ledger_out << "\n";
+    if (!ledger_out.empty())
+        wrote(obs::Ledger::global().writeJsonl(ledger_out), "ledger",
+              ledger_out);
     if (!metrics_out.empty()) {
         obs::RunReport report("seedex_align");
         report.section("run", [&](obs::JsonWriter &w) {
@@ -673,11 +600,9 @@ cmdAlign(int argc, char **argv)
             });
         }
         report.addMetrics(obs::MetricsRegistry::global().snapshot());
-        if (!report.write(metrics_out))
-            std::cerr << "seedex align: FAILED to write metrics to "
-                      << metrics_out << "\n";
+        wrote(report.write(metrics_out), "metrics", metrics_out);
     }
-    return 0;
+    return outputs_ok ? 0 : 1;
 }
 
 // ---- seedex simulate ----------------------------------------------------

@@ -45,7 +45,7 @@ deviceMetrics()
 } // namespace
 
 BatchResult
-SeedExAccelerator::processBatch(const std::vector<ExtensionJob> &jobs) const
+SeedExAccelerator::processBatch(std::span<const ExtensionJob> jobs) const
 {
     obs::TraceSpan span("device.batch", "device");
     BatchResult batch;

@@ -2,6 +2,7 @@
 #define SEEDEX_HW_ACCELERATOR_H
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "hw/edit_machine.h"
@@ -91,7 +92,7 @@ class SeedExAccelerator
      * may push batches concurrently; each batch's modeled cycles depend
      * only on its jobs.
      */
-    BatchResult processBatch(const std::vector<ExtensionJob> &jobs) const;
+    BatchResult processBatch(std::span<const ExtensionJob> jobs) const;
 
     const AcceleratorOrganization &organization() const { return org_; }
     const SeedExFilter &filter() const { return filter_; }

@@ -756,7 +756,7 @@ TEST_F(AlignerFixture, DriverBatchEqualsChainByChain)
     const SeedExAccelerator device(AcceleratorOrganization{}, sx);
     uint64_t device_reruns = 0;
     extendChains(device_slots, ref_, params, batch, [&](ExtensionBatch &b) {
-        BatchResult res = device.processBatch(b.jobs);
+        BatchResult res = device.processBatch(b.jobs());
         device_reruns += res.reruns_checks + res.reruns_exception;
         b.results = std::move(res.results);
     });

@@ -549,15 +549,29 @@ TEST(CliErrors, UsageErrorsExitTwo)
     EXPECT_EQ(cli({"seedex", "align", "a", "b", "--bogus=1"}), 2);
     EXPECT_EQ(cli({"seedex", "align", "a", "b", "--threads=soon"}), 2);
     // Thread and queue shapes are checked before any file is opened.
-    for (const char *bad :
-         {"--threads=0", "--seeding-threads=0", "--fpga-threads=-1",
-          "--batch=0", "--batch=-1", "--queue-cap=0", "--queue-cap=-1",
-          "--queue-shards=-1"})
+    for (const char *bad : {"--threads=0", "--batch=0", "--batch=-1",
+                            "--queue-cap=0", "--queue-cap=-1"})
         EXPECT_EQ(cli({"seedex", "align", "a", "b", "--threads=4", bad}), 2)
             << bad;
-    // So are the band, the kernel choice and the ledger stride, on
-    // either path. The removed index options (--kmer, --fm-layout) are
-    // unknown options on both commands.
+    // --threads is the only thread-shape flag and SEEDEX_KERNEL the only
+    // tier switch: the removed split, shard and kernel options are
+    // unknown options in any spelling.
+    for (const char *removed :
+         {"--seeding-threads=3", "--fpga-threads=1", "--queue-shards=1",
+          "--kernel=scalar", "--seeding-threads=0", "--fpga-threads=-1",
+          "--queue-shards=-1"}) {
+        std::ostringstream err;
+        std::streambuf *saved = std::cerr.rdbuf(err.rdbuf());
+        const int rc =
+            cli({"seedex", "align", "a", "b", "--threads=4", removed});
+        std::cerr.rdbuf(saved);
+        EXPECT_EQ(rc, 2) << removed;
+        EXPECT_NE(err.str().find("unknown option"), std::string::npos)
+            << removed << ": " << err.str();
+    }
+    // So are the band and the ledger stride, on either path. The removed
+    // index options (--kmer, --fm-layout) are unknown options on both
+    // commands, and --kernel on align.
     for (const char *threads : {"--threads=1", "--threads=4"})
         for (const char *bad :
              {"--band=0", "--band=-1", "--kmer=abc", "--kmer=-5",
@@ -645,7 +659,43 @@ TEST(CliErrors, FailedStdoutWriteExitsOne)
     }
 }
 
-// ---- flag vs environment precedence ------------------------------------
+TEST(CliErrors, UnwritableReportsExitOne)
+{
+    // A requested report that cannot be written fails the run, after
+    // every report was attempted and the SAM was written in full.
+    const Workload w = buildWorkload("unwritable", 20);
+    const std::string dir = tempPath("no_such_dir");
+    const std::string sam = tempPath("unwritable.sam");
+    for (const char *flag :
+         {"--metrics-out=", "--trace-out=", "--ledger-out="}) {
+        std::ostringstream err;
+        std::streambuf *saved = std::cerr.rdbuf(err.rdbuf());
+        const int rc = cli({"seedex", "align", w.fasta_path, w.fastq_path,
+                            "-o", sam, flag + dir + "/out"});
+        std::cerr.rdbuf(saved);
+        EXPECT_EQ(rc, 1) << flag;
+        EXPECT_NE(err.str().find("FAILED to write"), std::string::npos)
+            << flag << ": " << err.str();
+        EXPECT_EQ(parseSamFile(sam).records.size(), w.reads.size())
+            << flag;
+    }
+    std::ostringstream err;
+    std::streambuf *saved = std::cerr.rdbuf(err.rdbuf());
+    const int rc = cli({"seedex", "align", w.fasta_path, w.fastq_path, "-o",
+                        sam, "--threads=4", "--metrics-out=" + dir + "/m",
+                        "--trace-out=" + dir + "/t",
+                        "--ledger-out=" + dir + "/l"});
+    std::cerr.rdbuf(saved);
+    EXPECT_EQ(rc, 1);
+    size_t failures = 0;
+    for (size_t at = err.str().find("FAILED to write");
+         at != std::string::npos;
+         at = err.str().find("FAILED to write", at + 1))
+        ++failures;
+    EXPECT_EQ(failures, 3u) << err.str();
+}
+
+// ---- run settings are flags --------------------------------------------
 
 /** RAII environment override (restores the prior value on exit so a
  *  failing test cannot poison later ones). */
@@ -698,7 +748,7 @@ jsonValue(const std::string &doc, const std::string &key)
     return value;
 }
 
-class CliPrecedence : public ::testing::Test
+class CliFlags : public ::testing::Test
 {
   protected:
     /** Run an align with extra flags, return the metrics report text. */
@@ -722,12 +772,25 @@ class CliPrecedence : public ::testing::Test
     }
 };
 
-TEST_F(CliPrecedence, BandFlagBeatsEnv)
+TEST_F(CliFlags, EnvironmentDoesNotReachAlign)
 {
-    ScopedEnv env("SEEDEX_BAND", "7");
-    // Env alone reaches the pipeline...
-    EXPECT_EQ(jsonValue(alignReport("band_env", {}), "base_band"), "7");
-    // ...but an explicit flag always wins.
+    // The run's settings come from flags only: the variables that used
+    // to mirror --band, --threads and --metrics-out change nothing.
+    const std::string env_metrics = tempPath("env_metrics.json");
+    ScopedEnv band("SEEDEX_BAND", "7");
+    ScopedEnv threads("SEEDEX_THREADS", "4");
+    ScopedEnv metrics("SEEDEX_METRICS_OUT", env_metrics.c_str());
+    const std::string report = alignReport("env", {});
+    EXPECT_EQ(jsonValue(report, "base_band"), "41");
+    EXPECT_EQ(jsonValue(report, "threaded"), "false");
+    EXPECT_EQ(jsonValue(report, "threads"), "1");
+    const Workload w = buildWorkload("env_only", 10);
+    EXPECT_EQ(cli({"seedex", "align", w.fasta_path, w.fastq_path, "-o",
+                   tempPath("env_only.sam")}),
+              0);
+    EXPECT_FALSE(std::ifstream(env_metrics).good())
+        << "SEEDEX_METRICS_OUT reached seedex align";
+    // The flag still sets the band.
     EXPECT_EQ(jsonValue(alignReport("band_flag", {"--band=21"}),
                         "base_band"),
               "21");

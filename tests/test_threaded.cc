@@ -7,7 +7,8 @@
  * slab recycling through the pool, in-order streaming out of the
  * reorder buffer under adversarial completion orders, the operator-new
  * steady-state zero-allocation guarantee of the whole hand-off path
- * (ring + pool + chaining + reverse-complement recycling), and an
+ * (ring + pool + chaining + reverse-complement recycling) and of the
+ * extension driver's flank-job packaging, and an
  * 8-producer/8-consumer stress run over >= 5k reads asserting
  * bit-identical, in-input-order output vs the single-threaded pipeline,
  * and the help path (backlogged seeding threads running the consumer
@@ -26,6 +27,7 @@
 #include <vector>
 
 #include "aligner/batch_ring.h"
+#include "aligner/extension.h"
 #include "aligner/paired.h"
 #include "aligner/pipeline.h"
 #include "aligner/threaded.h"
@@ -92,48 +94,31 @@ namespace {
 
 // ------------------------------------------------------------ BatchRing
 
-TEST(BatchRing, SingleShardFifoAndDrain)
+TEST(BatchRing, FifoAndDrain)
 {
-    BatchRing ring(4, 1);
+    BatchRing ring(4);
     SeededBatch a, b, c;
-    ring.push(&a, 0);
-    ring.push(&b, 0);
-    ring.push(&c, 0);
-    EXPECT_EQ(ring.pop(0), &a);
-    EXPECT_EQ(ring.pop(0), &b);
+    ring.push(&a);
+    ring.push(&b);
+    ring.push(&c);
+    EXPECT_EQ(ring.pop(), &a);
+    EXPECT_EQ(ring.pop(), &b);
     ring.close();
-    EXPECT_EQ(ring.pop(0), &c);
-    EXPECT_EQ(ring.pop(0), nullptr);
+    EXPECT_EQ(ring.pop(), &c);
+    EXPECT_EQ(ring.pop(), nullptr);
     EXPECT_EQ(ring.publishes(), 3u);
     EXPECT_EQ(ring.claims(), 3u);
-}
-
-TEST(BatchRing, ShardedDeliveryReachesEveryConsumer)
-{
-    // Batches pushed to foreign shards must still be claimable by a
-    // consumer homed elsewhere (the nap-and-rescan path).
-    BatchRing ring(2, 4);
-    std::vector<SeededBatch> batches(8);
-    for (size_t p = 0; p < 8; ++p)
-        ring.push(&batches[p], p); // lands on shard p % 4
-    ring.close();
-    std::vector<SeededBatch *> got;
-    while (SeededBatch *x = ring.pop(/*consumer=*/1))
-        got.push_back(x);
-    EXPECT_EQ(got.size(), batches.size());
-    std::sort(got.begin(), got.end());
-    EXPECT_EQ(std::adjacent_find(got.begin(), got.end()), got.end());
 }
 
 TEST(BatchRing, WakeupsBoundedByPublishesPlusClaims)
 {
     // Uncontended single-threaded use: nobody ever waits, so not a
     // single notify should fire.
-    BatchRing ring(2, 1);
+    BatchRing ring(2);
     SeededBatch a;
     for (int i = 0; i < 10; ++i) {
-        ring.push(&a, 0);
-        EXPECT_EQ(ring.pop(0), &a);
+        ring.push(&a);
+        EXPECT_EQ(ring.pop(), &a);
     }
     EXPECT_EQ(ring.wakeups(), 0u);
     EXPECT_LE(ring.wakeups(), ring.publishes() + ring.claims());
@@ -141,15 +126,15 @@ TEST(BatchRing, WakeupsBoundedByPublishesPlusClaims)
 
 TEST(BatchRing, BlockedProducerAndConsumerMakeProgress)
 {
-    BatchRing ring(1, 1); // capacity 1: producer must block
+    BatchRing ring(1); // capacity 1: producer must block
     std::vector<SeededBatch> batches(64);
     std::vector<SeededBatch *> got;
     std::thread consumer([&] {
-        while (SeededBatch *x = ring.pop(0))
+        while (SeededBatch *x = ring.pop())
             got.push_back(x);
     });
     for (size_t i = 0; i < batches.size(); ++i)
-        ring.push(&batches[i], 0);
+        ring.push(&batches[i]);
     ring.close();
     consumer.join();
     ASSERT_EQ(got.size(), batches.size());
@@ -254,7 +239,7 @@ TEST(HandoffAllocation, SteadyStateHandoffAllocatesNothing)
     ChainingParams params;
     ChainWorkspace ws;
     BatchPool pool(4, kReads);
-    BatchRing ring(4, 1);
+    BatchRing ring(4);
     auto cycle = [&] {
         SeededBatch *batch = pool.acquire();
         batch->seq = 0;
@@ -270,8 +255,8 @@ TEST(HandoffAllocation, SteadyStateHandoffAllocatesNothing)
                 chainSeedsInto(seeds[i], params, ws, item.chains);
             item.read.reverseComplementInto(item.reverse_complement);
         }
-        ring.push(batch, 0);
-        SeededBatch *claimed = ring.pop(0);
+        ring.push(batch);
+        SeededBatch *claimed = ring.pop();
         ASSERT_EQ(claimed, batch);
         pool.release(claimed);
     };
@@ -284,6 +269,58 @@ TEST(HandoffAllocation, SteadyStateHandoffAllocatesNothing)
     const uint64_t after = g_new_calls.load(std::memory_order_relaxed);
     EXPECT_EQ(after - before, 0u)
         << "steady-state hand-off performed heap allocations";
+}
+
+TEST(HandoffAllocation, FlankJobsRecycledAcrossSides)
+{
+    // The extension driver's job packaging on a consumer: 8 chains, 4
+    // with a left flank and 6 with a right flank, so every call grows
+    // from the left side's job count to the right side's. The submit
+    // step writes canned results, leaving only the driver. After warm-up
+    // the job storage sits at its high-water mark and each side
+    // overwrites the kept jobs' sequences in place.
+    Rng rng(407);
+    const Sequence reference = randomSeq(rng, 5000);
+    const int kReadLen = 101;
+    std::vector<Sequence> reads;
+    std::vector<Chain> chains(8);
+    for (size_t s = 0; s < chains.size(); ++s) {
+        reads.push_back(randomSeq(rng, kReadLen));
+        // Slots 0-3: both flanks; 4-5: right flank only; 6-7: neither.
+        const int qbeg = s < 4 ? 20 : 0;
+        const int len = s < 6 ? 40 : kReadLen;
+        chains[s].seeds.push_back(
+            {qbeg, len, 1000 + 300 * static_cast<uint64_t>(s), false, 1});
+    }
+    std::vector<ChainSlot> slots;
+    for (size_t s = 0; s < chains.size(); ++s)
+        slots.push_back({&chains[s], &reads[s], {}});
+
+    ExtendResult canned;
+    canned.score = 10;
+    canned.qle = 5;
+    canned.tle = 5;
+    // Jobs per submit: left side, then right side.
+    size_t submits = 0;
+    size_t side_jobs[2] = {0, 0};
+    const ExtensionSubmit submit = [&](ExtensionBatch &b) {
+        side_jobs[submits++ % 2] = b.jobs().size();
+        for (size_t k = 0; k < b.jobs().size(); ++k)
+            b.results.push_back(canned);
+    };
+    const ExtensionParams params;
+    ExtensionBatch batch;
+    for (int warm = 0; warm < 3; ++warm)
+        extendChains(slots, reference, params, batch, submit);
+    EXPECT_EQ(side_jobs[0], 4u);
+    EXPECT_EQ(side_jobs[1], 6u);
+
+    const uint64_t before = g_new_calls.load(std::memory_order_relaxed);
+    for (int it = 0; it < 100; ++it)
+        extendChains(slots, reference, params, batch, submit);
+    const uint64_t after = g_new_calls.load(std::memory_order_relaxed);
+    EXPECT_EQ(after - before, 0u)
+        << "steady-state flank packaging performed heap allocations";
 }
 
 /** A pull source over an in-memory read set (copies each read out). */
@@ -346,7 +383,6 @@ TEST_F(ThreadedStress, EightByEightStreamsBitIdenticalInInputOrder)
     config.fpga_threads = 8;
     config.batch_size = 32;
     config.queue_capacity = 4;
-    config.queue_shards = 4;
     ThreadedReport report;
     std::vector<SamRecord> got;
     got.reserve(kReads);
@@ -381,7 +417,8 @@ TEST_F(ThreadedStress, EightByEightStreamsBitIdenticalInInputOrder)
     EXPECT_GT(report.pool.hitRate(), 0.5);
     EXPECT_LE(report.queue.wakeups,
               report.queue.publishes + report.queue.claims);
-    EXPECT_EQ(report.queue.shards, 4u);
+    EXPECT_EQ(report.queue.capacity_batches, 4u);
+    EXPECT_LE(report.queue.max_depth, 4);
     EXPECT_GT(report.producer_cpu_seconds, 0.0);
     EXPECT_GT(report.consumer_cpu_seconds, 0.0);
 }
@@ -408,7 +445,7 @@ TEST_F(ThreadedStress, SeedBatchSizeSelectsTheSeedingDriver)
 // ------------------------------------------------------- Help-path wall
 
 /**
- * Seeding threads that find their ring shard full run the consumer stage
+ * Seeding threads that find the ring full run the consumer stage
  * themselves (tryPop + the FPGA threads' batch function). Forced here
  * with 3 seeding threads, 1 FPGA thread, a one-batch ring and a sink
  * that sleeps once per batch, so the device side is always backlogged.
@@ -487,7 +524,6 @@ class ThreadedHelp : public ::testing::Test
         config.seeding_threads = backlog ? 3 : 1;
         config.fpga_threads = 1;
         config.queue_capacity = backlog ? 1 : 8;
-        config.queue_shards = 0;
         const std::vector<std::string> names = invariantCounters();
         std::map<std::string, uint64_t> before;
         for (const std::string &n : names)
@@ -630,17 +666,24 @@ TEST_F(ThreadedHelp, PairedModeHelpsWithoutChangingBytesOrCounters)
 
 TEST(ThreadedConfigEnv, KnobsApplyAndGarbageIsIgnored)
 {
+    // The one 3:1 split, with at least one thread on each side.
+    ThreadedConfig split;
+    split.splitThreads(1);
+    EXPECT_EQ(split.seeding_threads, 1);
+    EXPECT_EQ(split.fpga_threads, 1);
+    split.splitThreads(8);
+    EXPECT_EQ(split.seeding_threads, 6);
+    EXPECT_EQ(split.fpga_threads, 2);
+
     ThreadedConfig config;
     setenv("SEEDEX_THREADS", "8", 1);
     setenv("SEEDEX_BATCH", "32", 1);
     setenv("SEEDEX_QUEUE_CAP", "5", 1);
-    setenv("SEEDEX_QUEUE_SHARDS", "2", 1);
     config.applyEnv();
     EXPECT_EQ(config.seeding_threads, 6); // 3:1 split of 8
     EXPECT_EQ(config.fpga_threads, 2);
     EXPECT_EQ(config.batch_size, 32u);
     EXPECT_EQ(config.queue_capacity, 5u);
-    EXPECT_EQ(config.queue_shards, 2);
 
     setenv("SEEDEX_THREADS", "garbage", 1);
     setenv("SEEDEX_BATCH", "-3", 1);
@@ -656,7 +699,6 @@ TEST(ThreadedConfigEnv, KnobsApplyAndGarbageIsIgnored)
     unsetenv("SEEDEX_THREADS");
     unsetenv("SEEDEX_BATCH");
     unsetenv("SEEDEX_QUEUE_CAP");
-    unsetenv("SEEDEX_QUEUE_SHARDS");
 }
 
 } // namespace

@@ -318,18 +318,18 @@ assert thr["consumer_cpu_seconds"] > 0
 queue = thr["queue"]
 assert queue["publishes"] > 0
 assert queue["publishes"] == queue["claims"], queue
-# Help path: a seeding thread with a full shard claims a batch and runs
-# the consumer stage itself — still one claim per publish, and helped
-# batches are a subset of all consumed batches.
+# Help path: a seeding thread that finds the ring full claims a batch
+# and runs the consumer stage itself — still one claim per publish, and
+# helped batches are a subset of all consumed batches.
 assert thr["batches"] == queue["claims"], (thr["batches"], queue)
 assert 0 <= thr["helped_batches"] <= thr["batches"], thr
 # The wakeup-audit invariant: one lock + at most one (counted) notify
 # per publish/claim, so wakeups can never exceed publishes + claims.
 assert queue["wakeups"] <= queue["publishes"] + queue["claims"], queue
-assert queue["shards"] >= 1
+# One bounded ring: its depth never exceeds its capacity.
 assert queue["capacity_batches"] >= 1
 assert 0 <= queue["avg_depth"] <= queue["max_depth"] <= \
-    queue["shards"] * queue["capacity_batches"], queue
+    queue["capacity_batches"], queue
 
 pool = thr["pool"]
 # Every published batch came from the pool, one way or the other.
