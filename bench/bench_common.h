@@ -109,17 +109,20 @@ traceOutPath(int argc, char **argv)
 }
 
 /** Write the collected trace to `path` (no-op when empty). Call only
- *  after all worker threads have been joined. */
-inline void
+ *  after all worker threads have been joined. False when the write
+ *  failed. */
+inline bool
 maybeWriteTrace(const std::string &path)
 {
     if (path.empty())
-        return;
+        return true;
     obs::TraceSession::global().disable();
-    if (obs::TraceSession::global().writeJson(path))
-        std::cout << "[obs] trace written to " << path << "\n";
-    else
+    if (!obs::TraceSession::global().writeJson(path)) {
         std::cerr << "[obs] FAILED to write trace to " << path << "\n";
+        return false;
+    }
+    std::cout << "[obs] trace written to " << path << "\n";
+    return true;
 }
 
 /**
@@ -145,17 +148,19 @@ ledgerOutPath(int argc, char **argv)
 }
 
 /** Write the ledger JSONL to `path` (no-op when empty). Call only after
- *  all worker threads have been joined. */
-inline void
+ *  all worker threads have been joined. False when the write failed. */
+inline bool
 maybeWriteLedger(const std::string &path)
 {
     if (path.empty())
-        return;
-    if (obs::Ledger::global().writeJsonl(path))
-        std::cout << "[obs] ledger written to " << path << " ("
-                  << obs::Ledger::global().recordCount() << " records)\n";
-    else
+        return true;
+    if (!obs::Ledger::global().writeJsonl(path)) {
         std::cerr << "[obs] FAILED to write ledger to " << path << "\n";
+        return false;
+    }
+    std::cout << "[obs] ledger written to " << path << " ("
+              << obs::Ledger::global().recordCount() << " records)\n";
+    return true;
 }
 
 inline void
@@ -301,16 +306,17 @@ appendPerfProfile(obs::JsonWriter &w)
  * ad-hoc stat structs the bench produced (pass nullptr for the rest)
  * plus the full metrics-registry snapshot into one JSON document at
  * `path`. No-op when `path` is empty, so benches can call this
- * unconditionally with metricsOutPath()'s result.
+ * unconditionally with metricsOutPath()'s result. False when the write
+ * failed.
  */
-inline void
+inline bool
 writeRunReport(const std::string &path, const std::string &bench,
                const PipelineStats *pipeline = nullptr,
                const ThreadedReport *threaded = nullptr,
                const FilterStats *filter = nullptr)
 {
     if (path.empty())
-        return;
+        return true;
     obs::RunReport report(bench);
     if (pipeline != nullptr)
         report.section("pipeline", [&](obs::JsonWriter &w) {
@@ -355,11 +361,13 @@ writeRunReport(const std::string &path, const std::string &bench,
              static_cast<uint64_t>(DpWorkspace::tls().growEvents()));
     });
     report.addMetrics(obs::MetricsRegistry::global().snapshot());
-    if (report.write(path))
-        std::cout << "[obs] run report written to " << path << "\n";
-    else
+    if (!report.write(path)) {
         std::cerr << "[obs] FAILED to write run report to " << path
                   << "\n";
+        return false;
+    }
+    std::cout << "[obs] run report written to " << path << "\n";
+    return true;
 }
 
 /** Schema identifier stamped into every bench sweep document (the

@@ -81,14 +81,15 @@ main(int argc, char **argv)
     SeedExConfig filter_cfg;
     filter_cfg.band = 41;
     const SeedExAccelerator device(AcceleratorOrganization{}, filter_cfg);
-    const BatchResult batch = device.processBatch(jobs);
+    std::vector<ExtendResult> results;
+    const BatchResult batch = device.processBatch(jobs, results);
     const double device_seconds =
         batch.deviceSeconds(AcceleratorOrganization{}.clock_hz);
-    const double rerun_fraction = batch.results.empty()
+    const double rerun_fraction = jobs.empty()
         ? 0.0
         : static_cast<double>(batch.reruns_checks +
                               batch.reruns_exception) /
-            static_cast<double>(batch.results.size());
+            static_cast<double>(jobs.size());
     const double rerun_seconds =
         base_stats.times.extension * rerun_fraction;
 
@@ -129,9 +130,10 @@ main(int argc, char **argv)
     // times and verdict mix (its filter.total sums to its extensions),
     // the device model's verdict mix, and the registry snapshot with
     // the extension-latency percentiles.
-    writeRunReport(metrics_out, "bench_fig17_end_to_end", &sw_stats,
-                   nullptr, &batch.stats);
-    maybeWriteTrace(trace_out);
-    maybeWriteLedger(ledger_out);
-    return 0;
+    // Every requested output is attempted; any that fails fails the run.
+    bool outputs_ok = writeRunReport(metrics_out, "bench_fig17_end_to_end",
+                                     &sw_stats, nullptr, &batch.stats);
+    outputs_ok &= maybeWriteTrace(trace_out);
+    outputs_ok &= maybeWriteLedger(ledger_out);
+    return outputs_ok ? 0 : 1;
 }

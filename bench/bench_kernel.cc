@@ -249,7 +249,9 @@ main(int argc, char **argv)
               << kernelIsaName(isas.back())
               << "): " << speedup_101_41 << "x\n";
 
-    if (!obs::writeTextFile(out_path, json.str()))
+    // Every requested output is attempted; any that fails fails the run.
+    bool outputs_ok = obs::writeTextFile(out_path, json.str());
+    if (!outputs_ok)
         std::cerr << "[bench] FAILED to write " << out_path << "\n";
     else
         std::cout << "[bench] sweep written to " << out_path << "\n";
@@ -263,6 +265,6 @@ main(int argc, char **argv)
         for (const Pair &p : pairs)
             kswExtend(p.query, p.target, p.h0, cfg);
     }
-    writeRunReport(metrics_path, "bench_kernel");
-    return 0;
+    outputs_ok &= writeRunReport(metrics_path, "bench_kernel");
+    return outputs_ok ? 0 : 1;
 }

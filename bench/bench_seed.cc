@@ -219,11 +219,13 @@ main(int argc, char **argv)
                  "driver): "
               << headline_speedup << "x\n";
 
-    if (!obs::writeTextFile(out_path, json.str()))
+    // Every requested output is attempted; any that fails fails the run.
+    bool outputs_ok = obs::writeTextFile(out_path, json.str());
+    if (!outputs_ok)
         std::cerr << "[bench] FAILED to write " << out_path << "\n";
     else
         std::cout << "[bench] sweep written to " << out_path << "\n";
 
-    writeRunReport(metrics_path, "bench_seed");
-    return 0;
+    outputs_ok &= writeRunReport(metrics_path, "bench_seed");
+    return outputs_ok ? 0 : 1;
 }

@@ -110,9 +110,10 @@ main(int argc, char **argv)
 
     if (ledger_was_on)
         obs::Ledger::global().enable(ledger_sample);
-    writeRunReport(metrics_out, "bench_sys_integration", nullptr,
-                   &last_report);
-    maybeWriteTrace(trace_out);
-    maybeWriteLedger(ledger_out);
-    return 0;
+    // Every requested output is attempted; any that fails fails the run.
+    bool outputs_ok = writeRunReport(metrics_out, "bench_sys_integration",
+                                     nullptr, &last_report);
+    outputs_ok &= maybeWriteTrace(trace_out);
+    outputs_ok &= maybeWriteLedger(ledger_out);
+    return outputs_ok ? 0 : 1;
 }

@@ -237,12 +237,15 @@ main(int argc, char **argv)
         return 1;
     }
 
-    if (!obs::writeTextFile(out_path, json.str()))
+    // Every requested output is attempted; any that fails fails the run.
+    bool outputs_ok = obs::writeTextFile(out_path, json.str());
+    if (!outputs_ok)
         std::cerr << "[bench] FAILED to write " << out_path << "\n";
     else
         std::cout << "[bench] sweep written to " << out_path << "\n";
 
-    writeRunReport(metrics_path, "bench_threads", nullptr, &report_8t);
-    maybeWriteTrace(trace_out);
-    return 0;
+    outputs_ok &=
+        writeRunReport(metrics_path, "bench_threads", nullptr, &report_8t);
+    outputs_ok &= maybeWriteTrace(trace_out);
+    return outputs_ok ? 0 : 1;
 }

@@ -49,7 +49,8 @@ main(int argc, char **argv)
     SeedExConfig filter_cfg;
     filter_cfg.band = band;
     const SeedExAccelerator device(org, filter_cfg);
-    const BatchResult batch = device.processBatch(jobs);
+    std::vector<ExtendResult> results;
+    const BatchResult batch = device.processBatch(jobs, results);
 
     const double seconds = batch.deviceSeconds(org.clock_hz);
     const double util = static_cast<double>(batch.busy_cycles) /

@@ -65,25 +65,35 @@ ExtendResult
 SeedExEngine::extend(const ExtensionJob &job)
 {
     ++calls_;
-    return filter_.speculate(job.query, job.target, job.h0, &stats_).result;
+    const Speculation sp =
+        filter_.speculate(job.query, job.target, job.h0, &stats_);
+    reruns_ += sp.accepted() ? 0 : 1;
+    return sp.result;
 }
 
 void
-submitToEngine(ExtensionEngine &engine, ExtensionBatch &batch,
-               std::span<obs::ReadRecord *const> records)
+ExtensionEngine::extendBatch(std::span<const ExtensionJob> jobs,
+                             std::vector<ExtendResult> &results,
+                             std::span<obs::ReadRecord *const> records)
 {
-    const std::span<const ExtensionJob> jobs = batch.jobs();
-    if (records.empty()) {
-        for (const ExtensionJob &job : jobs)
-            batch.results.push_back(engine.extend(job));
-        return;
-    }
     for (size_t k = 0; k < jobs.size(); ++k) {
-        const obs::ActiveRecord active(records[k]);
-        batch.results.push_back(engine.extend(jobs[k]));
-        if (records[k] != nullptr)
-            ++records[k]->extensions;
+        obs::ReadRecord *rec = records.empty() ? nullptr : records[k];
+        const obs::ActiveRecord active(rec);
+        results.push_back(extend(jobs[k]));
+        if (rec != nullptr)
+            ++rec->extensions;
     }
+}
+
+void
+DeviceEngine::extendBatch(std::span<const ExtensionJob> jobs,
+                          std::vector<ExtendResult> &results,
+                          std::span<obs::ReadRecord *const> records)
+{
+    const BatchResult res = device_.processBatch(jobs, results, records);
+    calls_ += jobs.size();
+    reruns_ += res.reruns_checks + res.reruns_exception;
+    cycles_ += res.device_cycles;
 }
 
 void
@@ -184,7 +194,10 @@ extendChain(const Chain &chain, const Sequence &oriented_read,
     thread_local ExtensionBatch batch;
     ChainSlot slot{&chain, &oriented_read, {}};
     extendChains({&slot, 1}, reference, params, batch,
-                 [&engine](ExtensionBatch &b) { submitToEngine(engine, b); });
+                 [&engine](ExtensionBatch &b) {
+                     engine.ExtensionEngine::extendBatch(b.jobs(), b.results,
+                                                         {});
+                 });
     return slot.aln;
 }
 

@@ -9,7 +9,7 @@
 
 #include "aligner/chaining.h"
 #include "align/extend.h"
-#include "hw/throughput_model.h"
+#include "hw/accelerator.h"
 #include "obs/ledger.h"
 #include "seedex/filter.h"
 
@@ -32,13 +32,25 @@ class ExtensionEngine
      */
     virtual ExtendResult extend(const ExtensionJob &job) = 0;
 
+    /** Extend one flank side's jobs, appending each result to `results`
+     *  in job order, and book each outcome onto the job's ledger record
+     *  (`records`: parallel to the jobs, null entries allowed, or empty).
+     *  The default runs extend() per job with its record active, so the
+     *  lower layers book kernel calls, verdicts and reruns. */
+    virtual void extendBatch(std::span<const ExtensionJob> jobs,
+                             std::vector<ExtendResult> &results,
+                             std::span<obs::ReadRecord *const> records);
+
     virtual std::string name() const = 0;
 
     /** Extensions executed (for throughput accounting). */
     uint64_t calls() const { return calls_; }
+    /** Full-band reruns among them (engines that speculate). */
+    uint64_t reruns() const { return reruns_; }
 
   protected:
     uint64_t calls_ = 0;
+    uint64_t reruns_ = 0;
 };
 
 /** Software full-band engine: BWA-MEM's per-extension estimated band. */
@@ -103,6 +115,28 @@ class SeedExEngine : public ExtensionEngine
     FilterStats stats_;
 };
 
+/** SeedEx through the device timing model (Fig. 7/8): each flank side is
+ *  one SeedExAccelerator::processBatch batch. Single jobs (mate rescue)
+ *  run the SeedEx engine. */
+class DeviceEngine : public SeedExEngine
+{
+  public:
+    explicit DeviceEngine(SeedExConfig config)
+        : SeedExEngine(config), device_(AcceleratorOrganization{}, config)
+    {}
+
+    void extendBatch(std::span<const ExtensionJob> jobs,
+                     std::vector<ExtendResult> &results,
+                     std::span<obs::ReadRecord *const> records) override;
+
+    /** Modeled device cycles summed over this engine's batches. */
+    uint64_t cycles() const { return cycles_; }
+
+  private:
+    SeedExAccelerator device_;
+    uint64_t cycles_ = 0;
+};
+
 /** One extended chain: a candidate alignment of the oriented read. */
 struct ChainAlignment
 {
@@ -165,14 +199,6 @@ struct ExtensionBatch
  *  `batch.results` (empty on entry). */
 using ExtensionSubmit = std::function<void(ExtensionBatch &batch)>;
 
-/** Submit step that runs each job through `engine`, in job order. With
- *  `records` (parallel to the jobs, null entries allowed) each job runs
- *  with its record as the thread's active ledger record, so the lower
- *  layers attribute kernel calls, verdicts and reruns to the job's read,
- *  and the record counts the extension. */
-void submitToEngine(ExtensionEngine &engine, ExtensionBatch &batch,
-                    std::span<obs::ReadRecord *const> records = {});
-
 /**
  * The extension driver: BWA-MEM's two-sided extension with h0
  * propagation (§V-B) for every slot. All left flanks (read prefix vs the
@@ -187,7 +213,8 @@ void extendChains(std::span<ChainSlot> slots, const Sequence &reference,
                   const ExtensionParams &params, ExtensionBatch &batch,
                   const ExtensionSubmit &submit);
 
-/** The driver's one-slot case, with `engine` as the submit step. */
+/** The driver's one-slot case, with `engine`'s per-job extend() as the
+ *  submit step whatever the engine. */
 ChainAlignment extendChain(const Chain &chain, const Sequence &oriented_read,
                            const Sequence &reference,
                            ExtensionEngine &engine,

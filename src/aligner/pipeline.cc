@@ -23,6 +23,8 @@ makeEngine(const PipelineConfig &config)
         SeedExConfig sx = config.seedex;
         sx.band = config.band;
         sx.scoring = config.extension.scoring;
+        if (config.engine == EngineKind::Device)
+            return std::make_unique<DeviceEngine>(sx);
         return std::make_unique<SeedExEngine>(sx);
       }
     }

@@ -20,11 +20,11 @@ enum class EngineKind
     FullBand, ///< BWA-MEM/BWA-MEM2 software baseline
     Banded,   ///< fixed narrow band, NO guarantee (Fig. 13 baseline)
     SeedEx,   ///< speculative narrow band + checks + rerun (this paper)
-    /** SeedEx through the device timing model (Fig. 7/8): the stage's
-     *  submit step pushes each flank side of a slab through
-     *  SeedExAccelerator::processBatch, which adds modeled cycles, the
-     *  speculative-exception reruns and the device.* counters. Every
-     *  extension outside that step runs the SeedEx engine. */
+    /** SeedEx through the device timing model (Fig. 7/8): a
+     *  DeviceEngine, whose batch entry pushes each flank side of a slab
+     *  through SeedExAccelerator::processBatch (modeled cycles, the
+     *  speculative-exception reruns and the device.* counters). Single
+     *  jobs, such as mate rescue's, run the SeedEx engine. */
     Device,
 };
 
@@ -64,7 +64,7 @@ struct PipelineStats
     FilterStats filter;
 };
 
-/** The extension engine `config` selects (Device: the SeedEx engine). */
+/** The extension engine `config` selects. */
 std::unique_ptr<ExtensionEngine> makeEngine(const PipelineConfig &config);
 
 /**

@@ -59,31 +59,7 @@ stageProfiles()
     return profiles;
 }
 
-/** Full-band reruns `engine` has run so far: the SeedEx engine's
- *  rejected verdicts (the other engines never rerun). */
-uint64_t
-engineReruns(const SeedExEngine *engine)
-{
-    if (engine == nullptr)
-        return 0;
-    const FilterStats &f = engine->stats();
-    return f.total - f.pass_s2 - f.pass_checks;
-}
-
 } // namespace
-
-AlignStage::AlignStage(const Sequence &reference, const FmdIndex &index,
-                       const PipelineConfig &pipeline,
-                       const AcceleratorOrganization &organization)
-    : reference(reference), index(index), pipeline(pipeline)
-{
-    if (pipeline.engine == EngineKind::Device) {
-        SeedExConfig filter_cfg = pipeline.seedex;
-        filter_cfg.band = pipeline.band;
-        filter_cfg.scoring = pipeline.extension.scoring;
-        device.emplace(organization, filter_cfg);
-    }
-}
 
 StageCtx::StageCtx(const PipelineConfig &pipeline)
     : engine(makeEngine(pipeline)),
@@ -215,10 +191,9 @@ extendSlab(const AlignStage &stage, StageCtx &ctx, const SeededBatch &slab)
         }
     }
 
-    // The submit step, once per flank side: the side's jobs in job order
-    // through the thread's engine, or as one batch through the device
-    // model. The device's per-job BatchResult vectors are parallel to the
-    // jobs, which is how each outcome reaches its read's ledger record.
+    // The submit step, once per flank side: the side's jobs through the
+    // thread's engine, with each job's ledger record so the engine books
+    // the job's outcome onto its read.
     uint64_t extensions = 0, reruns = 0;
     const ExtensionSubmit submit = [&](ExtensionBatch &b) {
         obs::TraceSpan submit_span("stage.submit", "stage");
@@ -234,31 +209,9 @@ extendSlab(const AlignStage &stage, StageCtx &ctx, const SeededBatch &slab)
             ctx.job_recs.push_back(
                 ri < 0 ? nullptr : &ctx.ledger_recs[static_cast<size_t>(ri)]);
         }
-        if (stage.device) {
-            BatchResult res = stage.device->processBatch(jobs);
-            totals.device_cycles += res.device_cycles;
-            reruns += res.reruns_checks + res.reruns_exception;
-            for (size_t k = 0; k < ctx.job_recs.size(); ++k) {
-                obs::ReadRecord *rec = ctx.job_recs[k];
-                if (rec == nullptr)
-                    continue;
-                ++rec->extensions;
-                ++rec->kernel_calls; // the narrow speculation
-                rec->addVerdict(ledgerVerdict(res.verdicts[k]),
-                                res.edit_runs[k]);
-                if (res.rerun[k]) {
-                    ++rec->reruns;
-                    ++rec->kernel_calls; // host full-band rerun
-                }
-                rec->band_used =
-                    std::max(rec->band_used, res.results[k].max_off);
-            }
-            b.results = std::move(res.results);
-        } else {
-            const uint64_t reruns_before = engineReruns(ctx.seedex);
-            submitToEngine(*ctx.engine, b, ctx.job_recs);
-            reruns += engineReruns(ctx.seedex) - reruns_before;
-        }
+        const uint64_t reruns_before = ctx.engine->reruns();
+        ctx.engine->extendBatch(jobs, b.results, ctx.job_recs);
+        reruns += ctx.engine->reruns() - reruns_before;
         ctx.submit_cpu += threadCpuSeconds() - submit_begin;
     };
     extension_watch.start();

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -13,7 +12,6 @@
 #include "aligner/batch_ring.h"
 #include "aligner/paired.h"
 #include "aligner/pipeline.h"
-#include "hw/accelerator.h"
 #include "obs/ledger.h"
 
 namespace seedex {
@@ -56,34 +54,30 @@ struct StageTotals
 {
     /** Primary (non-rescue) extension jobs submitted. */
     std::atomic<uint64_t> extensions{0};
-    /** Full-band reruns: the SeedEx engine's rejected verdicts, or the
-     *  device model's check and exception reruns. */
+    /** Full-band reruns among them, as the engine counts them
+     *  (ExtensionEngine::reruns). */
     std::atomic<uint64_t> reruns{0};
-    /** Modeled device cycles (EngineKind::Device only). */
-    std::atomic<uint64_t> device_cycles{0};
 };
 
 /** The stage's shared state: read-only inputs and the run's totals. */
 struct AlignStage
 {
-    /** The device model is built when `pipeline.engine` is Device. */
     AlignStage(const Sequence &reference, const FmdIndex &index,
-               const PipelineConfig &pipeline,
-               const AcceleratorOrganization &organization = {});
+               const PipelineConfig &pipeline)
+        : reference(reference), index(index), pipeline(pipeline)
+    {}
 
     const Sequence &reference;
     const FmdIndex &index;
     const PipelineConfig &pipeline;
-    /** The single modeled FPGA. processBatch is const and keeps its
-     *  sums in atomics, so every thread shares it without a lock. */
-    std::optional<SeedExAccelerator> device;
     mutable StageTotals totals;
 };
 
 /**
  * One thread's state for the stage: seeding scratch, the slab's chain
  * table and records, and the run's extension engine (makeEngine), which
- * extends every flank outside the device model and does mate rescue.
+ * extends every flank (as whole flank sides, through its batch entry)
+ * and does mate rescue.
  */
 struct StageCtx
 {
@@ -127,8 +121,7 @@ void loadSlab(SeededBatch &slab,
 void seedSlab(const AlignStage &stage, StageCtx &ctx, SeededBatch &slab);
 
 /** Step 2: the slab's ledger records, its chain table extended through
- *  the run's engine (or the device model), and the best chain per read
- *  into ctx.records. */
+ *  the run's engine, and the best chain per read into ctx.records. */
 void extendSlab(const AlignStage &stage, StageCtx &ctx,
                 const SeededBatch &slab);
 

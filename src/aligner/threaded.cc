@@ -64,10 +64,9 @@ alignThreadedSource(const Sequence &reference, const ReadSource &source,
         owned_index = std::make_unique<FmdIndex>(reference);
         external_index = owned_index.get();
     }
-    // Every thread that runs a step shares the stage (and under
-    // EngineKind::Device its one modeled FPGA) and owns a StageCtx.
-    const AlignStage stage(reference, *external_index, config.pipeline,
-                           config.organization);
+    // Every thread that runs a step shares the stage and owns a StageCtx
+    // (and so its own engine).
+    const AlignStage stage(reference, *external_index, config.pipeline);
     const PairContext pair_ctx{reference, config.pipeline.contigs,
                                config.pipeline.extension, config.insert,
                                config.mate_rescue};
@@ -103,6 +102,18 @@ alignThreadedSource(const Sequence &reference, const ReadSource &source,
     std::atomic<uint64_t> helped_batches{0};
     std::mutex cpu_mutex;
     double producer_cpu = 0, consumer_cpu = 0, submit_cpu = 0;
+    uint64_t device_cycles = 0;
+    // A finished worker's CPU split and its engine's totals join the run's.
+    const auto retire = [&](const StageCtx &ctx, double producer,
+                            double consumer) {
+        std::lock_guard<std::mutex> lock(cpu_mutex);
+        producer_cpu += producer;
+        consumer_cpu += consumer;
+        submit_cpu += ctx.submit_cpu;
+        if (const auto *device =
+                dynamic_cast<const DeviceEngine *>(ctx.engine.get()))
+            device_cycles += device->cycles();
+    };
 
     Stopwatch wall;
     wall.start();
@@ -205,11 +216,7 @@ alignThreadedSource(const Sequence &reference, const ReadSource &source,
         // extension-heavy reads).
         while (SeededBatch *queued = ring.tryPop())
             help(queued);
-        const double cpu = threadCpuSeconds() - cpu_begin;
-        std::lock_guard<std::mutex> lock(cpu_mutex);
-        producer_cpu += cpu - help_cpu;
-        consumer_cpu += help_cpu;
-        submit_cpu += ctx.submit_cpu;
+        retire(ctx, threadCpuSeconds() - cpu_begin - help_cpu, help_cpu);
     };
 
     // ---- Consumers: FPGA threads.
@@ -218,10 +225,7 @@ alignThreadedSource(const Sequence &reference, const ReadSource &source,
         const double cpu_begin = threadCpuSeconds();
         while (SeededBatch *claimed = ring.pop())
             consume_batch(claimed, ctx);
-        const double cpu = threadCpuSeconds() - cpu_begin;
-        std::lock_guard<std::mutex> lock(cpu_mutex);
-        consumer_cpu += cpu;
-        submit_cpu += ctx.submit_cpu;
+        retire(ctx, 0, threadCpuSeconds() - cpu_begin);
     };
 
     std::vector<std::thread> workers;
@@ -262,7 +266,7 @@ alignThreadedSource(const Sequence &reference, const ReadSource &source,
         report->helped_batches = helped_batches;
         report->extensions = totals.extensions;
         report->reruns = totals.reruns;
-        report->device_cycles = totals.device_cycles;
+        report->device_cycles = device_cycles;
         report->seeding_threads = n_producers;
         report->fpga_threads = n_consumers;
         report->batch_size = batch_size;
@@ -270,10 +274,8 @@ alignThreadedSource(const Sequence &reference, const ReadSource &source,
         report->consumer_cpu_seconds = consumer_cpu;
         report->device_emulation_cpu_seconds = submit_cpu;
         report->device_occupancy_seconds =
-            config.organization.clock_hz > 0
-                ? static_cast<double>(totals.device_cycles.load()) /
-                    config.organization.clock_hz
-                : 0.0;
+            static_cast<double>(device_cycles) /
+            AcceleratorOrganization{}.clock_hz;
         report->queue.publishes = ring.publishes();
         report->queue.claims = ring.claims();
         report->queue.wakeups = ring.wakeups();

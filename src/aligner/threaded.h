@@ -7,7 +7,6 @@
 #include "aligner/paired.h"
 #include "aligner/pipeline.h"
 #include "aligner/stage.h"
-#include "hw/accelerator.h"
 
 namespace seedex {
 
@@ -15,14 +14,14 @@ namespace seedex {
  * The software architecture of Fig. 12 (§V-B), over the alignment stage
  * (stage.h): seeding threads run step 1 (seeding and chaining) and
  * publish whole batch slabs for FPGA threads; FPGA threads claim a slab
- * and run steps 2 and 3 (extension through the run's engine or, under
- * EngineKind::Device, the accelerator model; the pick; pair finalization
- * and the ledger). The device model takes no lock (it has no state to
- * guard), and a seeding thread that finds the ring full runs steps 2 and
- * 3 on a queued batch instead of blocking, as it does on every batch
- * still queued once the input is exhausted. Results are produced out of
- * order and streamed back in input order through a sequence-stamped
- * reorder buffer (see batch_ring.h).
+ * and run steps 2 and 3 (extension through the thread's own engine,
+ * which under EngineKind::Device is the accelerator model; the pick;
+ * pair finalization and the ledger). No engine is shared, so the device
+ * model takes no lock, and a seeding thread that finds the ring full
+ * runs steps 2 and 3 on a queued batch instead of blocking, as it does
+ * on every batch still queued once the input is exhausted. Results are
+ * produced out of order and streamed back in input order through a
+ * sequence-stamped reorder buffer (see batch_ring.h).
  */
 struct ThreadedConfig
 {
@@ -35,7 +34,6 @@ struct ThreadedConfig
     /** Hand-off ring capacity, in whole batches. */
     size_t queue_capacity = 8;
     PipelineConfig pipeline;
-    AcceleratorOrganization organization;
 
     /**
      * Paired-end mode: the read stream supplies whole pairs as two
@@ -81,8 +79,8 @@ struct ThreadedReport
     uint64_t helped_batches = 0;
     uint64_t extensions = 0;
     uint64_t reruns = 0;
-    /** Modeled FPGA occupancy summed over batches (EngineKind::Device
-     *  only; 0 otherwise). */
+    /** Modeled FPGA occupancy: every thread's DeviceEngine cycles
+     *  (EngineKind::Device only; 0 otherwise). */
     uint64_t device_cycles = 0;
 
     // Run shape (so a report is self-describing in sweep JSON).
@@ -102,8 +100,8 @@ struct ThreadedReport
      *  includes it. Measured around each whole submit call, on whichever
      *  thread ran it. (The name predates the other engines.) */
     double device_emulation_cpu_seconds = 0;
-    /** Modeled device busy time: device_cycles / clock_hz (0 unless
-     *  EngineKind::Device). */
+    /** Modeled device busy time: device_cycles at the default
+     *  AcceleratorOrganization's clock (0 unless EngineKind::Device). */
     double device_occupancy_seconds = 0;
 
     /** Hand-off ring telemetry (threaded.queue.* instruments). */

@@ -393,8 +393,7 @@ cmdAlign(int argc, char **argv)
 
     Stopwatch wall;
     wall.start();
-    const AlignStage stage(ref.seq, *ref.index, pconfig,
-                           tconfig.organization);
+    const AlignStage stage(ref.seq, *ref.index, pconfig);
     StageCtx ctx(pconfig);
 
     // One read source for every mode: single-end reads, or whole pairs as

@@ -45,15 +45,16 @@ deviceMetrics()
 } // namespace
 
 BatchResult
-SeedExAccelerator::processBatch(std::span<const ExtensionJob> jobs) const
+SeedExAccelerator::processBatch(std::span<const ExtensionJob> jobs,
+                                std::vector<ExtendResult> &results,
+                                std::span<obs::ReadRecord *const> records)
+    const
 {
     obs::TraceSpan span("device.batch", "device");
     BatchResult batch;
-    batch.results.reserve(jobs.size());
-    batch.rerun.assign(jobs.size(), false);
-
     const int n_bsw = org_.totalBswCores();
-    std::vector<uint64_t> core_busy(static_cast<size_t>(n_bsw), 0);
+    thread_local std::vector<uint64_t> core_busy;
+    core_busy.assign(static_cast<size_t>(n_bsw), 0);
     const SeedExConfig &cfg = filter_.config();
     SystolicBswCore bsw(cfg.band, cfg.scoring);
 
@@ -65,8 +66,6 @@ SeedExAccelerator::processBatch(std::span<const ExtensionJob> jobs) const
         // hardware band is fixed; unused PEs are simply disabled).
         const Speculation sp =
             filter_.speculate(job.query, job.target, job.h0, &batch.stats);
-        batch.verdicts.push_back(sp.outcome.verdict);
-        batch.edit_runs.push_back(sp.outcome.ran_edit_machine);
 
         // Timing + exception path: the systolic model of the same core.
         // When the speculation ran at the device band (always, once the
@@ -97,7 +96,6 @@ SeedExAccelerator::processBatch(std::span<const ExtensionJob> jobs) const
         } else if (!sp.accepted()) {
             ++batch.reruns_checks;
         }
-        batch.rerun[idx] = rerun;
         if (rerun && sp.accepted()) {
             // Speculative early-termination exception on an accepted
             // extension: the device result cannot be trusted, so the
@@ -108,12 +106,23 @@ SeedExAccelerator::processBatch(std::span<const ExtensionJob> jobs) const
                 static_cast<int>(job.query.size()), cfg.scoring,
                 cfg.end_bonus);
             full.zdrop = cfg.zdrop;
-            batch.results.push_back(
-                kswExtend(job.query, job.target, job.h0, full));
+            results.push_back(kswExtend(job.query, job.target, job.h0, full));
         } else {
             // Accepted result, or the speculation's own full-band rerun
             // (already guaranteed-optimal).
-            batch.results.push_back(sp.result);
+            results.push_back(sp.result);
+        }
+
+        if (obs::ReadRecord *rec = records.empty() ? nullptr : records[idx]) {
+            ++rec->extensions;
+            ++rec->kernel_calls; // the narrow speculation
+            rec->addVerdict(ledgerVerdict(sp.outcome.verdict),
+                            sp.outcome.ran_edit_machine);
+            if (rerun) {
+                ++rec->reruns;
+                ++rec->kernel_calls; // host full-band rerun
+            }
+            rec->band_used = std::max(rec->band_used, results.back().max_off);
         }
     }
     batch.device_cycles = core_busy.empty()

@@ -8,6 +8,7 @@
 #include "hw/edit_machine.h"
 #include "hw/systolic.h"
 #include "hw/throughput_model.h"
+#include "obs/ledger.h"
 #include "seedex/filter.h"
 
 namespace seedex {
@@ -34,18 +35,9 @@ struct AcceleratorOrganization
     }
 };
 
-/** Outcome of one batch pushed through the device model. */
+/** Totals of one batch pushed through the device model. */
 struct BatchResult
 {
-    /** Final, guaranteed-optimal results (host reruns already applied). */
-    std::vector<ExtendResult> results;
-    /** Which jobs were rerun on the host and why. */
-    std::vector<bool> rerun;
-    /** Per-job filter verdicts and edit-machine usage, parallel to
-     *  `results` (provenance-ledger attribution: batches mix reads, so
-     *  the caller maps job -> read). */
-    std::vector<Verdict> verdicts;
-    std::vector<bool> edit_runs;
     uint64_t reruns_checks = 0;     ///< optimality checks failed
     uint64_t reruns_exception = 0;  ///< speculative early-term exception
     /** Modeled device occupancy: cycles of the busiest BSW core. */
@@ -82,17 +74,24 @@ class SeedExAccelerator
 
     /**
      * Push one batch through the device; reruns execute on the host.
+     * Each job's final result is appended to `results`, and its outcome
+     * booked onto its record in `records` (parallel to the jobs, null
+     * entries allowed, or empty); no record is attached to the thread,
+     * so the model's own kernel runs book nothing.
      *
      * The functional SeedEx speculation runs once per job; the timing
      * model reuses its narrow-band result (SystolicBswCore::model) when
      * the speculation ran at the device band and charges the edit
      * machine its closed-form EditMachine::cycles, so no DP is computed
-     * twice. The call touches no shared mutable state (per-batch model
-     * state is local, instruments are atomic), so any number of threads
-     * may push batches concurrently; each batch's modeled cycles depend
-     * only on its jobs.
+     * twice. The call touches no shared mutable state (core occupancy is
+     * thread-local scratch, instruments are atomic), so any number of
+     * threads may push batches concurrently; each batch's modeled cycles
+     * depend only on its jobs.
      */
-    BatchResult processBatch(std::span<const ExtensionJob> jobs) const;
+    BatchResult processBatch(std::span<const ExtensionJob> jobs,
+                             std::vector<ExtendResult> &results,
+                             std::span<obs::ReadRecord *const> records =
+                                 {}) const;
 
     const AcceleratorOrganization &organization() const { return org_; }
     const SeedExFilter &filter() const { return filter_; }

@@ -63,9 +63,8 @@ FilterStats::add(const FilterOutcome &o)
     ++total;
     vc.total.inc();
     // Provenance ledger: attribute the verdict to the read record active
-    // on this thread (the inline pipeline's scope, or the job's read the
-    // threaded consumer attached; the device backend books its verdicts
-    // from BatchResult instead).
+    // on this thread (the job's read the engine's batch entry attached;
+    // the device engine books its verdicts in processBatch instead).
     if (obs::ReadRecord *rec = obs::Ledger::active()) {
         rec->addVerdict(ledgerVerdict(o.verdict), o.ran_edit_machine);
         if (!o.isAccepted())

@@ -1094,7 +1094,8 @@ TEST_F(CliEngine, ThreadedPairedFullBandCountersMatchSingleThread)
 TEST_F(CliEngine, ThreadedLedgerMatchesSingleThread)
 {
     for (const bool paired : {false, true}) {
-        for (const char *engine : {"seedex", "fullband", "banded"}) {
+        for (const char *engine :
+             {"seedex", "fullband", "banded", "device"}) {
             SCOPED_TRACE(std::string(engine) +
                          (paired ? " paired" : " single-end"));
             const std::string flag = std::string("--engine=") + engine;

@@ -556,14 +556,15 @@ TEST(Accelerator, BatchResultsMatchFilterWorkflow)
     }
     SeedExConfig cfg;
     const SeedExAccelerator device({}, cfg);
-    const BatchResult batch = device.processBatch(jobs);
-    ASSERT_EQ(batch.results.size(), jobs.size());
+    std::vector<ExtendResult> results;
+    const BatchResult batch = device.processBatch(jobs, results);
+    ASSERT_EQ(results.size(), jobs.size());
     for (size_t i = 0; i < jobs.size(); ++i) {
         const ExtendResult truth =
             kswExtend(jobs[i].query, jobs[i].target, jobs[i].h0, {});
-        EXPECT_EQ(batch.results[i].score, truth.score) << i;
-        EXPECT_EQ(batch.results[i].qle, truth.qle) << i;
-        EXPECT_EQ(batch.results[i].tle, truth.tle) << i;
+        EXPECT_EQ(results[i].score, truth.score) << i;
+        EXPECT_EQ(results[i].qle, truth.qle) << i;
+        EXPECT_EQ(results[i].tle, truth.tle) << i;
     }
     EXPECT_EQ(batch.stats.total, jobs.size());
     EXPECT_GT(batch.busy_cycles, batch.device_cycles);
@@ -582,7 +583,8 @@ TEST(Accelerator, DeviceCyclesBalancedAcrossCores)
     t.append(q.slice(0, 30));
     std::vector<ExtensionJob> jobs(360, ExtensionJob{q, t, 25});
     const SeedExAccelerator device({}, SeedExConfig{});
-    const BatchResult batch = device.processBatch(jobs);
+    std::vector<ExtendResult> results;
+    const BatchResult batch = device.processBatch(jobs, results);
     const double utilization =
         static_cast<double>(batch.busy_cycles) /
         (36.0 * static_cast<double>(batch.device_cycles));
@@ -603,7 +605,8 @@ TEST(Accelerator, ModelReuseMatchesReplayedModel)
     std::vector<ExtensionJob> jobs;
     for (int i = 0; i < 300; ++i)
         jobs.push_back(fuzzJob(rng, cfg.band));
-    const BatchResult batch = device.processBatch(jobs);
+    std::vector<ExtendResult> results;
+    const BatchResult batch = device.processBatch(jobs, results);
 
     std::vector<uint64_t> core_busy(
         static_cast<size_t>(device.organization().totalBswCores()), 0);

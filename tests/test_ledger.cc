@@ -73,9 +73,9 @@ verdictCounter(obs::LedgerVerdict v)
 TEST(Ledger, ThreadedRunLosesAndDuplicatesNothing)
 {
     const Workload w = makeWorkload(120000, 400, 0x1ed6e401);
-    // Both ways the threaded consumer books provenance: the SeedEx
-    // engine through the lower layers (the job's read record attached),
-    // and the device backend from its BatchResult.
+    // Both ways an engine books provenance: the SeedEx engine through
+    // the lower layers (the job's read record attached), and the device
+    // engine in processBatch, which has each job's outcome in hand.
     for (const EngineKind engine : {EngineKind::SeedEx, EngineKind::Device}) {
         SCOPED_TRACE(engine == EngineKind::Device ? "device" : "seedex");
         LedgerGuard guard(1);

@@ -271,31 +271,58 @@ TEST(HandoffAllocation, SteadyStateHandoffAllocatesNothing)
         << "steady-state hand-off performed heap allocations";
 }
 
+/** Eight chains over random reads, 4 with a left flank and 6 with a
+ *  right flank, so every extendChains call grows from the left side's
+ *  job count to the right side's. Built in place: the slots point into
+ *  the reads and chains. */
+struct FlankSlots
+{
+    FlankSlots()
+    {
+        Rng rng(407);
+        reference = randomSeq(rng, 5000);
+        const int kReadLen = 101;
+        for (size_t s = 0; s < chains.size(); ++s) {
+            reads.push_back(randomSeq(rng, kReadLen));
+            // Slots 0-3: both flanks; 4-5: right flank only; 6-7: neither.
+            const int qbeg = s < 4 ? 20 : 0;
+            const int len = s < 6 ? 40 : kReadLen;
+            chains[s].seeds.push_back(
+                {qbeg, len, 1000 + 300 * static_cast<uint64_t>(s), false,
+                 1});
+        }
+        for (size_t s = 0; s < chains.size(); ++s)
+            slots.push_back({&chains[s], &reads[s], {}});
+    }
+
+    Sequence reference;
+    std::vector<Sequence> reads;
+    std::vector<Chain> chains = std::vector<Chain>(8);
+    std::vector<ChainSlot> slots;
+};
+
+/** Heap allocations over 100 extendChains calls on `f` through `submit`,
+ *  after three warm-up calls. */
+uint64_t
+steadyStateAllocations(FlankSlots &f, const ExtensionSubmit &submit)
+{
+    const ExtensionParams params;
+    ExtensionBatch batch;
+    for (int warm = 0; warm < 3; ++warm)
+        extendChains(f.slots, f.reference, params, batch, submit);
+    const uint64_t before = g_new_calls.load(std::memory_order_relaxed);
+    for (int it = 0; it < 100; ++it)
+        extendChains(f.slots, f.reference, params, batch, submit);
+    return g_new_calls.load(std::memory_order_relaxed) - before;
+}
+
 TEST(HandoffAllocation, FlankJobsRecycledAcrossSides)
 {
-    // The extension driver's job packaging on a consumer: 8 chains, 4
-    // with a left flank and 6 with a right flank, so every call grows
-    // from the left side's job count to the right side's. The submit
+    // The extension driver's job packaging on a consumer. The submit
     // step writes canned results, leaving only the driver. After warm-up
     // the job storage sits at its high-water mark and each side
     // overwrites the kept jobs' sequences in place.
-    Rng rng(407);
-    const Sequence reference = randomSeq(rng, 5000);
-    const int kReadLen = 101;
-    std::vector<Sequence> reads;
-    std::vector<Chain> chains(8);
-    for (size_t s = 0; s < chains.size(); ++s) {
-        reads.push_back(randomSeq(rng, kReadLen));
-        // Slots 0-3: both flanks; 4-5: right flank only; 6-7: neither.
-        const int qbeg = s < 4 ? 20 : 0;
-        const int len = s < 6 ? 40 : kReadLen;
-        chains[s].seeds.push_back(
-            {qbeg, len, 1000 + 300 * static_cast<uint64_t>(s), false, 1});
-    }
-    std::vector<ChainSlot> slots;
-    for (size_t s = 0; s < chains.size(); ++s)
-        slots.push_back({&chains[s], &reads[s], {}});
-
+    FlankSlots f;
     ExtendResult canned;
     canned.score = 10;
     canned.qle = 5;
@@ -308,19 +335,28 @@ TEST(HandoffAllocation, FlankJobsRecycledAcrossSides)
         for (size_t k = 0; k < b.jobs().size(); ++k)
             b.results.push_back(canned);
     };
-    const ExtensionParams params;
-    ExtensionBatch batch;
-    for (int warm = 0; warm < 3; ++warm)
-        extendChains(slots, reference, params, batch, submit);
+    EXPECT_EQ(steadyStateAllocations(f, submit), 0u)
+        << "steady-state flank packaging performed heap allocations";
     EXPECT_EQ(side_jobs[0], 4u);
     EXPECT_EQ(side_jobs[1], 6u);
+}
 
-    const uint64_t before = g_new_calls.load(std::memory_order_relaxed);
-    for (int it = 0; it < 100; ++it)
-        extendChains(slots, reference, params, batch, submit);
-    const uint64_t after = g_new_calls.load(std::memory_order_relaxed);
-    EXPECT_EQ(after - before, 0u)
-        << "steady-state flank packaging performed heap allocations";
+TEST(HandoffAllocation, DeviceSubmitAllocatesNothing)
+{
+    // The same driver with the device engine's batch entry as the submit
+    // step: processBatch appends to the recycled results and keeps its
+    // core occupancy in thread-local scratch, so after warm-up a whole
+    // pass through the timing model (speculation, host reruns, the
+    // systolic model) allocates nothing.
+    FlankSlots f;
+    DeviceEngine device{SeedExConfig{}};
+    const ExtensionSubmit submit = [&](ExtensionBatch &b) {
+        device.extendBatch(b.jobs(), b.results, {});
+    };
+    EXPECT_EQ(steadyStateAllocations(f, submit), 0u)
+        << "steady-state device submit performed heap allocations";
+    EXPECT_GT(device.cycles(), 0u);
+    EXPECT_EQ(device.calls(), 103u * 10u);
 }
 
 /** A pull source over an in-memory read set (copies each read out). */
