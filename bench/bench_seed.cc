@@ -6,9 +6,15 @@
  * reporting reads/s, Mbases/s, occ queries and text-comparison steps
  * per read.
  *
+ * Both drivers run the same forward-backward SMEM search at the default
+ * length floor (19) and issue exactly the same occ queries, so
+ * occ_calls_per_read measures the search's index work on any machine;
+ * the CI bench gate compares it against the committed baseline.
+ *
  * The headline: the best batch-16 cell against the scalar driver at
  * 101 bp reads, i.e. how much memory-level parallelism the lockstep
- * driver extracts. Both drivers issue exactly the same occ queries.
+ * driver extracts. The --quick sweep's 1 Mbp index fits in cache, so
+ * its headline leaves out the misses that batching hides.
  *
  * Emits a machine-readable BENCH_seed.json (override with --out=FILE);
  * --quick shrinks the sweep; --metrics-out=FILE exports the run report

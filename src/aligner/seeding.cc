@@ -118,8 +118,7 @@ collectSeedsInto(const FmdIndex &index, const Sequence &read,
     seeds.clear();
     CounterFlush flush;
     obs::ScopedLatency timer(SeedMetrics::get().batch_seconds);
-    collectSmemsInto(index, read, params.min_seed_len, 1, ws.smem,
-                     ws.smems);
+    collectSmemsInto(index, read, params.min_seed_len, ws.smems);
     smemsToSeeds(index, ws.smems, static_cast<int>(read.size()), params,
                  ws.hits, seeds);
 }
@@ -147,7 +146,7 @@ collectSeedsBatch(const FmdIndex &index, const Sequence *const *reads,
 
     if (ws.smem_batch.size() < n)
         ws.smem_batch.resize(n);
-    collectSmemsBatch(index, reads, n, params.min_seed_len, 1, ws.smem,
+    collectSmemsBatch(index, reads, n, params.min_seed_len, ws.smem,
                       ws.smem_batch);
     for (size_t r = 0; r < n; ++r) {
         out[r].clear();

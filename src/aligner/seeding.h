@@ -53,6 +53,7 @@ struct SeedingParams
  */
 struct SeedWorkspace
 {
+    /** Batch-path search states. */
     SmemWorkspace smem;
     /** Scalar-path SMEM buffer. */
     std::vector<Smem> smems;

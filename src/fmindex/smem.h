@@ -17,8 +17,8 @@ struct Smem
     /** Query span [qbeg, qend). */
     int qbeg = 0;
     int qend = 0;
-    /** Bidirectional interval of the match (s = occurrence count). A
-     *  located match keeps only s (= 1): its k and l are 0. */
+    /** Bidirectional interval of the match (s = occurrence count, info
+     *  = qend). A located match keeps only s (= 1): its k and l are 0. */
     FmdInterval interval;
     /** Index-text position where the single occurrence of a located
      *  match starts; kNoTextPos when the match is known only by its
@@ -31,11 +31,11 @@ struct Smem
 };
 
 /**
- * Reusable scratch for SMEM generation. One instance per thread (the
- * seeding layer owns a thread-local one); buffers grow to the workload
- * high-water mark and are reused, so steady-state SMEM generation
- * performs zero heap allocations. The members are an implementation
- * detail of smem.cc.
+ * Reusable scratch of the lockstep batch driver. One instance per
+ * thread (the seeding layer owns a thread-local one); buffers grow to
+ * the workload high-water mark and are reused, so steady-state SMEM
+ * generation performs zero heap allocations. The members are an
+ * implementation detail of smem.cc.
  */
 struct SmemWorkspace
 {
@@ -43,26 +43,23 @@ struct SmemWorkspace
     struct State
     {
         enum class Phase : uint8_t {
-            NextPivot,
-            Forward,
-            Backward,
-            Locate, ///< walking a unique match to the text
+            NextCandidate,
+            Backward, ///< growing [a, e) leftwards
+            Forward,  ///< growing [a, t) rightwards
+            Locate,   ///< walking a unique match to the text
             Done
         };
 
         const Sequence *query = nullptr;
         std::vector<Smem> *out = nullptr;
         int len = 0;
-        int x = 0;   ///< current pivot
-        int i = 0;   ///< forward/backward loop position
-        int ret = 0; ///< next pivot once this one finishes
-        /** Text position of the pivot's unique match (ik during the
-         *  forward sweep, prev[0] during the backward pass), or
-         *  kNoTextPos while it is still on the BWT. */
+        int e = 0; ///< candidate end of the backward search
+        int a = 0; ///< start of the current match
+        int t = 0; ///< end of the current match in the forward search
+        /** Text position where the unique current match starts, or
+         *  kNoTextPos while it is on the BWT. */
         uint64_t tpos = kNoTextPos;
-        size_t pivot_start = 0; ///< out->size() when the pivot began
-        size_t req_first = 0;   ///< this round's slice of the request buffer
-        size_t req_count = 0;
+        size_t req = 0; ///< this round's request, in Backward/Forward
         /** Phase::Locate's walk, one FmdIndex::locateStep per round:
          *  the BWT row it stands on, its LF steps so far, the sample
          *  slot once the row is sampled (FmdIndex::kUnsampled until
@@ -72,39 +69,38 @@ struct SmemWorkspace
         uint32_t loc_steps = 0;
         Phase resume = Phase::Done;
         Phase phase = Phase::Done;
-        FmdInterval ik;
-        std::vector<FmdInterval> curr, prev;
+        FmdInterval iv; ///< interval of the current match
     };
 
     std::vector<State> states;
     std::vector<FmdExtendRequest> requests;
     /** Indices of states still in flight; compacted as reads finish. */
     std::vector<uint32_t> active;
-    /** Scalar-path interval stacks (collectSmemsInto). */
-    std::vector<FmdInterval> curr, prev;
 };
 
 /**
- * SMEM generation, the seeding algorithm of BWA-MEM (and the workload ERT
- * accelerates): for each query position, find all supermaximal exact
- * matches covering it via forward extension followed by a backward
- * shrink pass (Li 2012 / bwt_smem1). With min_intv == 1, once the forward
- * sweep's match has a single occurrence it is located once and extends
- * by comparing the query against the index text (FmdIndex::textBase),
- * forward and then backward; the SMEM it ends as is `located()`.
+ * SMEM generation, the seeding algorithm of BWA-MEM (and the workload
+ * ERT accelerates), restricted to SMEMs of at least L = max(1,
+ * min_seed_len) bases: the forward-backward search of ropebwt3 (Li,
+ * "BWT construction and search at the terabase scale", 2024). From a
+ * candidate end e (first L), search the query backward to the longest
+ * match [a, e) that occurs. When e − a < L, no match of length L or
+ * more ends before a + L, the next candidate. Otherwise extend [a, e)
+ * forward to its right end t: [a, t) is an SMEM, and the search
+ * continues at e = t + 1. Matches that cover an N or a base absent from
+ * the index do not occur. SMEMs come out in query order.
  *
- * @param min_seed_len Discard SMEMs shorter than this (BWA default 19).
- * @param min_intv Minimum interval size to keep extending (default 1).
+ * A match with a single occurrence is located once and from then on
+ * extends, in either direction, by comparing the query against the
+ * index text (FmdIndex::textBase); every unique SMEM is `located()`.
  */
 std::vector<Smem> collectSmems(const FmdIndex &index, const Sequence &query,
-                               int min_seed_len = 19,
-                               uint64_t min_intv = 1);
+                               int min_seed_len = 19);
 
-/** collectSmems into a caller-owned vector with reusable scratch (the
- *  zero-allocation form; `out` is cleared first). */
+/** collectSmems into a caller-owned vector (the zero-allocation form;
+ *  `out` is cleared first). */
 void collectSmemsInto(const FmdIndex &index, const Sequence &query,
-                      int min_seed_len, uint64_t min_intv,
-                      SmemWorkspace &ws, std::vector<Smem> &out);
+                      int min_seed_len, std::vector<Smem> &out);
 
 /**
  * Lockstep SMEM generation for a batch of reads: all reads' searches
@@ -119,8 +115,7 @@ void collectSmemsInto(const FmdIndex &index, const Sequence &query,
  */
 void collectSmemsBatch(const FmdIndex &index,
                        const Sequence *const *queries, size_t n,
-                       int min_seed_len, uint64_t min_intv,
-                       SmemWorkspace &ws,
+                       int min_seed_len, SmemWorkspace &ws,
                        std::vector<std::vector<Smem>> &out);
 
 } // namespace seedex

@@ -10,14 +10,18 @@
  *    PackedBwt's rank arithmetic at every offset and for FmdIndex's
  *    match intervals and locate hits (by suffix-range search). It
  *    shares no rank code with FmdIndex.
- *  - A rank-only SMEM search (every step a BWT extension, every hit a
- *    locate walk) is the oracle for the text path: unique matches
- *    extend by comparison against the index text, not by rank queries.
- *    The SMEM spans, occurrence counts, located positions and seeds of
- *    both drivers must equal it across the strand junction, at both
- *    reference ends, and with min_intv = 2, where the text path never
- *    engages. Both drivers must also issue the same occ queries and
- *    text steps.
+ *  - A rank-only SMEM search (BWA's bwt_smem1: every step a BWT
+ *    extension, every hit a locate walk, every SMEM found before the
+ *    length floor drops the short ones) is the oracle for the drivers'
+ *    forward-backward search and its text path: unique matches extend
+ *    by comparison against the index text, not by rank queries. The
+ *    SMEM spans, occurrence counts, located positions and seeds of
+ *    both drivers must equal it across the strand junction and at both
+ *    reference ends. Both drivers must also issue the same occ queries
+ *    and text steps.
+ *  - Plain string search over the index text is the oracle for what an
+ *    SMEM is: on small references, some lacking a base, every maximal
+ *    match not contained in another, at floors from 1 to 40.
  *
  * The fuzzing covers random genomes with injected N runs, sentinel-
  * adjacent patterns, very short reads and tiny references. The file
@@ -507,17 +511,17 @@ TEST_F(SeedingDifferential, LocateAgreesAcrossLayouts)
 // ------------------------------------------------- text path vs rank oracle
 
 /**
- * The rank-only bwt_smem1: every forward and backward step, unique or
- * not, is a BWT extension. It is the reference the text path of both
- * drivers must reproduce.
+ * The rank-only bwt_smem1: every SMEM covering pivot x, every forward
+ * and backward step, unique or not, a BWT extension. It is the
+ * reference the text path of both drivers must reproduce.
  */
 int
 oracleSmem1(const FmdIndex &index, const Sequence &query, int x,
-            uint64_t min_intv, std::vector<Smem> &out)
+            std::vector<Smem> &out)
 {
     const int len = static_cast<int>(query.size());
-    if (query[x] >= kNumBases)
-        return x + 1;
+    if (index.init(query[x]).empty())
+        return x + 1; // N or absent from the index: no match covers it
     std::vector<FmdInterval> curr, prev;
     FmdInterval ik = index.init(query[x]);
     ik.info = static_cast<uint64_t>(x) + 1;
@@ -530,7 +534,7 @@ oracleSmem1(const FmdIndex &index, const Sequence &query, int x,
         const FmdInterval ok = index.extend(ik, query[i], false);
         if (ok.s != ik.s) {
             curr.push_back(ik);
-            if (ok.s < min_intv)
+            if (ok.empty())
                 break;
         }
         ik = ok;
@@ -550,7 +554,7 @@ oracleSmem1(const FmdIndex &index, const Sequence &query, int x,
             FmdInterval ok;
             if (c < kNumBases)
                 ok = index.extend(p, c, true);
-            if (c >= kNumBases || ok.s < min_intv) {
+            if (ok.empty()) {
                 if (curr.empty() && (out.size() == pivot_start ||
                                      i + 1 < out.back().qbeg)) {
                     Smem smem;
@@ -572,12 +576,11 @@ oracleSmem1(const FmdIndex &index, const Sequence &query, int x,
 }
 
 std::vector<Smem>
-oracleSmems(const FmdIndex &index, const Sequence &query, int min_seed_len,
-            uint64_t min_intv)
+oracleSmems(const FmdIndex &index, const Sequence &query, int min_seed_len)
 {
     std::vector<Smem> out;
     for (int x = 0; x < static_cast<int>(query.size());)
-        x = oracleSmem1(index, query, x, min_intv, out);
+        x = oracleSmem1(index, query, x, out);
     out.erase(std::remove_if(out.begin(), out.end(),
                              [&](const Smem &m) {
                                  return m.length() < min_seed_len;
@@ -600,7 +603,7 @@ oracleSeeds(const FmdIndex &index, const Sequence &read,
     const int read_len = static_cast<int>(read.size());
     std::vector<Seed> seeds;
     for (const Smem &smem :
-         oracleSmems(index, read, params.min_seed_len, 1)) {
+         oracleSmems(index, read, params.min_seed_len)) {
         if (smem.interval.s > params.max_occurrences)
             continue;
         const uint64_t n =
@@ -751,12 +754,12 @@ TEST_F(SeedingDifferential, SmemsIdenticalAcrossAllConfigurations)
     for (const Sequence &read : reads)
         queries.push_back(&read);
     std::vector<std::vector<Smem>> batch_out(reads.size());
-    collectSmemsBatch(*index_, queries.data(), queries.size(), 12, 1, ws,
+    collectSmemsBatch(*index_, queries.data(), queries.size(), 12, ws,
                       batch_out);
 
     TextCoverage cov;
     for (size_t r = 0; r < reads.size(); ++r) {
-        const auto want = oracleSmems(*index_, reads[r], 12, 1);
+        const auto want = oracleSmems(*index_, reads[r], 12);
         const auto scalar = collectSmems(*index_, reads[r], 12);
         const std::string ctx = "read " + std::to_string(r);
         expectMatchesOracle(*index_, scalar, want, "scalar, " + ctx, cov);
@@ -775,13 +778,13 @@ TEST_F(SeedingDifferential, ShortReadsMatchRankOracle)
     std::vector<std::vector<Smem>> batch_out(1);
     for (int it = 0; it < 120; ++it) {
         const Sequence read = sampleRead(rng, ref_, 1 + rng.pick(8));
-        const auto want = oracleSmems(*index_, read, 2, 1);
+        const auto want = oracleSmems(*index_, read, 2);
         const std::string ctx = "read " + read.toString();
         TextCoverage cov;
         expectMatchesOracle(*index_, collectSmems(*index_, read, 2), want,
                             "scalar, " + ctx, cov);
         const Sequence *q = &read;
-        collectSmemsBatch(*index_, &q, 1, 2, 1, ws, batch_out);
+        collectSmemsBatch(*index_, &q, 1, 2, ws, batch_out);
         expectMatchesOracle(*index_, batch_out[0], want, "batch, " + ctx,
                             cov);
     }
@@ -795,37 +798,24 @@ TEST_F(SeedingDifferential, TextPathSmemsMatchRankOracle)
     for (const Sequence &read : reads)
         queries.push_back(&read);
     SmemWorkspace ws;
-    std::vector<std::vector<Smem>> batch_out;
+    std::vector<std::vector<Smem>> batch_out(reads.size());
     const FmdIndex &index = *index_;
-    for (const uint64_t min_intv : {uint64_t{1}, uint64_t{2}}) {
-        const std::string cfg = "min_intv=" + std::to_string(min_intv);
-        const uint64_t steps0 = FmdIndex::threadCounters().text_steps;
-        TextCoverage cov;
-        batch_out.assign(reads.size(), {});
-        collectSmemsBatch(index, queries.data(), queries.size(), 1,
-                          min_intv, ws, batch_out);
-        for (size_t r = 0; r < reads.size(); ++r) {
-            const auto want = oracleSmems(index, reads[r], 1, min_intv);
-            expectMatchesOracle(
-                index, collectSmems(index, reads[r], 1, min_intv), want,
-                cfg + ", scalar, read " + std::to_string(r), cov);
-            expectMatchesOracle(index, batch_out[r], want,
-                                cfg + ", batch, read " + std::to_string(r),
-                                cov);
-        }
-        const uint64_t steps =
-            FmdIndex::threadCounters().text_steps - steps0;
-        if (min_intv == 1) {
-            // Every edge the path has must actually be exercised.
-            EXPECT_GT(steps, 0u) << cfg;
-            EXPECT_GT(cov.junction, 0u) << cfg;
-            EXPECT_GT(cov.text_start, 0u) << cfg;
-            EXPECT_GT(cov.text_end, 0u) << cfg;
-        } else {
-            EXPECT_EQ(cov.located, 0u) << cfg;
-            EXPECT_EQ(steps, 0u) << cfg;
-        }
+    const uint64_t steps0 = FmdIndex::threadCounters().text_steps;
+    TextCoverage cov;
+    collectSmemsBatch(index, queries.data(), queries.size(), 1, ws,
+                      batch_out);
+    for (size_t r = 0; r < reads.size(); ++r) {
+        const auto want = oracleSmems(index, reads[r], 1);
+        expectMatchesOracle(index, collectSmems(index, reads[r], 1), want,
+                            "scalar, read " + std::to_string(r), cov);
+        expectMatchesOracle(index, batch_out[r], want,
+                            "batch, read " + std::to_string(r), cov);
     }
+    // Every edge the path has must actually be exercised.
+    EXPECT_GT(FmdIndex::threadCounters().text_steps - steps0, 0u);
+    EXPECT_GT(cov.junction, 0u);
+    EXPECT_GT(cov.text_start, 0u);
+    EXPECT_GT(cov.text_end, 0u);
 }
 
 TEST_F(SeedingDifferential, BothDriversIssueTheSameIndexQueries)
@@ -848,22 +838,19 @@ TEST_F(SeedingDifferential, BothDriversIssueTheSameIndexQueries)
     std::vector<Smem> one;
     std::vector<std::vector<Smem>> batch(reads.size());
     const FmdThreadCounters &counters = FmdIndex::threadCounters();
-    for (const uint64_t min_intv : {uint64_t{1}, uint64_t{2}}) {
-        SCOPED_TRACE("min_intv=" + std::to_string(min_intv));
-        const FmdThreadCounters before = counters;
-        for (const Sequence &read : reads)
-            collectSmemsInto(*index_, read, 12, min_intv, ws, one);
-        const FmdThreadCounters scalar = counters;
-        collectSmemsBatch(*index_, queries.data(), queries.size(), 12,
-                          min_intv, ws, batch);
-        const FmdThreadCounters after = counters;
-        EXPECT_EQ(after.occ_calls - scalar.occ_calls,
-                  scalar.occ_calls - before.occ_calls);
-        EXPECT_EQ(after.text_steps - scalar.text_steps,
-                  scalar.text_steps - before.text_steps);
-        // min_intv = 1 locates unique matches; 2 never leaves the BWT.
-        EXPECT_EQ(scalar.text_steps > before.text_steps, min_intv == 1);
-    }
+    const FmdThreadCounters before = counters;
+    for (const Sequence &read : reads)
+        collectSmemsInto(*index_, read, 12, one);
+    const FmdThreadCounters scalar = counters;
+    collectSmemsBatch(*index_, queries.data(), queries.size(), 12, ws,
+                      batch);
+    const FmdThreadCounters after = counters;
+    EXPECT_EQ(after.occ_calls - scalar.occ_calls,
+              scalar.occ_calls - before.occ_calls);
+    EXPECT_EQ(after.text_steps - scalar.text_steps,
+              scalar.text_steps - before.text_steps);
+    // Unique matches are located and extend on the text.
+    EXPECT_GT(scalar.text_steps, before.text_steps);
 }
 
 TEST_F(SeedingDifferential, TextPathSeedsMatchRankOracle)
@@ -891,10 +878,9 @@ TEST_F(SeedingDifferential, TextPathSeedsMatchRankOracle)
 TEST(SeedingTextPath, TinyReferencesMatchRankOracle)
 {
     // On a few dozen bases a single symbol can already be unique, so
-    // the text path starts at the pivot's first base, and most matches
-    // run into a reference end or the junction. With min_intv = 2 such
-    // a unique first base must still stay on the BWT. Every read is
-    // also matched and located against the reference index.
+    // the text path starts at the search's first base, and most matches
+    // run into a reference end or the junction. Every read is also
+    // matched and located against the reference index.
     Rng rng(47);
     SmemWorkspace ws;
     std::vector<std::vector<Smem>> batch_out(1);
@@ -914,25 +900,213 @@ TEST(SeedingTextPath, TinyReferencesMatchRankOracle)
                 read.push_back(randomBase(rng));
             expectMatchAndLocate(index, oracle, read,
                                  "ref " + ref.toString());
-            for (const uint64_t min_intv : {uint64_t{1}, uint64_t{2}}) {
-                TextCoverage cov;
-                const auto want = oracleSmems(index, read, 1, min_intv);
-                const std::string ctx = "ref " + ref.toString() +
-                    ", read " + read.toString() +
-                    ", min_intv=" + std::to_string(min_intv);
-                expectMatchesOracle(index,
-                                    collectSmems(index, read, 1, min_intv),
-                                    want, ctx + ", scalar", cov);
-                const Sequence *q = &read;
-                collectSmemsBatch(index, &q, 1, 1, min_intv, ws, batch_out);
-                expectMatchesOracle(index, batch_out[0], want,
-                                    ctx + ", batch", cov);
-                if (min_intv == 2) {
-                    EXPECT_EQ(cov.located, 0u) << ctx;
+            TextCoverage cov;
+            const auto want = oracleSmems(index, read, 1);
+            const std::string ctx =
+                "ref " + ref.toString() + ", read " + read.toString();
+            expectMatchesOracle(index, collectSmems(index, read, 1), want,
+                                ctx + ", scalar", cov);
+            const Sequence *q = &read;
+            collectSmemsBatch(index, &q, 1, 1, ws, batch_out);
+            expectMatchesOracle(index, batch_out[0], want, ctx + ", batch",
+                                cov);
+        }
+    }
+}
+
+TEST(SeedingTextPath, AbsentBaseEndsEveryMatch)
+{
+    // On a reference without C or G a read's C occurs nowhere: no match
+    // covers it, and the matches on either side of it must still be
+    // found. A search that starts at such a base must not run through
+    // it with an empty interval and report one zero-occurrence match
+    // to the read's end in place of every later SMEM.
+    const Sequence ref =
+        Sequence::fromString("AAATTTATATTAATTTAAATATTTAAAT");
+    const FmdIndex index(ref);
+    struct Case
+    {
+        const char *read;
+        std::vector<std::array<int, 3>> smems; ///< qbeg, qend, count
+        size_t seeds_at_4;
+    };
+    const Case cases[] = {
+        {"CAAAT", {{1, 5, 6}}, 6},
+        {"AAATCTTTAAAT", {{0, 4, 6}, {5, 12, 4}}, 10},
+    };
+    SmemWorkspace ws;
+    std::vector<std::vector<Smem>> batch_out(1);
+    SeedingParams params;
+    params.min_seed_len = 4;
+    SeedWorkspace seed_ws;
+    std::vector<std::vector<Seed>> seed_batch(1);
+    for (const Case &c : cases) {
+        const Sequence read = Sequence::fromString(c.read);
+        const Sequence *q = &read;
+        collectSmemsBatch(index, &q, 1, 1, ws, batch_out);
+        const std::vector<std::pair<std::string, std::vector<Smem>>> got = {
+            {"scalar", collectSmems(index, read, 1)},
+            {"batch", batch_out[0]},
+            {"rank oracle", oracleSmems(index, read, 1)},
+        };
+        for (const auto &[driver, smems] : got) {
+            const std::string ctx = std::string(c.read) + ", " + driver;
+            ASSERT_EQ(smems.size(), c.smems.size()) << ctx;
+            for (size_t m = 0; m < smems.size(); ++m) {
+                EXPECT_EQ(smems[m].qbeg, c.smems[m][0]) << ctx;
+                EXPECT_EQ(smems[m].qend, c.smems[m][1]) << ctx;
+                EXPECT_EQ(smems[m].interval.s,
+                          static_cast<uint64_t>(c.smems[m][2]))
+                    << ctx;
+            }
+        }
+        EXPECT_EQ(collectSeeds(index, read, params).size(), c.seeds_at_4)
+            << c.read;
+        collectSeedsBatch(index, &q, 1, params, seed_ws, seed_batch);
+        EXPECT_EQ(seed_batch[0].size(), c.seeds_at_4) << c.read;
+    }
+}
+
+/** A query span with the number of times it occurs in the index text. */
+struct PlainSmem
+{
+    int qbeg = 0;
+    int qend = 0;
+    uint64_t count = 0;
+};
+
+/**
+ * Every SMEM of `query`, whatever its length, by plain string search
+ * over `text` (the index text T[0, 2L), both strands, so a match may
+ * span the junction): the longest match from each start, kept when no
+ * match from an earlier start reaches as far (which would contain it),
+ * with its number of occurrences. A query N matches nothing.
+ */
+std::vector<PlainSmem>
+plainStringSmems(const std::vector<Base> &text, const Sequence &query)
+{
+    const int len = static_cast<int>(query.size());
+    const auto matchAt = [&](size_t p, int x) {
+        int m = 0;
+        while (x + m < len && p + static_cast<size_t>(m) < text.size() &&
+               text[p + static_cast<size_t>(m)] == query[x + m])
+            ++m;
+        return m;
+    };
+    std::vector<PlainSmem> out;
+    int reach = 0; // furthest end of a match from an earlier start
+    for (int x = 0; x < len; ++x) {
+        int longest = 0;
+        for (size_t p = 0; p < text.size(); ++p)
+            longest = std::max(longest, matchAt(p, x));
+        if (longest == 0 || x + longest <= reach)
+            continue;
+        reach = x + longest;
+        PlainSmem smem{x, reach, 0};
+        for (size_t p = 0; p < text.size(); ++p)
+            smem.count += matchAt(p, x) >= longest;
+        out.push_back(smem);
+    }
+    return out;
+}
+
+TEST(SeedingBruteForce, SmemsMatchPlainStringSearch)
+{
+    // Small random references, 1 base in 40 an N and every fourth one
+    // without C or G, and reads of 1-70 bases, so some are shorter than
+    // the floor: half index-text windows with edits (across the strand
+    // junction included), half random bases with Ns. At every floor both
+    // drivers must give exactly the plain search's SMEMs of at least
+    // the floor's length, spans and counts, and a located SMEM must
+    // start where its query span sits in the text.
+    Rng rng(61);
+    const int floors[] = {1, 2, 5, 11, 15, 19, 25, 40};
+    SmemWorkspace ws;
+    size_t none = 0, smems = 0, located = 0;
+    for (int g = 0; g < 400; ++g) {
+        const bool two_bases = g % 4 == 3;
+        Sequence ref;
+        const size_t ref_len = 20 + rng.pick(301);
+        for (size_t i = 0; i < ref_len; ++i) {
+            const Base b = two_bases ? (rng.coin(0.5) ? kBaseA : kBaseT)
+                                     : randomBase(rng);
+            ref.push_back(rng.pick(40) == 0 ? kBaseN : b);
+        }
+        const FmdIndex index(ref);
+        std::vector<Base> text;
+        for (uint64_t j = 0; j < 2 * index.referenceLength(); ++j)
+            text.push_back(index.textBase(j));
+
+        std::vector<Sequence> reads;
+        for (int it = 0; it < 25; ++it) {
+            const size_t len = 1 + rng.pick(70);
+            Sequence read;
+            if (it % 2 == 0) {
+                const size_t take = std::min(len, text.size());
+                const size_t at = rng.pick(text.size() - take + 1);
+                for (size_t i = 0; i < take; ++i)
+                    read.push_back(text[at + i]);
+                for (size_t e = rng.pick(4); e > 0; --e) {
+                    const size_t i = rng.pick(read.size());
+                    read[i] = rng.coin(0.2)
+                        ? kBaseN
+                        : static_cast<Base>((read[i] + 1 + rng.pick(3)) %
+                                            4);
                 }
+            } else {
+                for (size_t i = 0; i < len; ++i)
+                    read.push_back(rng.pick(10) == 0 ? kBaseN
+                                                     : randomBase(rng));
+            }
+            reads.push_back(read);
+        }
+        std::vector<const Sequence *> queries;
+        for (const Sequence &read : reads)
+            queries.push_back(&read);
+        std::vector<std::vector<PlainSmem>> plain;
+        for (const Sequence &read : reads)
+            plain.push_back(plainStringSmems(text, read));
+
+        std::vector<std::vector<Smem>> batch_out(reads.size());
+        for (const int floor : floors) {
+            collectSmemsBatch(index, queries.data(), queries.size(), floor,
+                              ws, batch_out);
+            for (size_t r = 0; r < reads.size(); ++r) {
+                std::vector<PlainSmem> want;
+                for (const PlainSmem &m : plain[r])
+                    if (m.qend - m.qbeg >= floor)
+                        want.push_back(m);
+                const std::string ctx = "ref " + ref.toString() +
+                    ", read " + reads[r].toString() + ", floor " +
+                    std::to_string(floor);
+                const auto scalar = collectSmems(index, reads[r], floor);
+                const std::vector<Smem> &batch = batch_out[r];
+                for (const std::vector<Smem> *got : {&scalar, &batch}) {
+                    ASSERT_EQ(got->size(), want.size()) << ctx;
+                    for (size_t m = 0; m < want.size(); ++m) {
+                        const Smem &s = (*got)[m];
+                        EXPECT_EQ(s.qbeg, want[m].qbeg) << ctx;
+                        EXPECT_EQ(s.qend, want[m].qend) << ctx;
+                        EXPECT_EQ(s.interval.s, want[m].count) << ctx;
+                        if (!s.located())
+                            continue;
+                        ++located;
+                        ASSERT_LE(s.text_pos + s.length(), text.size());
+                        for (int i = 0; i < s.length(); ++i)
+                            EXPECT_EQ(text[s.text_pos + i],
+                                      reads[r][s.qbeg + i])
+                                << ctx;
+                    }
+                }
+                none += want.empty();
+                smems += want.size();
             }
         }
     }
+    // Cases with and without SMEMs were seen, unique ones among them.
+    EXPECT_GT(none, 0u);
+    EXPECT_GT(smems, 0u);
+    EXPECT_GT(located, 0u);
 }
 
 // ------------------------------------------------------------- seed layer
@@ -1136,11 +1310,11 @@ TEST(SeedingSerialization, HugePageArraysRoundTrip)
         queries.push_back(&read);
     SmemWorkspace ws;
     std::vector<std::vector<Smem>> batch_out(reads.size());
-    collectSmemsBatch(*loaded, queries.data(), queries.size(), 19, 1, ws,
+    collectSmemsBatch(*loaded, queries.data(), queries.size(), 19, ws,
                       batch_out);
     TextCoverage cov;
     for (size_t r = 0; r < reads.size(); ++r) {
-        const auto want = oracleSmems(index, reads[r], 19, 1);
+        const auto want = oracleSmems(index, reads[r], 19);
         const std::string ctx = "read " + std::to_string(r);
         expectMatchesOracle(index, collectSmems(*loaded, reads[r], 19),
                             want, "scalar, " + ctx, cov);
